@@ -40,43 +40,67 @@ def _transfer_frac(pair: ChipFiringPair, v):
     return frac_part(mat_vec(pair.lm_inv, v))
 
 
+def _mu_table(pair: ChipFiringPair):
+    """{s: (case, mu(s))} over the z-superstables of M in lex order,
+    built once per pair: one transfer per superstable plus one for c_max."""
+    if pair._mu is None:
+        m = pair.m
+        target = _transfer_frac(pair, m.c_max)
+        table = {}
+        for s in m.superstables():
+            if _transfer_frac(pair, vec_scale(2, s)) == target:
+                table[s] = ("identity", s)
+            else:
+                table[s] = ("dual", m.sstab_of_class(vec_sub(m.c_max, s)))
+        pair._mu = table
+    return pair._mu
+
+
+def _mu_entry(pair: ChipFiringPair, s):
+    entry = _mu_table(pair).get(tuple(s))
+    if entry is None:
+        raise ValueError("mu is only defined on z-superstable configurations")
+    return entry
+
+
 def mu_case(pair: ChipFiringPair, s):
     """'identity' or 'dual', deciding which branch of mu applies to s."""
-    if not pair.m.is_z_superstable(s):
-        raise ValueError("mu is only defined on z-superstable configurations")
-    same = _transfer_frac(pair, vec_scale(2, s)) == _transfer_frac(pair, pair.m.c_max)
-    return "identity" if same else "dual"
+    return _mu_entry(pair, s)[0]
 
 
 def involution_mu(pair: ChipFiringPair, s):
-    if mu_case(pair, s) == "identity":
-        return tuple(s)
-    return pair.m.sstab_of_class(vec_sub(pair.m.c_max, s))
+    return _mu_entry(pair, s)[1]
 
 
 def duality(pair: ChipFiringPair, x):
     """Send a superstable preimage x to the matching critical preimage."""
     fl, fr = floor_frac_split(x)
-    if not pair.rplus_member(x) or pair.m.sstab_of_class(fl) != fl:
+    table = _mu_table(pair)
+    if not pair.rplus_member(x) or fl not in table:
         raise ValueError("not a superstable preimage")
-    return vec_add(vec_sub(pair.m.c_max, involution_mu(pair, fl)), fr)
+    return vec_add(vec_sub(pair.m.c_max, table[fl][1]), fr)
 
 
 def duality_inverse(pair: ChipFiringPair, y):
     """Send a critical preimage y back to its superstable preimage."""
     fl, fr = floor_frac_split(y)
-    if not pair.rplus_member(y) or pair.m.crit_of_class(fl) != fl:
+    table = _mu_table(pair)
+    dual_floor = vec_sub(pair.m.c_max, fl)
+    # fl is critical iff c_max - fl is superstable
+    if not pair.rplus_member(y) or dual_floor not in table:
         raise ValueError("not a critical preimage")
-    return vec_add(involution_mu(pair, vec_sub(pair.m.c_max, fl)), fr)
+    return vec_add(table[dual_floor][1], fr)
 
 
 def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
     """One row per superstable configuration, ascending lex, giving the
     dual critical on both the configuration and preimage sides.  Raises
     RuntimeError if the rows are not a bijection onto the criticals."""
+    table = _mu_table(pair)
     rows = []
     for r in pair.enumerate_pair_superstables(cap=cap):
-        dual_pre = duality(pair, r.preimage)
+        case, image = table[r.floor]
+        dual_pre = vec_add(vec_sub(pair.m.c_max, image), r.frac)
         dual_cfg = mat_vec(pair.lm_inv, dual_pre)
         if duality_inverse(pair, dual_pre) != r.preimage:
             raise RuntimeError(f"duality_inverse does not undo duality at {r.preimage}")
@@ -84,7 +108,7 @@ def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
             {
                 "config": r.config,
                 "preimage": r.preimage,
-                "mu_case": mu_case(pair, r.floor),
+                "mu_case": case,
                 "dual_config": dual_cfg,
                 "dual_preimage": dual_pre,
             }
@@ -97,15 +121,17 @@ def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
 
 def fixed_points(pair: ChipFiringPair):
     """The z-superstables of M fixed by mu, in lex order."""
-    return tuple(s for s in pair.m.superstables() if mu_case(pair, s) == "identity")
+    return tuple(s for s, (case, _) in _mu_table(pair).items() if case == "identity")
 
 
 def predicted_fixed_point_count(pair: ChipFiringPair):
     """|F0_M| * #{order <= 2 in K(M)/F0_M}; the true count is this or 0."""
     lam = lattices.lattice_intersect_with_Zn(pair.ml_inv)
     quotient = lattices.quotient_group(lam)
-    f0_size = abs(pair.det_m) // quotient.order
-    assert abs(pair.det_m) % quotient.order == 0
+    f0_size, rest = divmod(abs(pair.det_m), quotient.order)
+    if rest:
+        raise RuntimeError(f"|K(M) / F0_M| = {quotient.order} does not divide "
+                           f"|det M| = {abs(pair.det_m)}")
     return f0_size * lattices.count_order_le2(quotient)
 
 
@@ -121,7 +147,9 @@ def nonzero_criteria(pair: ChipFiringPair):
     lam = lattices.lattice_intersect_with_Zn(pair.ml_inv)
     quotient = lattices.quotient_group(lam)
     ord_cmax = lattices.element_order(lam, pair.m.c_max)
-    assert quotient.order % ord_cmax == 0
+    if quotient.order % ord_cmax:
+        raise RuntimeError(f"the order {ord_cmax} of c_max does not divide "
+                           f"|K(M) / F0_M| = {quotient.order}")
     crit = None
     if quotient.is_cyclic and ord_cmax % 2 == 0:
         crit = (quotient.order // ord_cmax) % 2 == 0

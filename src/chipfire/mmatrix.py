@@ -8,18 +8,20 @@ configurations (one of each per equivalence class mod M Z^n), and maps
 arbitrary integer vectors to the class representatives sstab_of_class
 and crit_of_class.
 
-The z-superstability decision is a finite box search: if z >= 0 and
-s - Mz >= 0 then z = M^-1 s - M^-1 (s - Mz) <= M^-1 s entrywise because
-M^-1 >= 0, so candidates z with 0 <= z <= floor(M^-1 s) are exhaustive.
-
 Criticals come from the classical duality c -> c_max - c, which is a
-bijection from superstables onto criticals.
+bijection from superstables onto criticals (Guzman-Klivans 2015).  The
+z-superstability decision uses it the other way round: s is
+z-superstable exactly when c_max - s is critical, and criticality is a
+burning test in the style of Dhar (1990).  Add the burning vector
+b = Mz, where z is the least integer vector >= 0 with Mz >= 1; a stable
+c is critical iff it stabilizes back to itself.  The test costs one
+stabilization of at most sum(z) firings instead of a search over every
+z <= floor(M^-1 s).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from . import lattices
 from .linalg import (
@@ -30,6 +32,7 @@ from .linalg import (
     mat_vec,
     mat_shape,
     vec,
+    vec_add,
     vec_sub,
 )
 
@@ -52,6 +55,29 @@ def is_m_matrix(grid):
     return all(x >= 0 for row in inv for x in row)
 
 
+def burning_script(grid):
+    """The least integer z >= 0 with (grid z)_i >= 1 for every i.
+
+    Least-action iteration: raise each deficient z_i by the units it needs.
+    Raising z_i only lowers the other entries of grid z, so every z' >= 0
+    with grid z' >= 1 stays above the iterate, which therefore stops at
+    the least such vector.  An M-matrix has one (adj(M) 1 is such a z), so
+    the loop ends; on the reduced Laplacian of K_n it returns all ones.
+    """
+    n = len(grid)
+    z = [0] * n
+    b = [0] * n
+    while True:
+        short = [i for i in range(n) if b[i] < 1]
+        if not short:
+            return tuple(z)
+        i = short[0]
+        step = -((b[i] - 1) // grid[i][i])     # ceil((1 - b_i) / M_ii)
+        z[i] += step
+        for r in range(n):
+            b[r] += grid[r][i] * step
+
+
 class MMatrix:
     """An M-matrix with cached inverse, Smith data and class tables."""
 
@@ -67,6 +93,7 @@ class MMatrix:
         self.snf = lattices.snf(m)
         self.group = lattices.quotient_group(m, self.snf)
         self.c_max = tuple(m[i][i] - 1 for i in range(self.n))
+        self.burning = mat_vec(m, burning_script(m))
         self._superstables = None
         self._criticals = None
         self._sstab_by_class = None
@@ -106,18 +133,30 @@ class MMatrix:
     # -- superstability ----------------------------------------------------
 
     def is_z_superstable(self, s):
-        """True iff no nonzero z >= 0 keeps s - Mz effective."""
+        """True iff no nonzero z >= 0 keeps s - Mz effective.
+
+        Decided as: s is stable and c = c_max - s satisfies
+        stabilize(c + b) == c, where b = self.burning = Mz_b for the least
+        integer z_b >= 0 with M z_b >= 1.
+
+        Proof.  Unstable s fail with z = e_i, so let s be stable; then c is
+        stable and effective.  (=>) c is critical by the Guzman-Klivans
+        duality.  b >= 0 and c + b lies in the class of c; criticals are
+        closed under adding chips and stabilizing, and each class has
+        exactly one critical, so stabilize(c + b) = c.  (<=) By the
+        abelian property stabilize(c + kb) = c for every k >= 1.  Since
+        b >= 1, c + kb dominates any given configuration a once k is large
+        enough, so c = stabilize(a + (c + kb - a)) is reached from every
+        configuration: c is critical, and s = c_max - c is z-superstable
+        by the same duality.
+        """
         if any(x < 0 for x in s):
             raise ValueError("z-superstability is defined for effective "
                              "configurations")
-        bound = [math.floor(q) for q in mat_vec(self.inverse, s)]
-        assert all(b >= 0 for b in bound)
-        for z in itertools.product(*(range(b + 1) for b in bound)):
-            if not any(z):
-                continue
-            if all(x >= 0 for x in vec_sub(s, mat_vec(self.m, z))):
-                return False
-        return True
+        if not self.is_stable(s):
+            return False
+        c = vec_sub(self.c_max, s)
+        return self.stabilize(vec_add(c, self.burning)) == c
 
     def superstables(self):
         """All z-superstable configurations in lexicographic order.
@@ -128,7 +167,9 @@ class MMatrix:
         if self._superstables is None:
             box = itertools.product(*(range(self.m[i][i]) for i in range(self.n)))
             found = tuple(s for s in box if self.is_z_superstable(s))
-            assert len(found) == abs(self.det)
+            if len(found) != abs(self.det):
+                raise RuntimeError(f"found {len(found)} superstables, expected "
+                                   f"|det M| = {abs(self.det)}")
             self._superstables = found
         return self._superstables
 
@@ -154,7 +195,9 @@ class MMatrix:
                 sstab[self.class_id(s)] = s
             for c in self.criticals():
                 crit[self.class_id(c)] = c
-            assert len(sstab) == len(crit) == abs(self.det)
+            if not len(sstab) == len(crit) == abs(self.det):
+                raise RuntimeError("superstables and criticals do not each hit "
+                                   "every class of Z^n / M Z^n once")
             self._sstab_by_class = sstab
             self._crit_by_class = crit
         return self._sstab_by_class, self._crit_by_class

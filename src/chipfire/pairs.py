@@ -67,6 +67,7 @@ class ChipFiringPair:
         self.l_snf = lattices.snf(self.l)
         self.l_group = lattices.quotient_group(self.l, self.l_snf)
         self._rows = {}
+        self._mu = None     # {s: (mu case, mu(s))}, filled by duality._mu_table
 
     @property
     def det_m(self):
@@ -150,7 +151,7 @@ class ChipFiringPair:
         )
 
     def _enumerate(self, kind, cap):
-        key = (kind, )
+        key = (kind, cap)
         if key not in self._rows:
             lookup = self.m.sstab_of_class if kind == "superstable" else self.m.crit_of_class
             rows = []
@@ -160,11 +161,12 @@ class ChipFiringPair:
                 base = lookup(fl)
                 preimage = vec_add(base, fr)
                 config = mat_vec(self.lm_inv, preimage)
-                assert vec_is_integral(config)
-                assert all(q >= 0 for q in preimage)
+                if not vec_is_integral(config) or any(q < 0 for q in preimage):
+                    raise RuntimeError(f"class rep {rep} gave no valid {kind} preimage")
                 rows.append(PairRow(config=config, preimage=preimage, floor=base, frac=fr))
             rows.sort(key=lambda r: r.config)
-            assert len({r.config for r in rows}) == abs(self.det_l)
+            if len({r.config for r in rows}) != abs(self.det_l):
+                raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
             self._rows[key] = tuple(rows)
         return self._rows[key]
 

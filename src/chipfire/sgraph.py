@@ -76,7 +76,7 @@ def parse_edge_list(text):
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 3 or parts[2] not in "+-":
+        if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise ValueError(f"bad edge line {ln!r}: expected 'u v +' or 'u v -'")
         u, v = int(parts[0]), int(parts[1])
         if u == v:

@@ -420,20 +420,26 @@ def _random_pair(rng, n, m):
             return pair
 
 
+def _require(ok, what):
+    # a raised error, not an assert: the suite must still check under python -O
+    if not ok:
+        raise RuntimeError(f"property failed: {what}")
+
+
 def check_property_suites(threads=1, seed=PROPERTY_SEED):
     rng = random.Random(seed)
     for _ in range(100):
         n = rng.randint(1, 3)
         m = _random_m_matrix(rng, n)
         ss = m.superstables()
-        assert len(ss) == abs(m.det)
-        assert len({m.class_id(s) for s in ss}) == len(ss), "one superstable per class"
+        _require(len(ss) == abs(m.det), "|det M| superstables")
+        _require(len({m.class_id(s) for s in ss}) == len(ss), "one superstable per class")
         for _ in range(3):
             c = tuple(rng.randint(0, m.m[i][i] + 2) for i in range(n))
-            assert m.stabilize(c) == _stabilize_random_order(m, c, rng), "schedule independence"
+            _require(m.stabilize(c) == _stabilize_random_order(m, c, rng), "schedule independence")
         for _ in range(3):
             s = tuple(rng.randint(0, m.m[i][i] - 1) for i in range(n))
-            assert m.is_z_superstable(s) == _widened_z_superstable(m, s), "box widening"
+            _require(m.is_z_superstable(s) == _widened_z_superstable(m, s), "box widening")
 
     for _ in range(50):
         n = rng.randint(1, 3)
@@ -441,21 +447,22 @@ def check_property_suites(threads=1, seed=PROPERTY_SEED):
         pair = _random_pair(rng, n, m)
         rows = pair.enumerate_pair_superstables()
         for r in rows:
-            assert pair.to_preimage(r.config) == r.preimage
-            assert pair.to_config(r.preimage) == r.config
+            _require(pair.to_preimage(r.config) == r.preimage, "to_preimage inverts to_config")
+            _require(pair.to_config(r.preimage) == r.config, "to_config inverts to_preimage")
         for _ in range(5):
             v = tuple(rng.randint(-6, 6) for _ in range(n))
             w = tuple(rng.randint(-3, 3) for _ in range(n))
             shifted = vec_sub(v, mat_vec(pair.l, w))
-            assert frac_part(mat_vec(pair.ml_inv, v)) == frac_part(mat_vec(pair.ml_inv, shifted))
+            _require(frac_part(mat_vec(pair.ml_inv, v)) == frac_part(mat_vec(pair.ml_inv, shifted)),
+                     "{M L^-1 v} is constant on L-classes")
         crit_pre = {r.preimage for r in pair.enumerate_pair_criticals()}
         images = set()
         for r in rows:
             d = duality(pair, r.preimage)
-            assert frac_part(d) == r.frac, "duality preserves fractional parts"
-            assert duality_inverse(pair, d) == r.preimage
+            _require(frac_part(d) == r.frac, "duality preserves fractional parts")
+            _require(duality_inverse(pair, d) == r.preimage, "duality_inverse undoes duality")
             images.add(d)
-        assert images == crit_pre, "duality is a bijection onto the critical preimages"
+        _require(images == crit_pre, "duality is a bijection onto the critical preimages")
 
     return True, f"100 random M-matrices and 50 random pairs passed every property check (seed {seed})"
 

@@ -1,13 +1,18 @@
+import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chipfire import refdata
 from chipfire.fixtures import DIAMOND_M
 from chipfire.linalg import mat_vec, vec_sub
-from chipfire.mmatrix import MMatrix, is_m_matrix
+from chipfire.mmatrix import MMatrix, burning_script, is_m_matrix
+
+# z-candidates the box oracle below may scan for one matrix; draws above it
+# (near-singular matrices with huge inverses) would take minutes each
+ORACLE_BUDGET = 20_000
 
 
 @st.composite
@@ -22,6 +27,70 @@ def m_matrices(draw, n_max=3):
         slack = draw(st.integers(1, 3))
         grid[j][j] = sum(-grid[i][j] for i in range(n) if i != j) + slack
     return MMatrix(tuple(tuple(r) for r in grid))
+
+
+@st.composite
+def general_m_matrices(draw, n_max=3):
+    """Any sign-valid grid that is an M-matrix, so rows and columns may
+    both have negative sums; rejection-sampled with is_m_matrix."""
+    n = draw(st.integers(1, n_max))
+    grid = tuple(
+        tuple(draw(st.integers(1, 4)) if i == j else -draw(st.integers(0, 2)) for j in range(n))
+        for i in range(n)
+    )
+    assume(is_m_matrix(grid))
+    return grid
+
+
+def widened_box(m):
+    return product(*(range(m.m[i][i] + 2) for i in range(m.n)))
+
+
+def box_oracle(m, s):
+    """The definition, searched over 0 <= z <= floor(M^-1 s): every z >= 0
+    with s - Mz >= 0 lies there because M^-1 >= 0."""
+    bound = [math.floor(q) for q in mat_vec(m.inverse, s)]
+    for z in product(*(range(b + 1) for b in bound)):
+        if any(z) and all(q >= 0 for q in vec_sub(s, mat_vec(m.m, z))):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_m_matrices())
+@example(((1, -2), (0, 1)))
+@example(((2, -1, 0), (-2, 2, -1), (0, -2, 3)))
+def test_z_superstable_matches_box_oracle_on_general_m_matrices(grid):
+    m = MMatrix(grid)
+    cost = sum(math.prod(math.floor(q) + 1 for q in mat_vec(m.inverse, s))
+               for s in widened_box(m))
+    assume(cost <= ORACLE_BUDGET)
+    for s in widened_box(m):
+        assert m.is_z_superstable(s) == box_oracle(m, s), s
+    assert len(m.superstables()) == abs(m.det)
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_m_matrices())
+@example(((1, -2), (0, 1)))
+def test_burning_vector_is_least(grid):
+    m = MMatrix(grid)
+    z = burning_script(m.m)
+    assert m.burning == mat_vec(m.m, z)
+    assert all(b >= 1 for b in m.burning)
+    # every w >= 0 with Mw >= 1 dominates z.  That set is closed under
+    # entrywise min, so a w that does not would give min(w, z) < z, which
+    # lies in this box
+    for w in product(*(range(x + 2) for x in z)):
+        if all(b >= 1 for b in mat_vec(m.m, w)):
+            assert all(a >= b for a, b in zip(w, z)), w
+
+
+def test_burning_vector_of_complete_graph_is_all_ones():
+    k6 = tuple(tuple(5 if i == j else -1 for j in range(5)) for i in range(5))
+    m = MMatrix(k6)
+    assert burning_script(m.m) == (1,) * 5
+    assert m.burning == (1,) * 5
 
 
 def test_is_m_matrix():

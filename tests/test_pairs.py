@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from chipfire import refdata
-from chipfire.fixtures import DIAMOND_L, DIAMOND_M
+from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
+from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import frac_part, identity, mat_vec, vec_add
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
@@ -20,6 +21,15 @@ def test_reference_enumeration(diamond):
 def test_row_counts_match_det(diamond):
     assert len(diamond.enumerate_pair_superstables()) == abs(diamond.det_l) == 12
     assert diamond.det_m == 8
+
+
+def test_enumeration_cap_applies_after_cached_call():
+    pair = diamond_pair()
+    assert len(pair.enumerate_pair_superstables()) == 12
+    for enumerate_rows in (pair.enumerate_pair_superstables, pair.enumerate_pair_criticals):
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_rows(cap=3)
+    assert len(pair.enumerate_pair_criticals(cap=12)) == 12
 
 
 def test_transfer_roundtrip(diamond):

@@ -36,6 +36,7 @@ def test_parse_accepts_comments_and_blank_lines():
         "3 sink 3\n1 2 +",
         "n 3 sink 3\n1 1 +",
         "n 3 sink 3\n1 2 *",
+        "n 3 sink 3\n1 2 +-\n1 3 +\n2 3 +",
         "n 3 sink 3\n1 2",
     ],
 )
