@@ -7,8 +7,8 @@ Input selection (one of):
 
 Output: --format {table,json,csv} (default table), --out FILE.  All
 output is deterministic: identical inputs render byte-identical text
-regardless of run or thread count.  paper-check omits timings unless
---timings is given, since wall-clock numbers are not reproducible.
+on every run.  paper-check omits timings unless --timings is given,
+since wall-clock numbers are not reproducible.
 """
 
 from __future__ import annotations
@@ -36,19 +36,11 @@ from .frackets import (
     zero_fracket_size_formula,
 )
 from .lattices import AbelianGroup, class_id
-from .linalg import (
-    mat_from_json,
-    mat_is_integral,
-    mat_scale,
-    mat_to_json,
-    rational_str,
-    vec_to_json,
-)
+from .linalg import mat_from_json, mat_to_json, rational_str, vec_to_json
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair
 from .sgraph import (
-    count_even_invariant_factors,
-    kn_z2_subgroup,
+    kn_structure,
     parse_edge_list,
     reduced_laplacians,
     scan_critical_groups,
@@ -353,39 +345,27 @@ def cmd_family_scan(args):
         _emit(args, _render(args, payload, ("field", "value"), sorted(result.items()), text))
         return 0
 
-    rows = sweep(args.kind, args.n, threads=args.threads)
+    if args.verify == "z2-subgroup" and (args.kind != "complete" or args.n % 2):
+        raise ValueError("z2-subgroup verification needs the complete family with even n")
+    rows = sweep(args.kind, args.n)
     if args.verify == "z2-subgroup":
-        if args.kind != "complete" or args.n % 2:
-            raise SystemExit("z2-subgroup verification needs the complete family with even n")
         need = args.n - 2
-        half = args.n // 2
-        bad = [p for p, pair in rows if count_even_invariant_factors(pair.l_group) < need]
-        stride = max(1, len(rows) // 32)
-        sampled = 0
-        for _, pair in rows[::stride]:
-            kn_z2_subgroup(pair, args.n)
-            sampled += 1
-        transfer_ok = all(mat_is_integral(mat_scale(half, pair.lm_inv)) for _, pair in rows)
+        res = kn_structure(rows, args.n)
+        bad = res["even_factor_failures"]
+        transfer_ok = res["half_n_transfer_integral"]
         ok = not bad and transfer_ok
-        payload = {
-            "verify": "z2-subgroup",
-            "patterns": len(rows),
-            "even_factor_failures": bad,
-            "structural_samples": sampled,
-            "half_n_transfer_integral": transfer_ok,
-            "ok": ok,
-        }
+        payload = {"verify": "z2-subgroup", "patterns": len(rows), **res, "ok": ok}
         lines = [
             f"{len(rows)} sign patterns",
-            f"{half} * LM^-1 integral everywhere: {'yes' if transfer_ok else 'no'}",
+            f"{args.n // 2} * LM^-1 integral everywhere: {'yes' if transfer_ok else 'no'}",
             f">= {need} even invariant factors: {'all patterns' if not bad else f'FAILED on {bad}'}",
-            f"structural Z_2^{need} subgroup verified on {sampled} sampled patterns",
+            f"structural Z_2^{need} subgroup verified on {res['structural_samples']} sampled patterns",
         ]
         body = [[k, str(v)] for k, v in sorted(payload.items())]
         _emit(args, _render(args, payload, ("field", "value"), body, "\n".join(lines) + "\n"))
         return 0 if ok else 1
     if args.verify == "critical-groups":
-        histogram, _ = scan_critical_groups(args.kind, args.n, threads=args.threads)
+        histogram = scan_critical_groups(rows)
         payload = {
             "verify": "critical-groups",
             "patterns": len(rows),
@@ -413,7 +393,7 @@ def cmd_family_scan(args):
 
 
 def cmd_paper_check(args):
-    results = verification.run_all(threads=args.threads)
+    results = verification.run_all()
     payload = []
     lines = []
     for r in results:
@@ -486,10 +466,8 @@ def build_parser():
     p.add_argument("--kind", choices=("complete", "cycle"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", choices=("half-n", "z2-subgroup", "critical-groups"))
-    p.add_argument("--threads", type=int, default=1)
 
     p = command("paper-check", cmd_paper_check, "run every acceptance criterion", inputs=False)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timings", action="store_true", help="include wall-clock timings (not byte-reproducible)")
 
     return top

@@ -32,6 +32,7 @@ count is nonzero iff |quotient| / ord is even.
 from __future__ import annotations
 
 from . import lattices
+from .frackets import zero_fracket_lattice
 from .linalg import floor_frac_split, frac_part, mat_vec, vec_add, vec_scale, vec_sub
 from .pairs import ChipFiringPair
 
@@ -126,8 +127,7 @@ def fixed_points(pair: ChipFiringPair):
 
 def predicted_fixed_point_count(pair: ChipFiringPair):
     """|F0_M| * #{order <= 2 in K(M)/F0_M}; the true count is this or 0."""
-    lam = lattices.lattice_intersect_with_Zn(pair.ml_inv)
-    quotient = lattices.quotient_group(lam)
+    _, quotient = zero_fracket_lattice(pair, "M")
     f0_size, rest = divmod(abs(pair.det_m), quotient.order)
     if rest:
         raise RuntimeError(f"|K(M) / F0_M| = {quotient.order} does not divide "
@@ -144,8 +144,7 @@ def nonzero_criteria(pair: ChipFiringPair):
     quotient is cyclic and the order is even, nonemptiness is equivalent
     to |quotient| / ord being even; None when the test does not apply.
     """
-    lam = lattices.lattice_intersect_with_Zn(pair.ml_inv)
-    quotient = lattices.quotient_group(lam)
+    lam, quotient = zero_fracket_lattice(pair, "M")
     ord_cmax = lattices.element_order(lam, pair.m.c_max)
     if quotient.order % ord_cmax:
         raise RuntimeError(f"the order {ord_cmax} of c_max does not divide "

@@ -41,11 +41,15 @@ def _side_data(pair: ChipFiringPair, side):
     raise ValueError("side must be 'L' or 'M'")
 
 
-def _lattice(pair: ChipFiringPair, side):
-    # Lambda_S comes from the OTHER side's keymap: its members v are the
-    # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
-    keymap = pair.lm_inv if side == "L" else pair.ml_inv
-    return lattices.lattice_intersect_with_Zn(keymap)
+def zero_fracket_lattice(pair: ChipFiringPair, side):
+    """(Lambda_S, Z^n / Lambda_S) for the side, computed once per pair."""
+    if side not in pair._zero_lattices:
+        # Lambda_S comes from the OTHER side's keymap: its members v are the
+        # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
+        keymap = pair.lm_inv if side == "L" else pair.ml_inv
+        lam = lattices.lattice_intersect_with_Zn(keymap)
+        pair._zero_lattices[side] = lam, lattices.quotient_group(lam)
+    return pair._zero_lattices[side]
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATI
     part = FracketPartition(side=side, keys=keys, by_key={k: tuple(groups[k]) for k in keys})
     assert sum(len(part.by_key[k]) for k in keys) == abs(det)
     # cross-check the coset picture against the lattice quotient
-    quotient = lattices.quotient_group(_lattice(pair, side))
+    _, quotient = zero_fracket_lattice(pair, side)
     assert part.fracket_count == quotient.order
     assert part.fracket_size * quotient.order == abs(det)
     return part
@@ -105,8 +109,7 @@ def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATI
 def zero_fracket(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CAP):
     """F0 for the given side, with Lambda_S and K(side)/F0 ~= Z^n/Lambda_S."""
     grid, keymap, det, dec = _side_data(pair, side)
-    lam = _lattice(pair, side)
-    quotient = lattices.quotient_group(lam)
+    lam, quotient = zero_fracket_lattice(pair, side)
     zero = tuple(
         rep
         for rep in lattices.enumerate_class_reps(grid, dec, cap=cap)
@@ -116,15 +119,11 @@ def zero_fracket(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CA
     return ZeroFracket(side=side, members=zero, lattice=lam, quotient=quotient)
 
 
-def gcd_two(a, b):
-    return math.gcd(a, b)
-
-
 def verify_largest_invariant_factor(pair: ChipFiringPair, side):
     """Largest invariant factor of K(side)/F0 against the flcm of the
     side's keymap; the two always agree."""
     _, keymap, _, _ = _side_data(pair, side)
-    quotient = lattices.quotient_group(_lattice(pair, side))
+    _, quotient = zero_fracket_lattice(pair, side)
     predicted = flcm(keymap)
     largest = quotient.largest_factor
     return {
@@ -155,12 +154,12 @@ def zero_fracket_size_formula(pair: ChipFiringPair):
     scaled_m = mat_scale(abs(pair.det_m), pair.lm_inv)
     g_l = gcd_entries(scaled_l)
     g_m = gcd_entries(scaled_m)
-    quot_l = lattices.quotient_group(_lattice(pair, "L"))
-    quot_m = lattices.quotient_group(_lattice(pair, "M"))
+    _, quot_l = zero_fracket_lattice(pair, "L")
+    _, quot_m = zero_fracket_lattice(pair, "M")
     p_l = _nonlargest_product(quot_l)
     p_m = _nonlargest_product(quot_m)
-    numerator = gcd_two(g_l, g_m)
-    denominator = gcd_two(p_m, p_l)
+    numerator = math.gcd(g_l, g_m)
+    denominator = math.gcd(p_m, p_l)
     assert numerator % denominator == 0
     predicted = numerator // denominator
     actual_l = abs(pair.det_l) // quot_l.order
@@ -184,7 +183,7 @@ def cyclic_shortcut(pair: ChipFiringPair, side):
     gcd of the entries of |side| * keymap(side).
     """
     grid, keymap, det, _ = _side_data(pair, side)
-    quotient = lattices.quotient_group(_lattice(pair, side))
+    _, quotient = zero_fracket_lattice(pair, side)
     if not quotient.is_cyclic:
         return None
     value = gcd_entries(mat_scale(abs(det), keymap))

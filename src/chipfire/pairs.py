@@ -34,7 +34,6 @@ from .linalg import (
     mat_is_integral,
     mat_mul,
     mat_vec,
-    vec,
     vec_add,
     vec_is_integral,
     vec_sub,
@@ -68,6 +67,7 @@ class ChipFiringPair:
         self.l_group = lattices.quotient_group(self.l, self.l_snf)
         self._rows = {}
         self._mu = None     # {s: (mu case, mu(s))}, filled by duality._mu_table
+        self._zero_lattices = {}    # side -> (Lambda, quotient), filled by frackets
 
     @property
     def det_m(self):
@@ -118,18 +118,15 @@ class ChipFiringPair:
         return vec_sub(x, self.m_column(i))
 
     def stabilize_rplus(self, x):
-        """Fire the lowest-index ready site until none is ready."""
+        """Fire the lowest-index ready site until none is ready.
+
+        Site i is ready iff x_i >= M_ii iff floor(x_i) >= M_ii, and firing
+        keeps {x}, so this is M's stabilization of floor(x) plus {x}.
+        """
         if not self.rplus_member(x):
             raise ValueError("not a member of R+")
-        x = vec(x)
-        while True:
-            for i in range(self.n):
-                fired = vec_sub(x, self.m_column(i))
-                if all(q >= 0 for q in fired):
-                    x = fired
-                    break
-            else:
-                return x
+        fl, fr = floor_frac_split(x)
+        return vec_add(self.m.stabilize(fl), fr)
 
     def stabilize_splus(self, c):
         # configuration-side stabilization by transfer through R+

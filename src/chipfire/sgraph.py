@@ -20,11 +20,10 @@ loses nothing by the remark above.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import lattices
-from .linalg import mat_vec, vec_add, vec_is_integral, vec_scale
+from .linalg import mat_is_integral, mat_scale, mat_vec, vec_add, vec_is_integral, vec_scale
 from .mmatrix import MMatrix
 from .pairs import ChipFiringPair
 
@@ -108,7 +107,8 @@ def reduced_laplacians(g: SignedGraph, shared_m: MMatrix | None = None):
                     m_grid[i][idx[b]] -= 1
                     l_grid[i][idx[b]] -= sign
     if shared_m is not None:
-        assert shared_m.m == tuple(tuple(r) for r in m_grid)
+        if shared_m.m != tuple(tuple(r) for r in m_grid):
+            raise ValueError("shared_m is not the M-matrix of this graph")
         return ChipFiringPair(l_grid, shared_m)
     return ChipFiringPair(l_grid, m_grid)
 
@@ -144,26 +144,25 @@ def family(kind, n, sign_pattern=0):
     return SignedGraph(n=n, edges=edges, sink=n)
 
 
-def sweep(kind, n, threads=1):
+def sweep(kind, n):
     """All sign patterns of the family as (pattern, pair), ascending by
     pattern.  Every pair shares one M-matrix instance, since M ignores
-    signs; results are identical for any thread count."""
+    signs."""
     count = 1 << len(family(kind, n).non_sink_edges)
     shared = reduced_laplacians(family(kind, n)).m
-
-    def build(pattern):
-        return pattern, reduced_laplacians(family(kind, n, pattern), shared_m=shared)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, range(count)))
-    else:
-        results = [build(p) for p in range(count)]
-    results.sort(key=lambda item: item[0])
-    return results
+    return [
+        (pattern, reduced_laplacians(family(kind, n, pattern), shared_m=shared))
+        for pattern in range(count)
+    ]
 
 
 # -- structure theorems for complete graphs ----------------------------------
+
+def _check(ok, what):
+    # a raised error, not an assert: the check must still run under python -O
+    if not ok:
+        raise RuntimeError(f"structure check failed: {what}")
+
 
 def verify_half_n_integrality(n):
     """Inverse structure of the reduced Laplacian of K_n.
@@ -180,12 +179,12 @@ def verify_half_n_integrality(n):
     for i in range(k):
         for j in range(k):
             want = Fraction(2, n) if i == j else Fraction(1, n)
-            assert m_inv[i][j] == want
+            _check(m_inv[i][j] == want, f"M^-1[{i}][{j}] = {want}")
     ones = (1,) * k
     for i in range(k):
         e_i = tuple(1 if j == i else 0 for j in range(k))
         scaled = mat_vec(m_inv, vec_scale(n, e_i))
-        assert scaled == vec_add(ones, e_i)
+        _check(scaled == vec_add(ones, e_i), f"n M^-1 e_{i} = ones + e_{i}")
     return {"n": n, "diag": "2/n", "offdiag": "1/n", "n_m_inv_ei": "ones + e_i"}
 
 
@@ -205,31 +204,33 @@ def kn_z2_subgroup(pair: ChipFiringPair, n):
     so [c_i] has order dividing 2 and lies in the zero fracket of K(L).
     Subset sums of the s_i stay z-superstable up to size (n-2)/2, and the
     c_i together generate a subgroup with invariant factors (2,)*(n-2).
+    Raises RuntimeError if any of these fails.
     """
     if n % 2:
         raise ValueError("needs even n")
     k = pair.n
-    assert k == n - 1
+    if k != n - 1:
+        raise ValueError(f"a signing of K_{n} has {n - 1} non-sink vertices, not {k}")
     q = n // 2
     ones = (1,) * k
     configs = []
     for i in range(k):
         e_i = tuple(int(j == i) for j in range(k))
         s_i = vec_scale(q, e_i)
-        assert pair.m.is_z_superstable(s_i)
+        _check(pair.m.is_z_superstable(s_i), f"{q} e_{i} is z-superstable")
         c_i = mat_vec(pair.lm_inv, s_i)
-        assert vec_is_integral(c_i), "q e_i must transfer integrally"
+        _check(vec_is_integral(c_i), f"{q} e_{i} transfers integrally")
         doubled = vec_scale(2, c_i)
-        assert doubled == mat_vec(pair.l, vec_add(ones, e_i))
-        assert lattices.class_id(pair.l, doubled, pair.l_snf) == (0,) * k
+        _check(doubled == mat_vec(pair.l, vec_add(ones, e_i)), f"2 c_{i} = L(ones + e_{i})")
+        _check(lattices.class_id(pair.l, doubled, pair.l_snf) == (0,) * k, f"2 [c_{i}] = 0")
         frac_key = mat_vec(pair.ml_inv, c_i)
-        assert vec_is_integral(frac_key), "c_i must sit in the zero fracket"
+        _check(vec_is_integral(frac_key), f"c_{i} sits in the zero fracket")
         configs.append(c_i)
     for subset in _subsets_up_to(range(k), (n - 2) // 2):
         total = tuple(q if j in subset else 0 for j in range(k))
-        assert pair.m.is_z_superstable(total)
+        _check(pair.m.is_z_superstable(total), f"{total} is z-superstable")
     group = lattices.subgroup_invariant_factors(configs, pair.l)
-    assert group.invariant_factors == (2,) * (n - 2)
+    _check(group.invariant_factors == (2,) * (n - 2), f"the c_i generate Z_2^{n - 2}")
     return {"n": n, "generators": tuple(configs), "subgroup": group}
 
 
@@ -237,26 +238,33 @@ def count_even_invariant_factors(group: lattices.AbelianGroup):
     return sum(1 for d in group.invariant_factors if d % 2 == 0)
 
 
-def scan_critical_groups(kind, n, threads=1, expect_even_factors=None):
-    """Critical groups K(L) across all sign patterns of the family.
+def kn_structure(rows, n):
+    """The K_n structure results over the sweep rows of the complete family
+    with even n: the patterns with fewer than n - 2 even invariant factors,
+    the number of patterns whose Z_2^(n-2) subgroup kn_z2_subgroup verified
+    (every stride-th row, stride max(1, len(rows) // 32)), and whether
+    (n/2) L M^-1 is integral for every pattern."""
+    samples = rows[:: max(1, len(rows) // 32)]
+    for _, pair in samples:
+        kn_z2_subgroup(pair, n)
+    return {
+        "even_factor_failures": [
+            p for p, pair in rows if count_even_invariant_factors(pair.l_group) < n - 2
+        ],
+        "structural_samples": len(samples),
+        "half_n_transfer_integral": all(
+            mat_is_integral(mat_scale(n // 2, pair.lm_inv)) for _, pair in rows
+        ),
+    }
 
-    Returns (histogram, certificates): histogram maps each invariant
-    factor tuple to its number of patterns, ascending lex; certificates
-    is the per-pattern count of even invariant factors when
-    expect_even_factors is set, after asserting every count reaches it.
-    """
-    rows = sweep(kind, n, threads=threads)
+
+def scan_critical_groups(rows):
+    """Critical groups K(L) over sweep rows: maps each invariant factor
+    tuple to its number of patterns, ascending lex."""
     histogram = {}
-    evens = []
-    for pattern, pair in rows:
+    for _, pair in rows:
         factors = pair.l_group.invariant_factors
         histogram[factors] = histogram.get(factors, 0) + 1
-        if expect_even_factors is not None:
-            got = count_even_invariant_factors(pair.l_group)
-            assert got >= expect_even_factors, (
-                f"pattern {pattern}: only {got} even invariant factors in {factors}"
-            )
-            evens.append(got)
     ordered = dict(sorted(histogram.items()))
-    assert sum(ordered.values()) == len(rows)
-    return ordered, tuple(evens)
+    _check(sum(ordered.values()) == len(rows), "every pattern is counted once")
+    return ordered

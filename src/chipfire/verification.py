@@ -32,13 +32,13 @@ from .frackets import (
     fracket_partition,
     verify_largest_invariant_factor,
     zero_fracket,
+    zero_fracket_lattice,
     zero_fracket_size_formula,
 )
 from .linalg import (
     floor_frac_split,
     frac_part,
     gcd_entries,
-    mat_is_integral,
     mat_scale,
     mat_vec,
     vec_add,
@@ -48,9 +48,9 @@ from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair
 from .sgraph import (
     SignedGraph,
-    count_even_invariant_factors,
-    kn_z2_subgroup,
+    kn_structure,
     reduced_laplacians,
+    scan_critical_groups,
     sweep,
     verify_half_n_integrality,
 )
@@ -73,7 +73,7 @@ def _bullet(ok, text):
 
 # -- 1: unsigned baseline ------------------------------------------------------
 
-def check_unsigned_baseline(threads=1):
+def check_unsigned_baseline():
     m = MMatrix(DIAMOND_M)
     ss, cc = m.superstables(), m.criticals()
     ok = set(ss) == set(refdata.M_SUPERSTABLES) and set(cc) == set(refdata.M_CRITICALS)
@@ -84,7 +84,7 @@ def check_unsigned_baseline(threads=1):
 
 # -- 2: pair enumeration -------------------------------------------------------
 
-def check_pair_enumeration(threads=1):
+def check_pair_enumeration():
     pair = diamond_pair()
     got_ss = {(r.config, r.preimage, r.floor) for r in pair.enumerate_pair_superstables()}
     got_cc = {(r.config, r.preimage, r.floor) for r in pair.enumerate_pair_criticals()}
@@ -110,7 +110,7 @@ def _unmasked_dual_config(pair, x):
     return pair.to_config(vec_add(vec_sub(cmax, pair.m.sstab_of_class(vec_sub(cmax, fl))), fr))
 
 
-def check_duality_map(threads=1):
+def check_duality_map():
     pair = diamond_pair()
     worked = duality(pair, refdata.WORKED_DUALITY_INPUT)
     cfgs = (pair.to_config(refdata.WORKED_DUALITY_INPUT), pair.to_config(worked))
@@ -170,7 +170,7 @@ def check_duality_map(threads=1):
 
 # -- 4: involution ----------------------------------------------------------------
 
-def check_involution(threads=1):
+def check_involution():
     pair = diamond_pair()
     ss = pair.m.superstables()
     ok_table = all(
@@ -201,7 +201,7 @@ def check_involution(threads=1):
 
 # -- 5: frackets -------------------------------------------------------------------
 
-def check_frackets(threads=1):
+def check_frackets():
     pair = diamond_pair()
     part_l = fracket_partition(pair, "L")
     part_m = fracket_partition(pair, "M")
@@ -271,12 +271,11 @@ def _fixed_point_invariants(pair):
     return count, predicted, ok
 
 
-def check_fixed_points(threads=1):
+def check_fixed_points():
     pair = diamond_pair()
     fps = fixed_points(pair)
     predicted = predicted_fixed_point_count(pair)
-    lam = lattices.lattice_intersect_with_Zn(pair.ml_inv)
-    quot = lattices.quotient_group(lam)
+    _, quot = zero_fracket_lattice(pair, "M")
     f0 = abs(pair.det_m) // quot.order
     d = lattices.count_order_le2(quot)
     ok_diamond = fps == refdata.FIXED_POINTS and predicted == 4 and (f0, d) == (2, 2)
@@ -292,7 +291,7 @@ def check_fixed_points(threads=1):
         ok_triangles = ok_triangles and count == refdata.TRIANGLE_FIXED_POINT_COUNTS[signs[0]]
 
     ok_cycles = True
-    for pattern, cyc in sweep("cycle", 6, threads=threads):
+    for pattern, cyc in sweep("cycle", 6):
         count, _, ok = _fixed_point_invariants(cyc)
         ok_cycles = ok_cycles and ok
         expected = refdata.C6_FIXED_POINT_COUNTS.get(pattern, refdata.C6_FIXED_POINT_DEFAULT)
@@ -311,10 +310,10 @@ def check_fixed_points(threads=1):
 
 # -- 7: critical set with no maximum ---------------------------------------------------
 
-def check_no_cmax(threads=1):
+def check_no_cmax():
     target = set(refdata.C6_CRITICALS)
     matches = []
-    for pattern, cyc in sweep("cycle", 6, threads=threads):
+    for pattern, cyc in sweep("cycle", 6):
         crit = {r.config for r in cyc.enumerate_pair_criticals()}
         if crit == target:
             matches.append(pattern)
@@ -340,23 +339,15 @@ def check_no_cmax(threads=1):
 
 # -- 8: complete graph on six vertices ---------------------------------------------------
 
-def check_k6(threads=1):
-    rows = sweep("complete", 6, threads=threads)
-    histogram = {}
-    ok_transfer = True
-    ok_even = True
-    for _, p in rows:
-        ok_transfer = ok_transfer and mat_is_integral(mat_scale(3, p.lm_inv))
-        factors = p.l_group.invariant_factors
-        histogram[factors] = histogram.get(factors, 0) + 1
-        ok_even = ok_even and count_even_invariant_factors(p.l_group) >= 4
-    ok_hist = dict(sorted(histogram.items())) == refdata.K6_CRITICAL_GROUPS
-
+def check_k6():
+    rows = sweep("complete", 6)
+    histogram = scan_critical_groups(rows)
+    ok_hist = histogram == refdata.K6_CRITICAL_GROUPS
     verify_half_n_integrality(6)
-    sampled = 0
-    for _, p in rows[::32]:
-        kn_z2_subgroup(p, 6)
-        sampled += 1
+    res = kn_structure(rows, 6)
+    ok_transfer = res["half_n_transfer_integral"]
+    ok_even = not res["even_factor_failures"]
+    sampled = res["structural_samples"]
 
     lines = [
         _bullet(ok_transfer, "3 * LM^-1 is integral for all 1024 sign patterns"),
@@ -426,7 +417,7 @@ def _require(ok, what):
         raise RuntimeError(f"property failed: {what}")
 
 
-def check_property_suites(threads=1, seed=PROPERTY_SEED):
+def check_property_suites(seed=PROPERTY_SEED):
     rng = random.Random(seed)
     for _ in range(100):
         n = rng.randint(1, 3)
@@ -469,7 +460,7 @@ def check_property_suites(threads=1, seed=PROPERTY_SEED):
 
 # -- 10: documented erratum in the scaled transfer matrix -------------------------------------
 
-def check_scaled_transfer_erratum(threads=1):
+def check_scaled_transfer_erratum():
     pair = diamond_pair()
     scaled = mat_scale(abs(pair.det_l), pair.ml_inv)
     ok_matrix = scaled == refdata.SCALED_ML_INV
@@ -500,17 +491,17 @@ CRITERIA = (
 )
 
 
-def run_criterion(number, threads=1):
+def run_criterion(number):
     for num, name, fn in CRITERIA:
         if num == number:
             start = time.perf_counter()
             try:
-                passed, detail = fn(threads=threads)
+                passed, detail = fn()
             except Exception as exc:  # report, never crash the matrix
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             return CriterionResult(num, name, passed, detail, time.perf_counter() - start)
     raise ValueError(f"no criterion {number}")
 
 
-def run_all(threads=1):
-    return tuple(run_criterion(num, threads=threads) for num, _, _ in CRITERIA)
+def run_all():
+    return tuple(run_criterion(num) for num, _, _ in CRITERIA)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from chipfire import cli, sgraph
 from chipfire.cli import main
 
 
@@ -141,6 +144,36 @@ def test_family_scan_critical_groups_cycle4(capsys):
     code, out, _ = run(capsys, "family-scan", "--kind", "cycle", "--n", "4", "--verify", "critical-groups")
     assert code == 0
     assert "Z_4: 4 patterns" in out
+
+
+def count_sweeps(monkeypatch):
+    real = sgraph.sweep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sgraph, "sweep", counted)
+    monkeypatch.setattr(cli, "sweep", counted)
+    return calls
+
+
+def test_family_scan_critical_groups_sweeps_once(monkeypatch, capsys):
+    calls = count_sweeps(monkeypatch)
+    code, _, _ = run(capsys, "family-scan", "--kind", "cycle", "--n", "4", "--verify", "critical-groups")
+    assert code == 0
+    assert calls == [("cycle", 4)]
+
+
+@pytest.mark.parametrize("kind, n", [("cycle", "6"), ("complete", "5")])
+def test_family_scan_z2_subgroup_rejects_bad_request(monkeypatch, capsys, kind, n):
+    calls = count_sweeps(monkeypatch)
+    code, out, err = run(capsys, "family-scan", "--kind", kind, "--n", n, "--verify", "z2-subgroup")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
 
 
 def test_paper_check_matrix(capsys):

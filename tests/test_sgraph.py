@@ -96,10 +96,10 @@ def test_sweep_shares_one_m_matrix():
     assert all(pair.m is first for _, pair in rows)
 
 
-def test_sweep_thread_count_does_not_change_result():
-    a = [(p, pair.l) for p, pair in sweep("cycle", 5)]
-    b = [(p, pair.l) for p, pair in sweep("cycle", 5, threads=3)]
-    assert a == b
+def test_shared_m_must_match_the_graph():
+    other = reduced_laplacians(family("cycle", 4)).m
+    with pytest.raises(ValueError):
+        reduced_laplacians(family("complete", 4), shared_m=other)
 
 
 def test_half_n_integrality():
@@ -116,8 +116,7 @@ def test_kn_z2_subgroup_on_k4():
 
 
 def test_scan_cycle_four():
-    hist, _ = scan_critical_groups("cycle", 4)
-    assert dict(hist) == {(4,): 4}
+    assert scan_critical_groups(sweep("cycle", 4)) == {(4,): 4}
 
 
 def test_count_even_invariant_factors(diamond):
