@@ -33,7 +33,8 @@ def vec(entries):
 
 def mat(rows):
     out = tuple(vec(r) for r in rows)
-    assert len({len(r) for r in out}) <= 1, "ragged matrix"
+    if len({len(r) for r in out}) > 1:
+        raise ValueError("ragged matrix: rows differ in length")
     return out
 
 
@@ -74,10 +75,6 @@ def mat_mul(a, b):
 
 def mat_scale(k, a):
     return tuple(tuple(_norm(k * x) for x in row) for row in a)
-
-
-def mat_col(a, j):
-    return tuple(row[j] for row in a)
 
 
 def is_integer_entry(x):
@@ -245,11 +242,15 @@ def rational_str(x):
 
 
 def parse_rational(s):
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return _norm(Fraction(int(num), int(den)))
-    return int(s)
+    """Parse "a" or "a/b" into an int or Fraction; ValueError for anything else."""
+    if not isinstance(s, str):
+        raise ValueError(f"a rational must be a string \"a\" or \"a/b\", not {s!r}")
+    if "/" not in s:
+        return int(s)
+    num, den = (int(t) for t in s.split("/"))
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return _norm(Fraction(num, den))
 
 
 def vec_to_json(v):
@@ -260,9 +261,16 @@ def mat_to_json(a):
     return [vec_to_json(row) for row in a]
 
 
+def _json_array(data):
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON array, got {type(data).__name__}")
+    return data
+
+
 def vec_from_json(data):
-    return vec(x if isinstance(x, int) else parse_rational(x) for x in data)
+    # bool is an int subclass, so JSON true/false must not pass as 1/0
+    return vec(x if type(x) is int else parse_rational(x) for x in _json_array(data))
 
 
 def mat_from_json(data):
-    return mat(vec_from_json(row) for row in data)
+    return mat(vec_from_json(row) for row in _json_array(data))

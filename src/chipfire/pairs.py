@@ -73,12 +73,6 @@ class ChipFiringPair:
     def det_m(self):
         return self.m.det
 
-    @property
-    def c_max_m(self):
-        # c_max of the underlying M-matrix; the pair itself may have no
-        # coordinatewise-maximal critical configuration
-        return self.m.c_max
-
     # -- membership and transfer -------------------------------------------
 
     def rplus_member(self, x):
@@ -111,11 +105,6 @@ class ChipFiringPair:
         if not 0 <= i < self.n:
             raise IndexError("site index out of range")
         return tuple(self.m.m[r][i] for r in range(self.n))
-
-    def fire_rplus(self, x, i):
-        if not self.ready_to_fire(x, i):
-            raise ValueError(f"site {i} is not ready to fire")
-        return vec_sub(x, self.m_column(i))
 
     def stabilize_rplus(self, x):
         """Fire the lowest-index ready site until none is ready.

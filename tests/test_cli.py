@@ -126,6 +126,34 @@ def test_missing_file(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{"L": [["1/0"]], "M": [["1"]]}',
+        '{"L": [[1.5]], "M": [[1]]}',
+        '{"L": [[1, 2], [3]], "M": [[1, 0], [0, 1]]}',
+        '[[2, -1], [-1, 2]]',
+    ],
+    ids=["zero-denominator", "float-entry", "ragged-rows", "bare-grid"],
+)
+def test_malformed_pair_is_an_input_error(tmp_path, capsys, blob):
+    path = tmp_path / "pair.json"
+    path.write_text(blob)
+    code, out, err = run(capsys, "group", "--pair", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_out_to_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "group", "--fixture", "diamond", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_out_flag(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "group", "--fixture", "diamond", "--out", str(target))
@@ -166,10 +194,13 @@ def test_family_scan_critical_groups_sweeps_once(monkeypatch, capsys):
     assert calls == [("cycle", 4)]
 
 
-@pytest.mark.parametrize("kind, n", [("cycle", "6"), ("complete", "5")])
-def test_family_scan_z2_subgroup_rejects_bad_request(monkeypatch, capsys, kind, n):
+@pytest.mark.parametrize(
+    "verify, kind, n",
+    [("z2-subgroup", "cycle", "6"), ("z2-subgroup", "complete", "5"), ("half-n", "cycle", "6")],
+)
+def test_family_scan_z2_subgroup_rejects_bad_request(monkeypatch, capsys, verify, kind, n):
     calls = count_sweeps(monkeypatch)
-    code, out, err = run(capsys, "family-scan", "--kind", kind, "--n", n, "--verify", "z2-subgroup")
+    code, out, err = run(capsys, "family-scan", "--kind", kind, "--n", n, "--verify", verify)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
