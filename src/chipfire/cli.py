@@ -147,18 +147,19 @@ def cmd_check_mmatrix(args):
     rows = [["is_m_matrix", ok]]
     if ok:
         m = MMatrix(grid)
+        inverse = m.inverse
         payload.update(
             det=m.det,
             c_max=vec_to_json(m.c_max),
             group=m.group.to_json(),
-            inverse=mat_to_json(m.inverse),
+            inverse=mat_to_json(inverse),
         )
         lines += [
             f"det: {m.det}",
             f"c_max: {_fmt_vec(m.c_max)}",
             f"group: {m.group}",
             "inverse:",
-            *_fmt_mat_lines(m.inverse),
+            *_fmt_mat_lines(inverse),
         ]
         rows += [["det", m.det], ["c_max", _fmt_vec(m.c_max)], ["group", str(m.group)]]
     return Report(payload, ("field", "value"), rows, lines, code=0 if ok else 1)

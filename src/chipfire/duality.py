@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from . import lattices
 from .frackets import zero_fracket_lattice
-from .linalg import floor_frac_split, frac_part, mat_vec, vec_add, vec_scale, vec_sub
+from .linalg import mat_vec, numerators, over, vec_sub
 from .pairs import ChipFiringPair
 
 
 def _transfer_frac(pair: ChipFiringPair, v):
-    return frac_part(mat_vec(pair.lm_inv, v))
+    """Numerators of {L M^-1 v}: residues of L adj(M) v mod det M."""
+    return tuple(q % pair.det_m for q in mat_vec(pair.n_lm, v))
 
 
 def _mu_table(pair: ChipFiringPair):
@@ -49,7 +50,7 @@ def _mu_table(pair: ChipFiringPair):
         target = _transfer_frac(pair, m.c_max)
         table = {}
         for s in m.superstables():
-            if _transfer_frac(pair, vec_scale(2, s)) == target:
+            if _transfer_frac(pair, tuple(2 * q for q in s)) == target:
                 table[s] = ("identity", s)
             else:
                 table[s] = ("dual", m.sstab_of_class(vec_sub(m.c_max, s)))
@@ -73,24 +74,37 @@ def involution_mu(pair: ChipFiringPair, s):
     return _mu_entry(pair, s)[1]
 
 
+def _dual_numerators(pair: ChipFiringPair, p, inverse):
+    """Preimage numerators of D(x) (or D^-1(x) when inverse) for the
+    numerators p of x, or None when x is not a superstable (critical)
+    preimage."""
+    table = _mu_table(pair)
+    c_max = pair.m.c_max
+    fl, fr = pair.split(p)
+    # fl is critical iff c_max - fl is superstable
+    key = vec_sub(c_max, fl) if inverse else fl
+    if key not in table:
+        return None
+    image = table[key][1]
+    return pair.join(image if inverse else vec_sub(c_max, image), fr)
+
+
+def _apply(pair: ChipFiringPair, x, inverse, what):
+    p = pair.rplus_numerators(x)
+    q = None if p is None else _dual_numerators(pair, p, inverse)
+    if q is None:
+        raise ValueError(f"not a {what} preimage")
+    return over(q, pair.den_l)
+
+
 def duality(pair: ChipFiringPair, x):
     """Send a superstable preimage x to the matching critical preimage."""
-    fl, fr = floor_frac_split(x)
-    table = _mu_table(pair)
-    if not pair.rplus_member(x) or fl not in table:
-        raise ValueError("not a superstable preimage")
-    return vec_add(vec_sub(pair.m.c_max, table[fl][1]), fr)
+    return _apply(pair, x, False, "superstable")
 
 
 def duality_inverse(pair: ChipFiringPair, y):
     """Send a critical preimage y back to its superstable preimage."""
-    fl, fr = floor_frac_split(y)
-    table = _mu_table(pair)
-    dual_floor = vec_sub(pair.m.c_max, fl)
-    # fl is critical iff c_max - fl is superstable
-    if not pair.rplus_member(y) or dual_floor not in table:
-        raise ValueError("not a critical preimage")
-    return vec_add(table[dual_floor][1], fr)
+    return _apply(pair, y, True, "critical")
 
 
 def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
@@ -100,18 +114,17 @@ def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
     table = _mu_table(pair)
     rows = []
     for r in pair.enumerate_pair_superstables(cap=cap):
-        case, image = table[r.floor]
-        dual_pre = vec_add(vec_sub(pair.m.c_max, image), r.frac)
-        dual_cfg = mat_vec(pair.lm_inv, dual_pre)
-        if duality_inverse(pair, dual_pre) != r.preimage:
+        p = numerators(r.preimage, pair.den_l)
+        dual = _dual_numerators(pair, p, False)
+        if _dual_numerators(pair, dual, True) != p:
             raise RuntimeError(f"duality_inverse does not undo duality at {r.preimage}")
         rows.append(
             {
                 "config": r.config,
                 "preimage": r.preimage,
-                "mu_case": case,
-                "dual_config": dual_cfg,
-                "dual_preimage": dual_pre,
+                "mu_case": table[r.floor][0],
+                "dual_config": pair.config_of_numerators(dual),
+                "dual_preimage": over(dual, pair.den_l),
             }
         )
     crit_cfgs = {row.config for row in pair.enumerate_pair_criticals(cap=cap)}

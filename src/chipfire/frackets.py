@@ -28,16 +28,17 @@ import math
 from dataclasses import dataclass
 
 from . import lattices
-from .linalg import flcm, frac_part, gcd_entries, mat_scale, mat_vec
+from .linalg import ensure, flcm, gcd_entries, mat_vec, over
 from .pairs import ChipFiringPair
 
 
 def _side_data(pair: ChipFiringPair, side):
-    """(matrix grid, keymap, det, snf) for the requested side."""
+    """(matrix grid, keymap numerators, keymap denominator, det, snf) for
+    the requested side; the keymap T S^-1 is numerators / denominator."""
     if side == "L":
-        return pair.l, pair.ml_inv, pair.det_l, pair.l_snf
+        return pair.l, pair.n_ml, pair.den_l, pair.det_l, pair.l_snf
     if side == "M":
-        return pair.m.m, pair.lm_inv, pair.det_m, pair.m.snf
+        return pair.m.m, pair.n_lm, pair.det_m, pair.det_m, pair.m.snf
     raise ValueError("side must be 'L' or 'M'")
 
 
@@ -46,8 +47,9 @@ def zero_fracket_lattice(pair: ChipFiringPair, side):
     if side not in pair._zero_lattices:
         # Lambda_S comes from the OTHER side's keymap: its members v are the
         # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
-        keymap = pair.lm_inv if side == "L" else pair.ml_inv
-        lam = lattices.lattice_intersect_with_Zn(keymap)
+        other = "M" if side == "L" else "L"
+        _, num, den, _, _ = _side_data(pair, other)
+        lam = lattices.lattice_intersect_with_Zn(num, den)
         pair._zero_lattices[side] = lam, lattices.quotient_group(lam)
     return pair._zero_lattices[side]
 
@@ -65,7 +67,7 @@ class FracketPartition:
     @property
     def fracket_size(self):
         sizes = {len(self.by_key[k]) for k in self.keys}
-        assert len(sizes) == 1, "frackets are cosets of F0 and share one size"
+        ensure(len(sizes) == 1, "frackets are cosets of F0 and share one size")
         return sizes.pop()
 
 
@@ -81,50 +83,60 @@ class ZeroFracket:
         return len(self.members)
 
 
+def _residues(num, den, v):
+    # numerators of {num v / den} over the positive denominator den
+    return tuple(q % den for q in mat_vec(num, v))
+
+
 def fracket_key(pair: ChipFiringPair, side, v):
-    _, keymap, _, _ = _side_data(pair, side)
-    return frac_part(mat_vec(keymap, v))
+    _, num, den, _, _ = _side_data(pair, side)
+    return over(_residues(num, den, v), den)
 
 
 def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CAP):
     """Partition the classes of K(side) by key, keys in ascending lex order.
 
     by_key maps each key to the tuple of class representatives carrying
-    it, each representative in the image of enumerate_class_reps.
+    it, each representative in the image of enumerate_class_reps.  The
+    classes are grouped by residue vectors, which over one positive
+    denominator sort as the keys do; each key becomes a rational once.
     """
-    grid, keymap, det, dec = _side_data(pair, side)
+    grid, num, den, det, dec = _side_data(pair, side)
     groups = {}
     for rep in lattices.enumerate_class_reps(grid, dec, cap=cap):
-        groups.setdefault(frac_part(mat_vec(keymap, rep)), []).append(rep)
-    keys = tuple(sorted(groups))
-    part = FracketPartition(side=side, keys=keys, by_key={k: tuple(groups[k]) for k in keys})
-    assert sum(len(part.by_key[k]) for k in keys) == abs(det)
+        groups.setdefault(_residues(num, den, rep), []).append(rep)
+    residues = sorted(groups)
+    keys = tuple(over(r, den) for r in residues)
+    part = FracketPartition(
+        side=side, keys=keys, by_key={k: tuple(groups[r]) for k, r in zip(keys, residues)}
+    )
+    ensure(sum(len(v) for v in groups.values()) == abs(det), "the frackets cover K(side)")
     # cross-check the coset picture against the lattice quotient
     _, quotient = zero_fracket_lattice(pair, side)
-    assert part.fracket_count == quotient.order
-    assert part.fracket_size * quotient.order == abs(det)
+    ensure(part.fracket_count == quotient.order, "one fracket per class of Z^n / Lambda")
+    ensure(part.fracket_size * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
     return part
 
 
 def zero_fracket(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CAP):
     """F0 for the given side, with Lambda_S and K(side)/F0 ~= Z^n/Lambda_S."""
-    grid, keymap, det, dec = _side_data(pair, side)
+    grid, num, den, det, dec = _side_data(pair, side)
     lam, quotient = zero_fracket_lattice(pair, side)
     zero = tuple(
         rep
         for rep in lattices.enumerate_class_reps(grid, dec, cap=cap)
-        if not any(frac_part(mat_vec(keymap, rep)))
+        if not any(_residues(num, den, rep))
     )
-    assert len(zero) * quotient.order == abs(det)
+    ensure(len(zero) * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
     return ZeroFracket(side=side, members=zero, lattice=lam, quotient=quotient)
 
 
 def verify_largest_invariant_factor(pair: ChipFiringPair, side):
     """Largest invariant factor of K(side)/F0 against the flcm of the
     side's keymap; the two always agree."""
-    _, keymap, _, _ = _side_data(pair, side)
+    _, num, den, _, _ = _side_data(pair, side)
     _, quotient = zero_fracket_lattice(pair, side)
-    predicted = flcm(keymap)
+    predicted = flcm(num, den)
     largest = quotient.largest_factor
     return {
         "side": side,
@@ -147,25 +159,24 @@ def zero_fracket_size_formula(pair: ChipFiringPair):
 
     predicted = gcd( gcd |L| M L^-1 , gcd |M| L M^-1 ) / gcd(p_M, p_L)
     with p_S the product of the non-largest invariant factors of
-    K(S)/F0_S.  Checks the prediction against both actual sizes, which
-    must also agree with each other.
+    K(S)/F0_S.  The scaled transfers are the numerators n_ml and n_lm.
+    Checks the prediction against both actual sizes, which must also
+    agree with each other.
     """
-    scaled_l = mat_scale(abs(pair.det_l), pair.ml_inv)
-    scaled_m = mat_scale(abs(pair.det_m), pair.lm_inv)
-    g_l = gcd_entries(scaled_l)
-    g_m = gcd_entries(scaled_m)
+    g_l = gcd_entries(pair.n_ml)
+    g_m = gcd_entries(pair.n_lm)
     _, quot_l = zero_fracket_lattice(pair, "L")
     _, quot_m = zero_fracket_lattice(pair, "M")
     p_l = _nonlargest_product(quot_l)
     p_m = _nonlargest_product(quot_m)
     numerator = math.gcd(g_l, g_m)
     denominator = math.gcd(p_m, p_l)
-    assert numerator % denominator == 0
+    ensure(numerator % denominator == 0, "gcd(p_M, p_L) divides the gcd of the scaled transfers")
     predicted = numerator // denominator
     actual_l = abs(pair.det_l) // quot_l.order
     actual_m = abs(pair.det_m) // quot_m.order
-    assert actual_l == actual_m, "both sides share one zero-fracket size"
-    assert predicted == actual_l
+    ensure(actual_l == actual_m, "both sides share one zero-fracket size")
+    ensure(predicted == actual_l, "the size formula predicts |F0|")
     return {
         "gcd_scaled_L": g_l,
         "gcd_scaled_M": g_m,
@@ -180,12 +191,12 @@ def cyclic_shortcut(pair: ChipFiringPair, side):
     """gcd of the scaled keymap when K(side)/F0 is cyclic, else None.
 
     For a cyclic quotient the size formula collapses: |F0| equals the
-    gcd of the entries of |side| * keymap(side).
+    gcd of the entries of |side| * keymap(side), the keymap's numerators.
     """
-    grid, keymap, det, _ = _side_data(pair, side)
+    _, num, _, det, _ = _side_data(pair, side)
     _, quotient = zero_fracket_lattice(pair, side)
     if not quotient.is_cyclic:
         return None
-    value = gcd_entries(mat_scale(abs(det), keymap))
-    assert value == abs(det) // quotient.order
+    value = gcd_entries(num)
+    ensure(value == abs(det) // quotient.order, "the cyclic shortcut gives |F0|")
     return value

@@ -19,17 +19,16 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .linalg import (
+    adjugate,
+    ensure,
     flcm,
     identity,
     mat,
     mat_det,
-    mat_inverse,
     mat_is_integral,
     mat_mul,
-    mat_scale,
     mat_vec,
     mat_shape,
-    vec,
     xgcd,
 )
 
@@ -55,8 +54,10 @@ class AbelianGroup:
 
     def __post_init__(self):
         fs = self.invariant_factors
-        assert all(isinstance(d, int) and d >= 2 for d in fs)
-        assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
+        if not all(isinstance(d, int) and d >= 2 for d in fs):
+            raise ValueError(f"invariant factors must be integers >= 2, got {fs}")
+        if not all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1)):
+            raise ValueError(f"invariant factors must divide each other in turn, got {fs}")
 
     @property
     def order(self):
@@ -143,7 +144,7 @@ def snf(a):
             for j in range(k, n):
                 if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
                     best = (i, j)
-        assert best is not None, "unexpected zero block in nonsingular snf"
+        ensure(best is not None, "no zero block in a nonsingular snf")
         if best[0] != k:
             swap_rows(k, best[0])
         if best[1] != k:
@@ -183,12 +184,12 @@ def snf(a):
             negate_row(i)
 
     dec = SnfDecomposition(mat(u), mat(d), mat(v), mat(uinv), mat(vinv))
-    assert mat_mul(mat_mul(dec.U, dec.D), dec.V) == mat(a)
-    assert mat_mul(dec.U, dec.Uinv) == identity(n)
-    assert mat_mul(dec.V, dec.Vinv) == identity(n)
+    ensure(mat_mul(mat_mul(dec.U, dec.D), dec.V) == mat(a), "A = U D V")
+    ensure(mat_mul(dec.U, dec.Uinv) == identity(n), "U Uinv = I")
+    ensure(mat_mul(dec.V, dec.Vinv) == identity(n), "V Vinv = I")
     diag = [dec.D[i][i] for i in range(n)]
-    assert all(x >= 1 for x in diag)
-    assert all(diag[i + 1] % diag[i] == 0 for i in range(n - 1))
+    ensure(all(x >= 1 for x in diag), "positive invariant factors")
+    ensure(all(diag[i + 1] % diag[i] == 0 for i in range(n - 1)), "d_i divides d_(i+1)")
     return dec
 
 
@@ -198,7 +199,7 @@ def quotient_group(a, dec=None):
     n = len(dec.D)
     factors = tuple(dec.D[i][i] for i in range(n) if dec.D[i][i] > 1)
     group = AbelianGroup(factors)
-    assert group.order == abs(mat_det(a))
+    ensure(group.order == abs(mat_det(a)), "|Z^n / A Z^n| = |det A|")
     return group
 
 
@@ -224,35 +225,37 @@ def enumerate_class_reps(a, dec=None, cap=DEFAULT_ENUMERATION_CAP):
     total = math.prod(dec.D[i][i] for i in range(n))
     if total > cap:
         raise EnumerationCapExceeded(f"{total} classes exceeds cap {cap}")
-    reps = [mat_vec(dec.U, r)
+    return [mat_vec(dec.U, r)
             for r in itertools.product(*(range(dec.D[i][i]) for i in range(n)))]
-    assert len(reps) == total
-    return reps
 
 
-def lattice_intersect_with_Zn(b):
-    """Integer basis of the lattice Z^n intersect B Z^n.
+def lattice_intersect_with_Zn(num, den):
+    """Integer basis of the lattice Z^n intersect B Z^n, where B = num / den
+    with an integer matrix num and a positive integer den.
 
-    Algorithm: with k = flcm(B) the matrix C = kB is integral; for y in
-    Z^n, Cy lies in k Z^n iff (V y)_i is a multiple of k / gcd(d_i, k)
-    where C = U D V.  Hence the intersection is B * V^-1 * diag(k / gcd(d_i, k)) * Z^n.
+    Algorithm: k = flcm(B) = den / g with g = gcd(den, content of num), so
+    C = kB = num / g is integral; for y in Z^n, Cy lies in k Z^n iff
+    (V y)_i is a multiple of k / gcd(d_i, k) where C = U D V.  Hence the
+    intersection is B * V^-1 * diag(k / gcd(d_i, k)) * Z^n.
     """
-    n, m = mat_shape(b)
+    n, m = mat_shape(num)
     if n != m:
         raise ValueError("square matrix required")
-    if mat_det(b) == 0:
+    if den <= 0:
+        raise ValueError("the denominator must be positive")
+    if mat_det(num) == 0:
         raise ValueError("singular matrix")
-    k = flcm(b)
-    c = mat_scale(k, b)
-    assert mat_is_integral(c)
-    dec = snf(c)
+    k = flcm(num, den)
+    g = den // k
+    dec = snf(tuple(tuple(x // g for x in row) for row in num))
     scale = tuple(
         tuple(k // math.gcd(dec.D[i][i], k) if i == j else 0 for j in range(n))
         for i in range(n)
     )
-    w = mat_mul(mat_mul(b, dec.Vinv), scale)
-    assert mat_is_integral(w), "intersection basis must be integral"
-    assert mat_det(w) != 0
+    w = mat_mul(mat_mul(num, dec.Vinv), scale)
+    ensure(not any(x % den for row in w for x in row), "the intersection basis is integral")
+    w = tuple(tuple(x // den for x in row) for row in w)
+    ensure(mat_det(w) != 0, "the intersection basis is nonsingular")
     # every column lies in B Z^n by construction: B^-1 W = Vinv * scale
     return w
 
@@ -266,10 +269,12 @@ def element_order(lattice_basis, v):
     """Least k >= 1 with k*v in the lattice spanned by the basis columns.
 
     k*v in W Z^n iff k * (W^-1 v) is integral, so k is the lcm of the
-    denominators of W^-1 v.
+    denominators of W^-1 v = adj(W) v / det W.
     """
-    w = mat_vec(mat_inverse(lattice_basis), v)
-    return flcm(w)
+    det, adj = adjugate(lattice_basis)
+    if det == 0:
+        raise ValueError("singular lattice basis")
+    return flcm(mat_vec(adj, v), det)
 
 
 def lattice_basis_from_columns(cols):
@@ -282,14 +287,15 @@ def lattice_basis_from_columns(cols):
     """
     cols = [list(c) for c in cols]
     n = len(cols[0])
-    assert all(len(c) == n for c in cols)
+    if not all(len(c) == n for c in cols):
+        raise ValueError("columns differ in length")
     basis = []
     work = cols
     for i in range(n):
         pivot = None
         rest = []
         for c in work:
-            assert all(c[r] == 0 for r in range(i)), "elimination invariant"
+            ensure(all(c[r] == 0 for r in range(i)), "rows above the pivot are eliminated")
             if c[i] == 0:
                 rest.append(c)
             elif pivot is None:
@@ -299,7 +305,7 @@ def lattice_basis_from_columns(cols):
                 pa, ca = pivot[i] // g, c[i] // g
                 new_pivot = [x * p + y * q for p, q in zip(pivot, c)]
                 new_rest = [ca * p - pa * q for p, q in zip(pivot, c)]
-                assert new_pivot[i] == g and new_rest[i] == 0
+                ensure(new_pivot[i] == g and new_rest[i] == 0, "the gcd step clears the row")
                 pivot = new_pivot
                 rest.append(new_rest)
         if pivot is None:
@@ -316,11 +322,12 @@ def subgroup_invariant_factors(generators, a):
     classes of the given integer vectors.
 
     With B a basis of the lattice spanned by the generators together with
-    the columns of A, the subgroup is isomorphic to Z^n / (B^-1 A) Z^n.
+    the columns of A, the subgroup is isomorphic to Z^n / (B^-1 A) Z^n, and
+    B^-1 A = adj(B) A / det B.
     """
     n = len(a)
     cols = [list(g) for g in generators] + [[a[r][j] for r in range(n)] for j in range(n)]
-    basis = lattice_basis_from_columns(cols)
-    x = mat_mul(mat_inverse(basis), a)
-    assert mat_is_integral(x), "A Z^n must sit inside the generated lattice"
-    return quotient_group(x)
+    det, adj = adjugate(lattice_basis_from_columns(cols))
+    x = mat_mul(adj, a)
+    ensure(not any(q % det for row in x for q in row), "A Z^n sits inside the generated lattice")
+    return quotient_group(tuple(tuple(q // det for q in row) for row in x))

@@ -1,11 +1,19 @@
-"""Exact rational linear algebra on immutable tuples.
+"""Exact linear algebra on immutable tuples.
 
-Vectors are tuples and matrices are tuples of row tuples.  Entries are
-Python ints or fractions.Fraction values, normalized so that anything
-with denominator 1 is stored as an int.  Every operation is exact;
-determinants use fraction-free (Bareiss) elimination on integer input
-and plain rational elimination otherwise, so no pivot tolerance exists
-anywhere.
+Vectors are tuples and matrices are tuples of row tuples.  The exact
+core is integer: a rational matrix such as an inverse or a transfer
+L M^-1 is carried as an integer numerator matrix N over one positive
+common denominator d, and the inverse of an integer matrix A is
+adj(A) / det(A), with the adjugate from fraction-free (Bareiss)
+elimination.  Integrality of N / d is N % d == 0, its floor is N // d and
+its fractional numerators are N % d, so no pivot tolerance and no
+rational arithmetic exists anywhere on the hot paths.
+
+fractions.Fraction appears only at the edges: parse_rational reads
+"a/b", over and mat_over turn numerators into the normalized rationals
+that public fields and printed output show, and rational_str renders
+them.  The generic vector helpers below accept either kind of entry and
+store anything with denominator 1 as an int.
 
 Serialization: a rational renders as "a/b" in lowest terms, or "a" when
 the denominator is 1.  Matrices serialize row-major as JSON arrays of
@@ -16,10 +24,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 def _norm(x):
     # ints stay ints, Fraction with denominator 1 collapses to int
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
@@ -27,8 +38,14 @@ def _norm(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def ensure(ok, what):
+    """Raise RuntimeError unless ok: a post-condition that python -O keeps."""
+    if not ok:
+        raise RuntimeError(f"post-condition failed: {what}")
+
+
 def vec(entries):
-    return tuple(_norm(x) for x in entries)
+    return tuple(map(_norm, entries))
 
 
 def mat(rows):
@@ -59,18 +76,16 @@ def vec_scale(k, v):
 
 
 def mat_vec(a, x):
-    assert len(a[0]) == len(x), "dimension mismatch"
-    return tuple(_norm(sum(r[j] * x[j] for j in range(len(x)))) for r in a)
+    if len(a[0]) != len(x):
+        raise ValueError("dimension mismatch")
+    return tuple(map(_norm, (sum(map(mul, r, x)) for r in a)))
 
 
 def mat_mul(a, b):
-    n, m = mat_shape(a)
-    m2, p = mat_shape(b)
-    assert m == m2, "dimension mismatch"
-    return tuple(
-        tuple(_norm(sum(a[i][k] * b[k][j] for k in range(m))) for j in range(p))
-        for i in range(n)
-    )
+    if mat_shape(a)[1] != len(b):
+        raise ValueError("dimension mismatch")
+    cols = tuple(zip(*b))
+    return tuple(tuple(map(_norm, (sum(map(mul, row, col)) for col in cols))) for row in a)
 
 
 def mat_scale(k, a):
@@ -90,13 +105,20 @@ def mat_is_integral(a):
 
 
 def mat_det(a):
-    """Exact determinant.  Integer input returns an int."""
+    """Exact determinant of a square integer matrix."""
     n, m = mat_shape(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
-    if mat_is_integral(a):
-        return _det_bareiss(a)
-    return _det_rational(a)
+    if not mat_is_integral(a):
+        raise ValueError("determinant needs integer entries")
+    return _det_bareiss(a)
+
+
+def _exact(num, den):
+    q, r = divmod(num, den)
+    if r:
+        raise RuntimeError(f"fraction-free elimination: {den} does not divide {num}")
+    return q
 
 
 def _det_bareiss(a):
@@ -116,65 +138,97 @@ def _det_bareiss(a):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = divmod(num, prev)
-                assert r == 0
-                m[i][j] = q
+                m[i][j] = _exact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
 
-def _det_rational(a):
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
+def adjugate(a):
+    """(det A, adj A) for a square integer matrix, so A adj(A) = det(A) I.
+
+    Fraction-free Gauss-Jordan elimination on [A | I], the Bareiss (1968)
+    step applied above the pivot too: every division by the previous
+    pivot is exact, the left block ends as p I and the right block as
+    p A^-1, where the last pivot p is det A up to the sign of the row
+    swaps.  A singular A has no full pivot sequence; its adjugate comes
+    from cofactors.
+    """
+    n, m = mat_shape(a)
+    if n != m:
+        raise ValueError("adjugate of a non-square matrix")
+    if not mat_is_integral(a):
+        raise ValueError("adjugate needs integer entries")
+    w = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = 1
+    prev = 1
     for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return _norm(det)
+        if w[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if w[i][k]), None)
+            if swap is None:
+                return 0, _cofactor_adjugate(a)
+            w[k], w[swap] = w[swap], w[k]
+            sign = -sign
+        pivot_row = w[k]
+        p = pivot_row[k]
+        # columns left of k are zero in every row but the diagonal, which
+        # later steps never read, so only columns k+1.. change
+        for i in range(n):
+            if i != k:
+                row = w[i]
+                f = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = _exact(p * row[j] - f * pivot_row[j], prev)
+                row[k] = 0
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in w)
+
+
+def _cofactor_adjugate(a):
+    n = len(a)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * _det_bareiss([r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def mat_inverse(a):
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n, m = mat_shape(a)
-    if n != m:
-        raise ValueError("inverse of a non-square matrix")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if work[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[k], work[pivot] = work[pivot], work[k]
-        inv = 1 / work[k][k]
-        work[k] = [x * inv for x in work[k]]
-        for i in range(n):
-            if i != k and work[i][k]:
-                f = work[i][k]
-                work[i] = [x - f * y for x, y in zip(work[i], work[k])]
-    out = mat(row[n:] for row in work)
-    assert mat_mul(a, out) == identity(n)
-    return out
+    """Exact inverse adj(A) / det(A) of an integer matrix, as rationals for
+    printing; raises on singular input."""
+    det, adj = adjugate(a)
+    if det == 0:
+        raise ValueError("singular matrix")
+    return mat_over(adj, det)
+
+
+def over(nums, den):
+    """The vector nums / den as normalized rationals: the one place a
+    numerator vector becomes Fraction entries."""
+    return tuple(q // den if q % den == 0 else Fraction(q, den) for q in nums)
+
+
+def mat_over(num, den):
+    return tuple(over(row, den) for row in num)
+
+
+def numerators(v, den):
+    """The integers p with v = p / den, or None when den is not a common
+    denominator of the entries of v."""
+    out = []
+    for x in v:
+        if isinstance(x, int):
+            out.append(x * den)
+        else:
+            q, r = divmod(den, x.denominator)
+            if r:
+                return None
+            out.append(x.numerator * q)
+    return tuple(out)
 
 
 def floor_frac_split(x):
@@ -185,7 +239,8 @@ def floor_frac_split(x):
     """
     fl = tuple(math.floor(q) for q in x)
     fr = tuple(_norm(q - f) for q, f in zip(x, fl))
-    assert all(0 <= f < 1 for f in fr)
+    if not all(0 <= f < 1 for f in fr):
+        raise RuntimeError(f"fractional part {fr} is not in [0, 1)")
     return fl, fr
 
 
@@ -193,29 +248,23 @@ def frac_part(x):
     return floor_frac_split(x)[1]
 
 
-def _denominator(x):
-    return x.denominator if isinstance(x, Fraction) else 1
-
-
-def flcm(a):
-    """lcm of the denominators of all entries (matrix or vector)."""
+def _entries(a):
     rows = a if a and isinstance(a[0], tuple) else (a,)
-    k = 1
-    for row in rows:
-        for x in row:
-            k = math.lcm(k, _denominator(x))
-    return k
+    return [x for row in rows for x in row]
+
+
+def flcm(num, den):
+    """lcm of the denominators of the entries of num / den (matrix or
+    vector): den / gcd(den, content of num)."""
+    return abs(den) // math.gcd(den, *_entries(num))
 
 
 def gcd_entries(a):
     """gcd of the absolute values of all integer entries."""
-    rows = a if a and isinstance(a[0], tuple) else (a,)
-    g = 0
-    for row in rows:
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("gcd_entries needs integer entries")
-            g = math.gcd(g, abs(x))
+    entries = _entries(a)
+    if not all(isinstance(x, int) for x in entries):
+        raise ValueError("gcd_entries needs integer entries")
+    g = math.gcd(*entries)
     if g == 0:
         raise ValueError("gcd_entries of an all-zero matrix")
     return g

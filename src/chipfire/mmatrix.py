@@ -25,10 +25,10 @@ import itertools
 
 from . import lattices
 from .linalg import (
+    adjugate,
     mat,
-    mat_det,
-    mat_inverse,
     mat_is_integral,
+    mat_over,
     mat_vec,
     mat_shape,
     vec,
@@ -37,22 +37,29 @@ from .linalg import (
 )
 
 
+def _m_matrix_adjugate(grid):
+    """(det, adj) of grid when it is an M-matrix, else None."""
+    n, m = mat_shape(grid)
+    if n != m or n == 0 or not mat_is_integral(grid):
+        return None
+    for i in range(n):
+        if grid[i][i] <= 0:
+            return None
+        for j in range(n):
+            if i != j and grid[i][j] > 0:
+                return None
+    det, adj = adjugate(grid)
+    # the inverse adj / det is nonnegative iff no entry of adj has the
+    # opposite sign of det
+    if det == 0 or any(x * det < 0 for row in adj for x in row):
+        return None
+    return det, adj
+
+
 def is_m_matrix(grid):
     """True iff the sign pattern holds, the matrix is invertible and the
     inverse is entrywise nonnegative.  Singular input returns False."""
-    n, m = mat_shape(grid)
-    if n != m or n == 0 or not mat_is_integral(grid):
-        return False
-    for i in range(n):
-        if grid[i][i] <= 0:
-            return False
-        for j in range(n):
-            if i != j and grid[i][j] > 0:
-                return False
-    if mat_det(grid) == 0:
-        return False
-    inv = mat_inverse(grid)
-    return all(x >= 0 for row in inv for x in row)
+    return _m_matrix_adjugate(grid) is not None
 
 
 def burning_script(grid):
@@ -79,17 +86,21 @@ def burning_script(grid):
 
 
 class MMatrix:
-    """An M-matrix with cached inverse, Smith data and class tables."""
+    """An M-matrix with its adjugate, Smith data and class tables.
+
+    The inverse is adj / det; det is positive, as for every nonsingular
+    M-matrix.
+    """
 
     def __init__(self, grid):
         m = mat(grid)
-        if not is_m_matrix(m):
+        found = _m_matrix_adjugate(m)
+        if found is None:
             raise ValueError("not an M-matrix (sign pattern, invertibility and "
                              "nonnegative inverse are all required)")
         self.m = m
         self.n = len(m)
-        self.inverse = mat_inverse(m)
-        self.det = mat_det(m)
+        self.det, self.adj = found
         self.snf = lattices.snf(m)
         self.group = lattices.quotient_group(m, self.snf)
         self.c_max = tuple(m[i][i] - 1 for i in range(self.n))
@@ -98,6 +109,11 @@ class MMatrix:
         self._criticals = None
         self._sstab_by_class = None
         self._crit_by_class = None
+
+    @property
+    def inverse(self):
+        """M^-1 as rationals, built on demand for printing."""
+        return mat_over(self.adj, self.det)
 
     # -- basic dynamics ----------------------------------------------------
 

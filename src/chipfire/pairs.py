@@ -19,6 +19,13 @@ the superstable preimage of that class is sstab_of_class(M, floor(x)) + {x}
 and the critical preimage is crit_of_class(M, floor(x)) + {x}.  The
 fractional part {x} is an invariant of the class, which makes the sweep
 well defined.
+
+Both transfers are carried as integer numerator matrices over a positive
+denominator: M L^-1 = n_ml / |det L| with n_ml = +-M adj(L), and
+L M^-1 = n_lm / det M with n_lm = L adj(M).  A preimage x is carried as
+its numerators p = |det L| x, so floor(x) = p // |det L| and the
+numerators of {x} are p % |det L|; rationals are built only for the
+public row fields and the rational views lm_inv, ml_inv and l_inv.
 """
 
 from __future__ import annotations
@@ -27,16 +34,18 @@ from collections import namedtuple
 
 from . import lattices
 from .linalg import (
-    floor_frac_split,
+    adjugate,
+    ensure,
+    identity,
     mat,
-    mat_det,
-    mat_inverse,
     mat_is_integral,
     mat_mul,
+    mat_over,
+    mat_scale,
     mat_vec,
-    vec_add,
+    numerators,
+    over,
     vec_is_integral,
-    vec_sub,
 )
 from .mmatrix import MMatrix
 
@@ -45,7 +54,7 @@ Classification = namedtuple("Classification", "is_superstable is_critical")
 
 
 class ChipFiringPair:
-    """(L, M) with cached transfer matrices and Smith data for L."""
+    """(L, M) with the transfer numerators and Smith data for L."""
 
     def __init__(self, l_grid, m_grid):
         self.l = mat(l_grid)
@@ -55,14 +64,19 @@ class ChipFiringPair:
         if len(self.l) != self.m.n or any(len(r) != self.m.n for r in self.l):
             raise ValueError("L and M must be square of equal size")
         self.n = self.m.n
-        self.det_l = mat_det(self.l)
+        self.det_l, self.adj_l = adjugate(self.l)
         if self.det_l == 0:
             raise ValueError("L must be invertible")
-        self.l_inv = mat_inverse(self.l)
-        self.lm_inv = mat_mul(self.l, self.m.inverse)
-        self.ml_inv = mat_mul(self.m.m, self.l_inv)
-        assert mat_mul(self.lm_inv, self.m.m) == self.l
-        assert mat_mul(self.ml_inv, self.l) == self.m.m
+        # a signed L can have det L < 0; the preimage denominator is |det L|
+        self.den_l = abs(self.det_l)
+        self.n_lm = mat_mul(self.l, self.m.adj)
+        self.n_ml = mat_mul(self.m.m, mat_scale(self.den_l // self.det_l, self.adj_l))
+        ensure(mat_mul(self.l, self.adj_l) == mat_scale(self.det_l, identity(self.n)),
+               "L adj(L) = det L I")
+        ensure(mat_mul(self.n_lm, self.m.m) == mat_scale(self.det_m, self.l),
+               "n_lm M = det M L")
+        ensure(mat_mul(self.n_ml, self.l) == mat_scale(self.den_l, self.m.m),
+               "n_ml L = |det L| M")
         self.l_snf = lattices.snf(self.l)
         self.l_group = lattices.quotient_group(self.l, self.l_snf)
         self._rows = {}
@@ -73,21 +87,67 @@ class ChipFiringPair:
     def det_m(self):
         return self.m.det
 
+    # -- rational views, built on demand for printing ----------------------------
+
+    @property
+    def lm_inv(self):
+        return mat_over(self.n_lm, self.det_m)
+
+    @property
+    def ml_inv(self):
+        return mat_over(self.n_ml, self.den_l)
+
+    @property
+    def l_inv(self):
+        return mat_over(self.adj_l, self.det_l)
+
+    # -- numerator transfers ---------------------------------------------------------
+
+    def preimage_numerators(self, c):
+        """|det L| M L^-1 c for an integer vector c."""
+        return mat_vec(self.n_ml, c)
+
+    def config_of_numerators(self, p):
+        """L M^-1 (p / |det L|), or None when it is not integral."""
+        den = self.det_m * self.den_l
+        c = mat_vec(self.n_lm, p)
+        if any(q % den for q in c):
+            return None
+        return tuple(q // den for q in c)
+
+    def rplus_numerators(self, x):
+        """The numerators |det L| x of a member x of R+, or None."""
+        p = numerators(x, self.den_l)
+        if p is None or any(q < 0 for q in p) or self.config_of_numerators(p) is None:
+            return None
+        return p
+
+    def split(self, p):
+        """(floor, numerators of the fractional part) of p / |det L|."""
+        d = self.den_l
+        return tuple(q // d for q in p), tuple(q % d for q in p)
+
+    def join(self, fl, fr):
+        """Numerators of fl + fr / |det L|."""
+        d = self.den_l
+        return tuple(f * d + r for f, r in zip(fl, fr))
+
     # -- membership and transfer -------------------------------------------
 
     def rplus_member(self, x):
-        return all(q >= 0 for q in x) and vec_is_integral(mat_vec(self.lm_inv, x))
+        return self.rplus_numerators(x) is not None
 
     def splus_member(self, c):
-        return vec_is_integral(c) and all(q >= 0 for q in mat_vec(self.ml_inv, c))
+        return vec_is_integral(c) and all(q >= 0 for q in self.preimage_numerators(c))
 
     def to_preimage(self, c):
-        return mat_vec(self.ml_inv, c)
+        return over(self.preimage_numerators(c), self.den_l)
 
     def to_config(self, x):
-        if not self.rplus_member(x):
+        p = self.rplus_numerators(x)
+        if p is None:
             raise ValueError("not a member of R+")
-        return mat_vec(self.lm_inv, x)
+        return self.config_of_numerators(p)
 
     def class_id(self, c):
         return lattices.class_id(self.l, c, self.l_snf)
@@ -95,11 +155,11 @@ class ChipFiringPair:
     # -- dynamics in preimage space ------------------------------------------
 
     def ready_to_fire(self, x, i):
-        if not self.rplus_member(x):
+        p = self.rplus_numerators(x)
+        if p is None:
             raise ValueError("not a member of R+")
-        fired = vec_sub(x, self.m_column(i))
-        assert vec_is_integral(mat_vec(self.lm_inv, fired))
-        return all(q >= 0 for q in fired)
+        # firing subtracts column i of M, whose transfer L e_i is integral
+        return all(q >= self.den_l * m for q, m in zip(p, self.m_column(i)))
 
     def m_column(self, i):
         if not 0 <= i < self.n:
@@ -112,16 +172,18 @@ class ChipFiringPair:
         Site i is ready iff x_i >= M_ii iff floor(x_i) >= M_ii, and firing
         keeps {x}, so this is M's stabilization of floor(x) plus {x}.
         """
-        if not self.rplus_member(x):
+        p = self.rplus_numerators(x)
+        if p is None:
             raise ValueError("not a member of R+")
-        fl, fr = floor_frac_split(x)
-        return vec_add(self.m.stabilize(fl), fr)
+        fl, fr = self.split(p)
+        return over(self.join(self.m.stabilize(fl), fr), self.den_l)
 
     def stabilize_splus(self, c):
         # configuration-side stabilization by transfer through R+
         if not self.splus_member(c):
             raise ValueError("not a member of S+")
-        return mat_vec(self.lm_inv, self.stabilize_rplus(self.to_preimage(c)))
+        fl, fr = self.split(self.preimage_numerators(c))
+        return self.config_of_numerators(self.join(self.m.stabilize(fl), fr))
 
     # -- classification and enumeration ---------------------------------------
 
@@ -130,7 +192,7 @@ class ChipFiringPair:
         preimage."""
         if not self.splus_member(c):
             raise ValueError("not a member of S+")
-        fl, _ = floor_frac_split(self.to_preimage(c))
+        fl, _ = self.split(self.preimage_numerators(c))
         return Classification(
             is_superstable=self.m.sstab_of_class(fl) == fl,
             is_critical=self.m.crit_of_class(fl) == fl,
@@ -140,18 +202,18 @@ class ChipFiringPair:
         key = (kind, cap)
         if key not in self._rows:
             lookup = self.m.sstab_of_class if kind == "superstable" else self.m.crit_of_class
+            d = self.den_l
             rows = []
             for rep in lattices.enumerate_class_reps(self.l, self.l_snf, cap=cap):
-                x = self.to_preimage(rep)
-                fl, fr = floor_frac_split(x)
+                fl, fr = self.split(self.preimage_numerators(rep))
                 base = lookup(fl)
-                preimage = vec_add(base, fr)
-                config = mat_vec(self.lm_inv, preimage)
-                if not vec_is_integral(config) or any(q < 0 for q in preimage):
+                p = self.join(base, fr)
+                config = self.config_of_numerators(p)
+                if config is None or any(q < 0 for q in base):
                     raise RuntimeError(f"class rep {rep} gave no valid {kind} preimage")
-                rows.append(PairRow(config=config, preimage=preimage, floor=base, frac=fr))
+                rows.append(PairRow(config=config, preimage=over(p, d), floor=base, frac=over(fr, d)))
             rows.sort(key=lambda r: r.config)
-            if len({r.config for r in rows}) != abs(self.det_l):
+            if len({r.config for r in rows}) != self.den_l:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
             self._rows[key] = tuple(rows)
         return self._rows[key]

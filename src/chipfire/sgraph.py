@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattices
-from .linalg import mat_is_integral, mat_scale, mat_vec, vec_add, vec_is_integral, vec_scale
+from .linalg import mat_vec, vec_add, vec_scale
 from .mmatrix import MMatrix
 from .pairs import ChipFiringPair
 
@@ -170,21 +170,19 @@ def verify_half_n_integrality(n):
     M^-1 has 2/n on the diagonal and 1/n off it, so n * M^-1 e_i = 1 + e_i
     (all-ones plus a standard basis vector).  For even n this makes the
     preimages (n/2) e_i transfer integrally under any signing's L M^-1.
+    Both are checked on M^-1 = adj(M) / det M as integer identities.
     """
-    from fractions import Fraction
-
-    pair = reduced_laplacians(family("complete", n))
-    m_inv = pair.m.inverse
-    k = pair.n
+    m = reduced_laplacians(family("complete", n)).m
+    k = m.n
     for i in range(k):
         for j in range(k):
-            want = Fraction(2, n) if i == j else Fraction(1, n)
-            _check(m_inv[i][j] == want, f"M^-1[{i}][{j}] = {want}")
+            want = 2 if i == j else 1
+            _check(n * m.adj[i][j] == want * m.det, f"M^-1[{i}][{j}] = {want}/{n}")
     ones = (1,) * k
     for i in range(k):
         e_i = tuple(1 if j == i else 0 for j in range(k))
-        scaled = mat_vec(m_inv, vec_scale(n, e_i))
-        _check(scaled == vec_add(ones, e_i), f"n M^-1 e_{i} = ones + e_{i}")
+        scaled = mat_vec(m.adj, vec_scale(n, e_i))
+        _check(scaled == vec_scale(m.det, vec_add(ones, e_i)), f"n M^-1 e_{i} = ones + e_{i}")
     return {"n": n, "diag": "2/n", "offdiag": "1/n", "n_m_inv_ei": "ones + e_i"}
 
 
@@ -218,13 +216,13 @@ def kn_z2_subgroup(pair: ChipFiringPair, n):
         e_i = tuple(int(j == i) for j in range(k))
         s_i = vec_scale(q, e_i)
         _check(pair.m.is_z_superstable(s_i), f"{q} e_{i} is z-superstable")
-        c_i = mat_vec(pair.lm_inv, s_i)
-        _check(vec_is_integral(c_i), f"{q} e_{i} transfers integrally")
+        c_i = pair.config_of_numerators(vec_scale(pair.den_l, s_i))
+        _check(c_i is not None, f"{q} e_{i} transfers integrally")
         doubled = vec_scale(2, c_i)
         _check(doubled == mat_vec(pair.l, vec_add(ones, e_i)), f"2 c_{i} = L(ones + e_{i})")
         _check(lattices.class_id(pair.l, doubled, pair.l_snf) == (0,) * k, f"2 [c_{i}] = 0")
-        frac_key = mat_vec(pair.ml_inv, c_i)
-        _check(vec_is_integral(frac_key), f"c_{i} sits in the zero fracket")
+        frac_key = pair.preimage_numerators(c_i)
+        _check(not any(x % pair.den_l for x in frac_key), f"c_{i} sits in the zero fracket")
         configs.append(c_i)
     for subset in _subsets_up_to(range(k), (n - 2) // 2):
         total = tuple(q if j in subset else 0 for j in range(k))
@@ -243,7 +241,7 @@ def kn_structure(rows, n):
     with even n: the patterns with fewer than n - 2 even invariant factors,
     the number of patterns whose Z_2^(n-2) subgroup kn_z2_subgroup verified
     (every stride-th row, stride max(1, len(rows) // 32)), and whether
-    (n/2) L M^-1 is integral for every pattern."""
+    (n/2) L M^-1 = (n/2) n_lm / det M is integral for every pattern."""
     samples = rows[:: max(1, len(rows) // 32)]
     for _, pair in samples:
         kn_z2_subgroup(pair, n)
@@ -253,7 +251,7 @@ def kn_structure(rows, n):
         ],
         "structural_samples": len(samples),
         "half_n_transfer_integral": all(
-            mat_is_integral(mat_scale(n // 2, pair.lm_inv)) for _, pair in rows
+            not any(n // 2 * x % pair.det_m for row in pair.n_lm for x in row) for _, pair in rows
         ),
     }
 

@@ -29,6 +29,7 @@ from .duality import (
 from .fixtures import C6_NEGATIVE_PATTERN, DIAMOND_M, diamond_pair, negative_c6_pair
 from .frackets import (
     cyclic_shortcut,
+    fracket_key,
     fracket_partition,
     verify_largest_invariant_factor,
     zero_fracket,
@@ -39,7 +40,6 @@ from .linalg import (
     floor_frac_split,
     frac_part,
     gcd_entries,
-    mat_scale,
     mat_vec,
     vec_add,
     vec_sub,
@@ -364,15 +364,18 @@ def check_k6():
 # -- 9: randomized property suites ----------------------------------------------------------
 
 def _random_m_matrix(rng, n):
+    """A random M-matrix whose diagonal dominates its column sums or, in
+    half of the draws, its row sums; those can have negative column sums."""
     while True:
         grid = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 if i != j:
                     grid[i][j] = -rng.choice((0, 0, 1, 1, 2))
+        by_rows = rng.randrange(2)
         for j in range(n):
-            col = sum(-grid[i][j] for i in range(n) if i != j)
-            grid[j][j] = col + rng.randint(1, 3)
+            off = sum(-(grid[j][i] if by_rows else grid[i][j]) for i in range(n) if i != j)
+            grid[j][j] = off + rng.randint(1, 3)
         if is_m_matrix(grid):
             return MMatrix(grid)
 
@@ -390,7 +393,7 @@ def _widened_z_superstable(m, s):
     """Box verdict recomputed with every bound raised by one."""
     if any(q < 0 for q in s):
         return False
-    bound = [int(q) + 1 for q in mat_vec(m.inverse, s)]
+    bound = [q // m.det + 1 for q in mat_vec(m.adj, s)]
     for z in product(*(range(b + 1) for b in bound)):
         if not any(z):
             continue
@@ -444,7 +447,7 @@ def check_property_suites(seed=PROPERTY_SEED):
             v = tuple(rng.randint(-6, 6) for _ in range(n))
             w = tuple(rng.randint(-3, 3) for _ in range(n))
             shifted = vec_sub(v, mat_vec(pair.l, w))
-            _require(frac_part(mat_vec(pair.ml_inv, v)) == frac_part(mat_vec(pair.ml_inv, shifted)),
+            _require(fracket_key(pair, "L", v) == fracket_key(pair, "L", shifted),
                      "{M L^-1 v} is constant on L-classes")
         crit_pre = {r.preimage for r in pair.enumerate_pair_criticals()}
         images = set()
@@ -462,7 +465,7 @@ def check_property_suites(seed=PROPERTY_SEED):
 
 def check_scaled_transfer_erratum():
     pair = diamond_pair()
-    scaled = mat_scale(abs(pair.det_l), pair.ml_inv)
+    scaled = pair.n_ml
     ok_matrix = scaled == refdata.SCALED_ML_INV
     computed = scaled[2][2]
     printed = refdata.SCALED_ML_INV_PRINTED_33

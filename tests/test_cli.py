@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chipfire import cli, sgraph
+from chipfire import cli, sgraph, verification
 from chipfire.cli import main
 
 
@@ -207,7 +207,8 @@ def test_family_scan_z2_subgroup_rejects_bad_request(monkeypatch, capsys, verify
     assert calls == []
 
 
-def test_paper_check_matrix(capsys):
+def test_paper_check_matrix(monkeypatch, capsys, paper_results):
+    monkeypatch.setattr(verification, "run_all", lambda: paper_results)
     code, out, _ = run(capsys, "paper-check")
     assert code == 0
     lines = out.splitlines()
@@ -219,10 +220,12 @@ def test_paper_check_matrix(capsys):
     assert "(0, 0, 0): computed dual (8, 6, 2), reference prints (6, 4, 2)" in out
 
 
-def test_paper_check_byte_identical(capsys):
-    _, first, _ = run(capsys, "paper-check")
-    _, second, _ = run(capsys, "paper-check")
-    assert first == second
+def test_paper_check_byte_identical(monkeypatch, capsys, paper_results):
+    # one fresh run against the session's shared result, rendered the same way
+    _, fresh, _ = run(capsys, "paper-check")
+    monkeypatch.setattr(verification, "run_all", lambda: paper_results)
+    _, shared, _ = run(capsys, "paper-check")
+    assert fresh == shared
 
 
 def test_show_pair(capsys):

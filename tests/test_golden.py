@@ -5,8 +5,9 @@ tests/golden/<case>.out and its exit code the entry for <case> in
 tests/golden/exit_codes.json.  The files hold what the CLI printed when
 they were frozen; a change in them is a change in the CLI's behaviour.
 
-paper-check renders one `verification.run_all()` result in all three
-formats, so the K6 sweep inside it runs once for the module.
+paper-check renders the session's shared `verification.run_all()` result
+(tests/conftest.py) in all three formats, so the K6 sweep inside it runs
+once for the whole test session.
 """
 
 import json
@@ -63,11 +64,6 @@ CASES = golden_cases()
 @pytest.fixture(scope="module")
 def exit_codes():
     return json.loads((GOLDEN / "exit_codes.json").read_text())
-
-
-@pytest.fixture(scope="module")
-def paper_results():
-    return verification.run_all()
 
 
 def test_golden_files_match_cases(exit_codes):

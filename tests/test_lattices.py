@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,7 +18,16 @@ from chipfire.lattices import (
     snf,
     subgroup_invariant_factors,
 )
-from chipfire.linalg import mat_det, mat_inverse, mat_mul, mat_vec, vec_add, vec_is_integral
+from chipfire.linalg import (
+    adjugate,
+    mat_det,
+    mat_inverse,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    vec_add,
+    vec_is_integral,
+)
 
 
 def small_invertible(n, bound=4, det_cap=60):
@@ -92,14 +100,12 @@ def test_enumeration_cap():
 @settings(max_examples=25, deadline=None)
 @given(small_invertible(2, det_cap=20))
 def test_lattice_intersect_membership(a):
-    # scale the inverse so B is non-integral often enough to matter
-    b = tuple(
-        tuple(q // 2 if isinstance(q, int) and q % 2 == 0 else Fraction(q, 2) for q in row)
-        for row in mat_inverse(a)
-    )
-    w = lattice_intersect_with_Zn(b)
+    # B = A^-1 / 2 = adj(A) / (2 det A), non-integral often enough to matter
+    det, adj = adjugate(a)
+    sign = 1 if det > 0 else -1
+    w = lattice_intersect_with_Zn(mat_scale(sign, adj), 2 * abs(det))
     w_inv = mat_inverse(w)
-    b_inv = mat_inverse(b)
+    b_inv = mat_scale(2, a)
     # every column of W is an integer vector inside B Z^n
     for j in range(2):
         col = tuple(w[i][j] for i in range(2))

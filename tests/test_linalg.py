@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipfire.linalg import (
+    adjugate,
     flcm,
     floor_frac_split,
     frac_part,
@@ -66,10 +67,11 @@ def test_frac_part_is_periodic(vals):
 
 
 def test_flcm_on_matrix_and_vector():
-    a = ((Fraction(1, 2), 3), (Fraction(5, 6), Fraction(1, 4)))
-    assert flcm(a) == 12
-    assert flcm((Fraction(2, 3), Fraction(1, 2))) == 6
-    assert flcm(((1, 2), (3, 4))) == 1
+    # ((1/2, 3), (5/6, 1/4)) and (2/3, 1/2) over the common denominators 12 and 6
+    assert flcm(((6, 36), (10, 3)), 12) == 12
+    assert flcm((4, 3), 6) == 6
+    assert flcm(((2, 4), (6, 8)), 2) == 1
+    assert flcm(((0, 0), (0, 0)), 5) == 1
 
 
 def test_gcd_entries():
@@ -110,6 +112,37 @@ def test_inverse_matches_sympy(a):
         for j in range(3):
             assert inv[i][j] == Fraction(*sympy.fraction(expected[i, j]))
     assert mat_mul(a, inv) == identity(3)
+
+
+def with_pivot_trouble(a, kind):
+    """a itself, a with a zero leading entry (row swaps), or a singular a
+    (its last row replaced by the first, or zero for n = 1)."""
+    rows = [list(r) for r in a]
+    if kind == "zero-pivot":
+        rows[0][0] = 0
+    elif kind == "singular":
+        rows[-1] = list(rows[0]) if len(rows) > 1 else [0]
+    return tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: square(n, st.integers(-6, 6))),
+    st.sampled_from(("plain", "zero-pivot", "singular")),
+)
+@example(((0, 1), (1, 0)), "plain")
+@example(((0, 0, 1), (0, 1, 0), (1, 0, 0)), "plain")
+@example(((0, 2, 1), (0, 1, 3), (4, 0, 0)), "plain")
+@example(((1, 2), (2, 4)), "plain")
+@example(((1, 2, 3), (4, 5, 6), (7, 8, 9)), "plain")
+def test_adjugate_matches_sympy(a, kind):
+    a = with_pivot_trouble(a, kind)
+    det, adj = adjugate(a)
+    expected = sympy.Matrix(a)
+    assert det == expected.det()
+    assert adj == tuple(tuple(int(x) for x in row) for row in expected.adjugate().tolist())
+    n = len(a)
+    assert mat_mul(a, adj) == tuple(tuple(det * int(i == j) for j in range(n)) for i in range(n))
 
 
 @settings(max_examples=40)

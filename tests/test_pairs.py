@@ -1,13 +1,45 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from chipfire import refdata
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
 from chipfire.lattices import EnumerationCapExceeded
-from chipfire.linalg import frac_part, identity, mat_vec, vec_add
+from chipfire.linalg import frac_part, identity, mat_over, mat_vec, vec_add
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
+from chipfire.sgraph import sweep
+
+
+def _rational(matrix):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in matrix.tolist())
+
+
+def _assert_transfers_match_sympy(pair):
+    l, m = sympy.Matrix(pair.l), sympy.Matrix(pair.m.m)
+    assert pair.det_l == l.det() and pair.det_m == m.det()
+    assert mat_over(pair.n_lm, pair.det_m) == _rational(l * m.inv())
+    assert mat_over(pair.n_ml, pair.den_l) == _rational(m * l.inv())
+    assert pair.l_inv == _rational(l.inv())
+
+
+def test_transfers_match_sympy_on_every_k5_pattern():
+    # n_lm / det M and n_ml / |det L| are L M^-1 and M L^-1 on all 64 signings
+    for _, pair in sweep("complete", 5):
+        _assert_transfers_match_sympy(pair)
+
+
+def test_negative_det_l_keeps_a_positive_denominator():
+    pair = ChipFiringPair(((4, 4), (0, -4)), ((2, -1), (-1, 4)))
+    assert pair.det_l == -16 and pair.den_l == 16
+    _assert_transfers_match_sympy(pair)
+    rows = pair.enumerate_pair_superstables()
+    assert len(rows) == 16
+    for r in rows:
+        assert pair.to_preimage(r.config) == r.preimage
+        assert pair.to_config(r.preimage) == r.config
+        assert all(0 <= f < 1 for f in r.frac)
 
 
 def test_reference_enumeration(diamond):
