@@ -250,11 +250,15 @@ def cmd_frackets(args):
             res = verify_largest_invariant_factor(pair, side)
             checks.append((f"largest invariant factor of K({side})/F0 = flcm = {res['flcm']}", res["ok"]))
         formula = zero_fracket_size_formula(pair)
-        checks.append((f"size formula: predicted {formula['predicted']} = actual {formula['actual']}", True))
+        checks.append((f"size formula: predicted {formula['predicted']} = actual {formula['actual']}",
+                       formula["predicted"] == formula["actual"]))
         for side in ("L", "M"):
-            value = cyclic_shortcut(pair, side)
-            found = "not applicable" if value is None else f"gcd = {value}"
-            checks.append((f"cyclic shortcut on side {side}: {found}", True))
+            short = cyclic_shortcut(pair, side)
+            found, hit = "not applicable", True
+            if short is not None:
+                hit = short["predicted"] == short["actual"]
+                found = f"gcd = {short['predicted']}" + ("" if hit else f", actual |F0| = {short['actual']}")
+            checks.append((f"cyclic shortcut on side {side}: {found}", hit))
         ok = all(flag for _, flag in checks)
         payload = {"checks": [{"check": text, "ok": flag} for text, flag in checks], "ok": ok}
         lines = [f"{'ok  ' if flag else 'FAIL'} {text}" for text, flag in checks]

@@ -53,7 +53,7 @@ def _mu_table(pair: ChipFiringPair):
             if _transfer_frac(pair, tuple(2 * q for q in s)) == target:
                 table[s] = ("identity", s)
             else:
-                table[s] = ("dual", m.sstab_of_class(vec_sub(m.c_max, s)))
+                table[s] = ("dual", vec_sub(m.c_max, m.crit_of_class(s)))
         pair._mu = table
     return pair._mu
 

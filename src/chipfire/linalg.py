@@ -12,8 +12,9 @@ rational arithmetic exists anywhere on the hot paths.
 fractions.Fraction appears only at the edges: parse_rational reads
 "a/b", over and mat_over turn numerators into the normalized rationals
 that public fields and printed output show, and rational_str renders
-them.  The generic vector helpers below accept either kind of entry and
-store anything with denominator 1 as an int.
+them.  The vector helpers below accept either kind of entry and store
+anything with denominator 1 as an int; mat_vec and mat_mul take integer
+operands and return the plain sums.
 
 Serialization: a rational renders as "a/b" in lowest terms, or "a" when
 the denominator is 1.  Matrices serialize row-major as JSON arrays of
@@ -78,14 +79,14 @@ def vec_scale(k, v):
 def mat_vec(a, x):
     if len(a[0]) != len(x):
         raise ValueError("dimension mismatch")
-    return tuple(map(_norm, (sum(map(mul, r, x)) for r in a)))
+    return tuple(sum(map(mul, r, x)) for r in a)
 
 
 def mat_mul(a, b):
     if mat_shape(a)[1] != len(b):
         raise ValueError("dimension mismatch")
     cols = tuple(zip(*b))
-    return tuple(tuple(map(_norm, (sum(map(mul, row, col)) for col in cols))) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_scale(k, a):

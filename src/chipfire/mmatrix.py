@@ -2,26 +2,27 @@
 
 An M-matrix has positive diagonal, nonpositive off-diagonal entries and
 an entrywise nonnegative inverse; these are exactly the firing matrices
-whose dynamics terminate.  This module decides z-superstability, fires
-and stabilizes configurations, enumerates the superstable and critical
-configurations (one of each per equivalence class mod M Z^n), and maps
-arbitrary integer vectors to the class representatives sstab_of_class
-and crit_of_class.
+whose dynamics terminate.  This module fires and stabilizes
+configurations, finds the critical and the superstable configuration of
+any class of Z^n / M Z^n, enumerates them (one of each per class), and
+decides z-superstability.
 
-Criticals come from the classical duality c -> c_max - c, which is a
-bijection from superstables onto criticals (Guzman-Klivans 2015).  The
-z-superstability decision uses it the other way round: s is
-z-superstable exactly when c_max - s is critical, and criticality is a
-burning test in the style of Dhar (1990).  Add the burning vector
-b = Mz, where z is the least integer vector >= 0 with Mz >= 1; a stable
-c is critical iff it stabilizes back to itself.  The test costs one
-stabilization of at most sum(z) firings instead of a search over every
-z <= floor(M^-1 s).
+Everything comes from one stabilizer and one table.  Each class holds
+exactly one critical c, and c_max - c is the class's superstable
+partner: c -> c_max - c is a bijection from criticals onto superstables
+(Guzman-Klivans 2015).  The critical of v's class is stabilize(v + k b),
+where b = Mz is the burning vector of Dhar (1990), z the least integer
+vector >= 0 with Mz >= 1, and k >= 0 the least integer with
+v + k b >= c_max.  This works because b lies in M Z^n, so v + k b stays
+in v's class, and stabilizing c_max plus chips gives a critical (the
+proof is in crit_of_class).  crit_of_class caches each critical by class
+id the first time it is asked for; sstab_of_class, superstables,
+criticals and is_z_superstable are read off it.  A lookup costs at
+most one stabilization and the full enumeration |det M| of them; nothing
+scans the stable box prod [0, M_ii).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import lattices
 from .linalg import (
@@ -31,8 +32,6 @@ from .linalg import (
     mat_over,
     mat_vec,
     mat_shape,
-    vec,
-    vec_add,
     vec_sub,
 )
 
@@ -86,7 +85,8 @@ def burning_script(grid):
 
 
 class MMatrix:
-    """An M-matrix with its adjugate, Smith data and class tables.
+    """An M-matrix with its adjugate, Smith data and a table of the
+    criticals found so far, keyed by class id.
 
     The inverse is adj / det; det is positive, as for every nonsingular
     M-matrix.
@@ -106,9 +106,7 @@ class MMatrix:
         self.c_max = tuple(m[i][i] - 1 for i in range(self.n))
         self.burning = mat_vec(m, burning_script(m))
         self._superstables = None
-        self._criticals = None
-        self._sstab_by_class = None
-        self._crit_by_class = None
+        self._crit_by_class = {}
 
     @property
     def inverse(self):
@@ -123,108 +121,99 @@ class MMatrix:
             raise IndexError("site index out of range")
         return tuple(c[r] - self.m[r][i] for r in range(self.n))
 
-    def ready_sites(self, c):
-        # site i can fire legally iff c_i >= M_ii (off-diagonal entries
-        # are <= 0, so only coordinate i can drop below zero)
-        return [i for i in range(self.n) if c[i] >= self.m[i][i]]
-
     def is_stable(self, c):
         return all(c[i] < self.m[i][i] for i in range(self.n))
 
     def stabilize(self, c):
-        """Stabilize by repeatedly firing the lowest-index ready site.
+        """Fire ready sites until none is ready.
 
-        The result is independent of the firing order; determinism of the
-        trace is the only reason for the fixed schedule.
+        Each sweep fires site i floor(c_i / M_ii) times in one step.  That
+        is legal because firing other sites only adds chips to i (the
+        off-diagonal entries are <= 0).  The result does not depend on the
+        firing order (the abelian property), so it is the one that firing
+        one site at a time gives.
         """
-        c = vec(c)
+        c = list(c)
         if any(x < 0 for x in c):
             raise ValueError("stabilize needs an effective configuration")
-        while True:
-            ready = self.ready_sites(c)
-            if not ready:
-                return c
-            c = self.fire(c, ready[0])
-
-    # -- superstability ----------------------------------------------------
-
-    def is_z_superstable(self, s):
-        """True iff no nonzero z >= 0 keeps s - Mz effective.
-
-        Decided as: s is stable and c = c_max - s satisfies
-        stabilize(c + b) == c, where b = self.burning = Mz_b for the least
-        integer z_b >= 0 with M z_b >= 1.
-
-        Proof.  Unstable s fail with z = e_i, so let s be stable; then c is
-        stable and effective.  (=>) c is critical by the Guzman-Klivans
-        duality.  b >= 0 and c + b lies in the class of c; criticals are
-        closed under adding chips and stabilizing, and each class has
-        exactly one critical, so stabilize(c + b) = c.  (<=) By the
-        abelian property stabilize(c + kb) = c for every k >= 1.  Since
-        b >= 1, c + kb dominates any given configuration a once k is large
-        enough, so c = stabilize(a + (c + kb - a)) is reached from every
-        configuration: c is critical, and s = c_max - c is z-superstable
-        by the same duality.
-        """
-        if any(x < 0 for x in s):
-            raise ValueError("z-superstability is defined for effective "
-                             "configurations")
-        if not self.is_stable(s):
-            return False
-        c = vec_sub(self.c_max, s)
-        return self.stabilize(vec_add(c, self.burning)) == c
-
-    def superstables(self):
-        """All z-superstable configurations in lexicographic order.
-
-        Superstable implies stable (take z = e_i), so the stable box
-        prod [0, M_ii - 1] is an exhaustive search space.
-        """
-        if self._superstables is None:
-            box = itertools.product(*(range(self.m[i][i]) for i in range(self.n)))
-            found = tuple(s for s in box if self.is_z_superstable(s))
-            if len(found) != abs(self.det):
-                raise RuntimeError(f"found {len(found)} superstables, expected "
-                                   f"|det M| = {abs(self.det)}")
-            self._superstables = found
-        return self._superstables
-
-    def classical_dual(self, v):
-        return vec_sub(self.c_max, v)
-
-    def criticals(self):
-        """Images of the superstables under the classical duality."""
-        if self._criticals is None:
-            self._criticals = tuple(self.classical_dual(s) for s in self.superstables())
-        return self._criticals
+        cols = tuple(enumerate(zip(*self.m)))
+        sites = range(self.n)
+        fired = True
+        while fired:
+            fired = False
+            for i, col in cols:
+                k = c[i] // col[i]
+                if k:
+                    fired = True
+                    for r in sites:
+                        c[r] -= k * col[r]
+        return tuple(c)
 
     # -- class lookups -----------------------------------------------------
 
     def class_id(self, v):
         return lattices.class_id(self.m, v, self.snf)
 
-    def _tables(self):
-        if self._sstab_by_class is None:
-            sstab = {}
-            crit = {}
-            for s in self.superstables():
-                sstab[self.class_id(s)] = s
-            for c in self.criticals():
-                crit[self.class_id(c)] = c
-            if not len(sstab) == len(crit) == abs(self.det):
-                raise RuntimeError("superstables and criticals do not each hit "
-                                   "every class of Z^n / M Z^n once")
-            self._sstab_by_class = sstab
-            self._crit_by_class = crit
-        return self._sstab_by_class, self._crit_by_class
-
-    def sstab_of_class(self, v):
-        """The unique superstable equivalent to v mod M Z^n.
-
-        Accepts arbitrary integer vectors, negatives included.
-        """
-        return self._tables()[0][self.class_id(v)]
+    def classical_dual(self, v):
+        return vec_sub(self.c_max, v)
 
     def crit_of_class(self, v):
-        """The unique critical equivalent to v mod M Z^n."""
-        return self._tables()[1][self.class_id(v)]
+        """The unique critical equivalent to v mod M Z^n.
+
+        Accepts arbitrary integer vectors, negatives included.  The
+        critical is stabilize(a) for a = v + k b, where b = self.burning
+        and k >= 0 is the least integer with a >= c_max.
+
+        Proof.  b = M z_b lies in M Z^n, so a and c = stabilize(a) lie in
+        v's class, and c is stable.  c is critical, that is, reached from
+        every configuration by adding chips and stabilizing: for an
+        effective y, its stabilization y' is stable, so y' <= c_max <= a,
+        and by the abelian property stabilize(y + (a - y')) =
+        stabilize(y' + (a - y')) = c.  Each class holds exactly one
+        critical (Guzman-Klivans 2015), so c is the critical of v's class.
+        """
+        key = self.class_id(v)
+        crit = self._crit_by_class.get(key)
+        if crit is None:
+            b = self.burning
+            # ceil((c_max_i - v_i) / b_i), and b >= 1
+            k = max(0, *(-((x - top) // y) for x, top, y in zip(v, self.c_max, b)))
+            crit = self.stabilize(x + k * y for x, y in zip(v, b))
+            self._crit_by_class[key] = crit
+        return crit
+
+    def sstab_of_class(self, v):
+        """The unique superstable equivalent to v mod M Z^n: c_max minus
+        the critical of c_max - v.  Accepts arbitrary integer vectors."""
+        return self.classical_dual(self.crit_of_class(self.classical_dual(v)))
+
+    # -- enumeration and superstability ------------------------------------
+
+    def superstables(self):
+        """All z-superstable configurations in lexicographic order: c_max
+        minus the critical of each class.  The work is |det M|
+        stabilizations, and the enumeration cap bounds it."""
+        if self._superstables is None:
+            for r in lattices.enumerate_class_reps(self.m, self.snf):
+                self.crit_of_class(r)
+            if len(self._crit_by_class) != abs(self.det):
+                raise RuntimeError(f"found {len(self._crit_by_class)} criticals, expected "
+                                   f"|det M| = {abs(self.det)}")
+            self._superstables = tuple(sorted(map(self.classical_dual,
+                                                  self._crit_by_class.values())))
+        return self._superstables
+
+    def criticals(self):
+        """Images of the superstables under the classical duality."""
+        return tuple(map(self.classical_dual, self.superstables()))
+
+    def is_z_superstable(self, s):
+        """True iff no nonzero z >= 0 keeps s - Mz effective.
+
+        The z-superstables are the superstables, one per class, so s is
+        z-superstable iff it is the superstable of its own class.
+        """
+        if any(x < 0 for x in s):
+            raise ValueError("z-superstability is defined for effective "
+                             "configurations")
+        return self.sstab_of_class(s) == tuple(s)

@@ -167,7 +167,7 @@ class ChipFiringPair:
         return tuple(self.m.m[r][i] for r in range(self.n))
 
     def stabilize_rplus(self, x):
-        """Fire the lowest-index ready site until none is ready.
+        """Fire ready sites until none is ready.
 
         Site i is ready iff x_i >= M_ii iff floor(x_i) >= M_ii, and firing
         keeps {x}, so this is M's stabilization of floor(x) plus {x}.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattices
-from .linalg import mat_vec, vec_add, vec_scale
+from .linalg import ensure, mat_vec, vec_add, vec_scale
 from .mmatrix import MMatrix
 from .pairs import ChipFiringPair
 
@@ -158,12 +158,6 @@ def sweep(kind, n):
 
 # -- structure theorems for complete graphs ----------------------------------
 
-def _check(ok, what):
-    # a raised error, not an assert: the check must still run under python -O
-    if not ok:
-        raise RuntimeError(f"structure check failed: {what}")
-
-
 def verify_half_n_integrality(n):
     """Inverse structure of the reduced Laplacian of K_n.
 
@@ -177,12 +171,12 @@ def verify_half_n_integrality(n):
     for i in range(k):
         for j in range(k):
             want = 2 if i == j else 1
-            _check(n * m.adj[i][j] == want * m.det, f"M^-1[{i}][{j}] = {want}/{n}")
+            ensure(n * m.adj[i][j] == want * m.det, f"M^-1[{i}][{j}] = {want}/{n}")
     ones = (1,) * k
     for i in range(k):
         e_i = tuple(1 if j == i else 0 for j in range(k))
         scaled = mat_vec(m.adj, vec_scale(n, e_i))
-        _check(scaled == vec_scale(m.det, vec_add(ones, e_i)), f"n M^-1 e_{i} = ones + e_{i}")
+        ensure(scaled == vec_scale(m.det, vec_add(ones, e_i)), f"n M^-1 e_{i} = ones + e_{i}")
     return {"n": n, "diag": "2/n", "offdiag": "1/n", "n_m_inv_ei": "ones + e_i"}
 
 
@@ -215,20 +209,20 @@ def kn_z2_subgroup(pair: ChipFiringPair, n):
     for i in range(k):
         e_i = tuple(int(j == i) for j in range(k))
         s_i = vec_scale(q, e_i)
-        _check(pair.m.is_z_superstable(s_i), f"{q} e_{i} is z-superstable")
+        ensure(pair.m.is_z_superstable(s_i), f"{q} e_{i} is z-superstable")
         c_i = pair.config_of_numerators(vec_scale(pair.den_l, s_i))
-        _check(c_i is not None, f"{q} e_{i} transfers integrally")
+        ensure(c_i is not None, f"{q} e_{i} transfers integrally")
         doubled = vec_scale(2, c_i)
-        _check(doubled == mat_vec(pair.l, vec_add(ones, e_i)), f"2 c_{i} = L(ones + e_{i})")
-        _check(lattices.class_id(pair.l, doubled, pair.l_snf) == (0,) * k, f"2 [c_{i}] = 0")
+        ensure(doubled == mat_vec(pair.l, vec_add(ones, e_i)), f"2 c_{i} = L(ones + e_{i})")
+        ensure(lattices.class_id(pair.l, doubled, pair.l_snf) == (0,) * k, f"2 [c_{i}] = 0")
         frac_key = pair.preimage_numerators(c_i)
-        _check(not any(x % pair.den_l for x in frac_key), f"c_{i} sits in the zero fracket")
+        ensure(not any(x % pair.den_l for x in frac_key), f"c_{i} sits in the zero fracket")
         configs.append(c_i)
     for subset in _subsets_up_to(range(k), (n - 2) // 2):
         total = tuple(q if j in subset else 0 for j in range(k))
-        _check(pair.m.is_z_superstable(total), f"{total} is z-superstable")
+        ensure(pair.m.is_z_superstable(total), f"{total} is z-superstable")
     group = lattices.subgroup_invariant_factors(configs, pair.l)
-    _check(group.invariant_factors == (2,) * (n - 2), f"the c_i generate Z_2^{n - 2}")
+    ensure(group.invariant_factors == (2,) * (n - 2), f"the c_i generate Z_2^{n - 2}")
     return {"n": n, "generators": tuple(configs), "subgroup": group}
 
 
@@ -264,5 +258,5 @@ def scan_critical_groups(rows):
         factors = pair.l_group.invariant_factors
         histogram[factors] = histogram.get(factors, 0) + 1
     ordered = dict(sorted(histogram.items()))
-    _check(sum(ordered.values()) == len(rows), "every pattern is counted once")
+    ensure(sum(ordered.values()) == len(rows), "every pattern is counted once")
     return ordered

@@ -67,6 +67,32 @@ def test_frackets_verify(capsys):
     assert "flcm = 6" in out and "flcm = 4" in out
 
 
+def test_frackets_verify_reports_failed_checks(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text('{"L": [["-3"]], "M": [["2"]]}')
+    code, out, err = run(capsys, "frackets", "--pair", str(path), "--verify")
+    assert code == 1
+    assert err == ""
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == [
+        "FAIL cyclic shortcut on side L: gcd = 2, actual |F0| = 1",
+        "FAIL cyclic shortcut on side M: gcd = 3, actual |F0| = 1",
+    ]
+
+
+def test_large_m_with_one_l_class(tmp_path, capsys):
+    # |det L| = 1, so enumerate needs one class of M; duality needs all
+    # 8,999,999 of them and must stop at the cap instead of hanging
+    path = tmp_path / "pair.json"
+    path.write_text('{"L": [["1", "0"], ["0", "1"]], "M": [["3000", "-1"], ["-1", "3000"]]}')
+    code, out, err = run(capsys, "enumerate", "--pair", str(path), "--kind", "superstable")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == ["(0, 0)"]
+    code, out, err = run(capsys, "duality", "--pair", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: 8999999 classes exceeds cap 1000000\n"
+
+
 def test_frackets_requires_mode(capsys):
     code, _, err = run(capsys, "frackets", "--fixture", "diamond")
     assert code == 2

@@ -62,8 +62,9 @@ def test_size_formula(diamond):
 
 
 def test_cyclic_shortcut(diamond):
-    assert cyclic_shortcut(diamond, "L") == refdata.SCALED_GCD
-    assert cyclic_shortcut(diamond, "M") == refdata.SCALED_GCD
+    both = {"predicted": refdata.SCALED_GCD, "actual": refdata.SCALED_GCD}
+    assert cyclic_shortcut(diamond, "L") == both
+    assert cyclic_shortcut(diamond, "M") == both
 
 
 def test_shortcut_none_when_not_cyclic():
@@ -84,7 +85,7 @@ def test_equal_pair_has_single_fracket():
     part = fracket_partition(pair, "M")
     assert part.keys == ((0, 0, 0),)
     assert part.fracket_size == abs(pair.det_m)
-    assert cyclic_shortcut(pair, "M") == abs(pair.det_m)
+    assert cyclic_shortcut(pair, "M")["predicted"] == abs(pair.det_m)
 
 
 def test_bad_side_rejected(diamond):

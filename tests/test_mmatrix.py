@@ -68,6 +68,9 @@ def test_z_superstable_matches_box_oracle_on_general_m_matrices(grid):
     for s in widened_box(m):
         assert m.is_z_superstable(s) == box_oracle(m, s), s
     assert len(m.superstables()) == abs(m.det)
+    # superstable implies stable (take z = e_i), so the stable box holds them all
+    stable_box = product(*(range(m.m[i][i]) for i in range(m.n)))
+    assert set(m.superstables()) == {s for s in stable_box if box_oracle(m, s)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,19 +118,26 @@ def test_fire_moves_chips():
     c = (3, 0, 0)
     fired = m.fire(c, 0)
     assert fired == vec_sub(c, mat_vec(m.m, (1, 0, 0)))
-    assert m.ready_sites(c) == [0]
     assert not m.is_stable(c)
     assert m.is_stable(fired)
 
 
 @settings(max_examples=40, deadline=None)
-@given(m_matrices())
-def test_superstable_count_and_classes(m):
+@given(m_matrices(), st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+def test_superstable_count_and_classes(m, draw):
     ss = m.superstables()
     assert len(ss) == abs(m.det)
     assert len({m.class_id(s) for s in ss}) == len(ss)
     for s in ss:
         assert m.sstab_of_class(s) == s
+    # class lookups accept vectors with negative entries
+    v = tuple(draw[: m.n - 1]) + (-1 - abs(draw[-1]),)
+    crit = m.crit_of_class(v)
+    assert crit in m.criticals()
+    assert m.class_id(crit) == m.class_id(v)
+    sstab = m.sstab_of_class(v)
+    assert sstab in ss
+    assert m.class_id(sstab) == m.class_id(v)
 
 
 @settings(max_examples=25, deadline=None)
