@@ -43,6 +43,7 @@ from .pairs import ChipFiringPair, PairRow
 from .sgraph import (
     kn_structure,
     parse_edge_list,
+    pattern_count,
     reduced_laplacians,
     scan_critical_groups,
     sweep,
@@ -245,24 +246,24 @@ def cmd_frackets(args):
         raise ValueError("frackets needs --side L|M or --verify")
     pair = _load_pair(args)
     if args.verify:
-        checks = []
+        facts = []
         for side in ("L", "M"):
             res = verify_largest_invariant_factor(pair, side)
-            checks.append((f"largest invariant factor of K({side})/F0 = flcm = {res['flcm']}", res["ok"]))
+            facts.append((res["ok"], f"largest invariant factor of K({side})/F0 = flcm = {res['flcm']}"))
         formula = zero_fracket_size_formula(pair)
-        checks.append((f"size formula: predicted {formula['predicted']} = actual {formula['actual']}",
-                       formula["predicted"] == formula["actual"]))
+        facts.append((formula["predicted"] == formula["actual"],
+                      f"size formula: predicted {formula['predicted']} = actual {formula['actual']}"))
         for side in ("L", "M"):
             short = cyclic_shortcut(pair, side)
             found, hit = "not applicable", True
             if short is not None:
                 hit = short["predicted"] == short["actual"]
                 found = f"gcd = {short['predicted']}" + ("" if hit else f", actual |F0| = {short['actual']}")
-            checks.append((f"cyclic shortcut on side {side}: {found}", hit))
-        ok = all(flag for _, flag in checks)
-        payload = {"checks": [{"check": text, "ok": flag} for text, flag in checks], "ok": ok}
-        lines = [f"{'ok  ' if flag else 'FAIL'} {text}" for text, flag in checks]
-        return Report(payload, ("check", "ok"), checks, lines, code=0 if ok else 1)
+            facts.append((hit, f"cyclic shortcut on side {side}: {found}"))
+        ok, detail = verification.verdict(facts)
+        payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}
+        rows = [(text, flag) for flag, text in facts]
+        return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)
     part = fracket_partition(pair, args.side)
     _, quotient = zero_fracket_lattice(pair, args.side)
     grid, dec = (pair.l, pair.l_snf) if args.side == "L" else (pair.m.m, pair.m.snf)
@@ -299,6 +300,11 @@ def cmd_family_scan(args):
         return Report({"verify": "half-n", **result}, ("field", "value"), sorted(result.items()), [text])
     if args.verify == "z2-subgroup" and (args.kind != "complete" or n % 2):
         raise ValueError("z2-subgroup verification needs the complete family with even n")
+    if args.verify is None:
+        count = pattern_count(args.kind, n)
+        payload = {"kind": args.kind, "n": n, "patterns": count}
+        text = f"{count} sign patterns of the {args.kind} family on {n} vertices"
+        return Report(payload, ("field", "value"), sorted(payload.items()), [text])
     rows = sweep(args.kind, n)
     if args.verify == "z2-subgroup":
         res = kn_structure(rows, n)
@@ -314,20 +320,16 @@ def cmd_family_scan(args):
         ]
         body = [[k, str(v)] for k, v in sorted(payload.items())]
         return Report(payload, ("field", "value"), body, lines, code=0 if ok else 1)
-    if args.verify == "critical-groups":
-        histogram = scan_critical_groups(rows)
-        payload = {
-            "verify": "critical-groups",
-            "patterns": len(rows),
-            "groups": [{"invariant_factors": list(f), "patterns": c} for f, c in histogram.items()],
-        }
-        body = [[str(AbelianGroup(f)), c] for f, c in histogram.items()]
-        lines = [f"{g}: {c} patterns" for g, c in body]
-        lines.append(f"{len(histogram)} distinct critical groups over {len(rows)} patterns")
-        return Report(payload, ("group", "patterns"), body, lines)
-    payload = {"kind": args.kind, "n": n, "patterns": len(rows)}
-    text = f"{len(rows)} sign patterns of the {args.kind} family on {n} vertices"
-    return Report(payload, ("field", "value"), sorted(payload.items()), [text])
+    histogram = scan_critical_groups(rows)
+    payload = {
+        "verify": "critical-groups",
+        "patterns": len(rows),
+        "groups": [{"invariant_factors": list(f), "patterns": c} for f, c in histogram.items()],
+    }
+    body = [[str(AbelianGroup(f)), c] for f, c in histogram.items()]
+    lines = [f"{g}: {c} patterns" for g, c in body]
+    lines.append(f"{len(histogram)} distinct critical groups over {len(rows)} patterns")
+    return Report(payload, ("group", "patterns"), body, lines)
 
 
 def cmd_paper_check(args):

@@ -6,15 +6,16 @@ L M^-1 is carried as an integer numerator matrix N over one positive
 common denominator d, and the inverse of an integer matrix A is
 adj(A) / det(A), with the adjugate from fraction-free (Bareiss)
 elimination.  Integrality of N / d is N % d == 0, its floor is N // d and
-its fractional numerators are N % d, so no pivot tolerance and no
-rational arithmetic exists anywhere on the hot paths.
+its fractional numerators are N % d, so there is no pivot tolerance and
+no rational arithmetic: every helper below takes integer operands and
+returns plain integer results.
 
-fractions.Fraction appears only at the edges: parse_rational reads
-"a/b", over and mat_over turn numerators into the normalized rationals
-that public fields and printed output show, and rational_str renders
-them.  The vector helpers below accept either kind of entry and store
-anything with denominator 1 as an int; mat_vec and mat_mul take integer
-operands and return the plain sums.
+fractions.Fraction lives only at the parse and render boundary.
+parse_rational reads "a/b" and vec/mat normalize input entries (a
+Fraction with denominator 1 becomes an int); over and mat_over turn
+numerators into the rationals that public fields and printed output
+show; numerators reads such rationals back as integers over a given
+denominator, and rational_str renders them.
 
 Serialization: a rational renders as "a/b" in lowest terms, or "a" when
 the denominator is 1.  Matrices serialize row-major as JSON arrays of
@@ -65,15 +66,15 @@ def identity(n):
 
 
 def vec_add(u, v):
-    return tuple(_norm(a + b) for a, b in zip(u, v, strict=True))
+    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u, v):
-    return tuple(_norm(a - b) for a, b in zip(u, v, strict=True))
+    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(k, v):
-    return tuple(_norm(k * a) for a in v)
+    return tuple(k * a for a in v)
 
 
 def mat_vec(a, x):
@@ -90,11 +91,7 @@ def mat_mul(a, b):
 
 
 def mat_scale(k, a):
-    return tuple(tuple(_norm(k * x) for x in row) for row in a)
-
-
-def is_integer_entry(x):
-    return isinstance(x, int)
+    return tuple(tuple(k * x for x in row) for row in a)
 
 
 def vec_is_integral(v):
@@ -152,8 +149,8 @@ def adjugate(a):
     step applied above the pivot too: every division by the previous
     pivot is exact, the left block ends as p I and the right block as
     p A^-1, where the last pivot p is det A up to the sign of the row
-    swaps.  A singular A has no full pivot sequence; its adjugate comes
-    from cofactors.
+    swaps.  A singular A has no full pivot sequence and gives (0, None):
+    every caller rejects det A = 0, so no adjugate is built for it.
     """
     n, m = mat_shape(a)
     if n != m:
@@ -167,7 +164,7 @@ def adjugate(a):
         if w[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if w[i][k]), None)
             if swap is None:
-                return 0, _cofactor_adjugate(a)
+                return 0, None
             w[k], w[swap] = w[swap], w[k]
             sign = -sign
         pivot_row = w[k]
@@ -183,28 +180,6 @@ def adjugate(a):
                 row[k] = 0
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in w)
-
-
-def _cofactor_adjugate(a):
-    n = len(a)
-    if n == 1:
-        return ((1,),)
-    return tuple(
-        tuple(
-            (-1) ** (i + j) * _det_bareiss([r[:i] + r[i + 1:] for k, r in enumerate(a) if k != j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def mat_inverse(a):
-    """Exact inverse adj(A) / det(A) of an integer matrix, as rationals for
-    printing; raises on singular input."""
-    det, adj = adjugate(a)
-    if det == 0:
-        raise ValueError("singular matrix")
-    return mat_over(adj, det)
 
 
 def over(nums, den):
@@ -230,23 +205,6 @@ def numerators(v, den):
                 return None
             out.append(x.numerator * q)
     return tuple(out)
-
-
-def floor_frac_split(x):
-    """Split x into (floor(x), {x}) with x = floor + frac and 0 <= frac < 1.
-
-    Floor is toward minus infinity, so negative entries split as e.g.
-    -1/2 = -1 + 1/2.
-    """
-    fl = tuple(math.floor(q) for q in x)
-    fr = tuple(_norm(q - f) for q, f in zip(x, fl))
-    if not all(0 <= f < 1 for f in fr):
-        raise RuntimeError(f"fractional part {fr} is not in [0, 1)")
-    return fl, fr
-
-
-def frac_part(x):
-    return floor_frac_split(x)[1]
 
 
 def _entries(a):

@@ -144,11 +144,20 @@ def family(kind, n, sign_pattern=0):
     return SignedGraph(n=n, edges=edges, sink=n)
 
 
+def pattern_count(kind, n):
+    """2^k sign patterns for the k non-sink edges of the family."""
+    return 1 << len(family(kind, n).non_sink_edges)
+
+
 def sweep(kind, n):
     """All sign patterns of the family as (pattern, pair), ascending by
     pattern.  Every pair shares one M-matrix instance, since M ignores
-    signs."""
-    count = 1 << len(family(kind, n).non_sink_edges)
+    signs.  Raises EnumerationCapExceeded, before any pair is built, when
+    the patterns exceed lattices.DEFAULT_ENUMERATION_CAP."""
+    count = pattern_count(kind, n)
+    if count > lattices.DEFAULT_ENUMERATION_CAP:
+        raise lattices.EnumerationCapExceeded(
+            f"{count} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     shared = reduced_laplacians(family(kind, n)).m
     return [
         (pattern, reduced_laplacians(family(kind, n, pattern), shared_m=shared))

@@ -1,6 +1,7 @@
 """Acceptance checks against the frozen reference tables.
 
-Each criterion is a function returning (passed, detail).  run_all times
+Each criterion is a function returning (passed, detail), built by
+verdict from a list of (ok, text) facts.  run_all times
 them and never raises: a check that throws is reported as failed with
 the exception text, so a verification run always produces a full
 matrix.  Criteria 3 and 10 replay reference values that are printed
@@ -36,15 +37,7 @@ from .frackets import (
     zero_fracket_lattice,
     zero_fracket_size_formula,
 )
-from .linalg import (
-    ensure,
-    floor_frac_split,
-    frac_part,
-    gcd_entries,
-    mat_vec,
-    vec_add,
-    vec_sub,
-)
+from .linalg import ensure, gcd_entries, mat_vec, over, vec_sub
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair
 from .sgraph import (
@@ -68,8 +61,15 @@ class CriterionResult:
     seconds: float
 
 
-def _bullet(ok, text):
-    return f"{'ok  ' if ok else 'FAIL'} {text}"
+def verdict(facts, summary=None):
+    """(passed, detail) of a list of (ok, text) facts: passed iff every fact
+    holds.  A passing check with a summary reports the summary; otherwise
+    the detail has one ok/FAIL line per fact, and the later lines of a
+    multi-line text follow as they are."""
+    passed = all(ok for ok, _ in facts)
+    if passed and summary is not None:
+        return True, summary
+    return passed, "\n".join(f"{'ok  ' if ok else 'FAIL'} {text}" for ok, text in facts)
 
 
 # -- 1: unsigned baseline ------------------------------------------------------
@@ -77,10 +77,10 @@ def _bullet(ok, text):
 def check_unsigned_baseline():
     m = MMatrix(DIAMOND_M)
     ss, cc = m.superstables(), m.criticals()
-    ok = set(ss) == set(refdata.M_SUPERSTABLES) and set(cc) == set(refdata.M_CRITICALS)
-    if ok:
-        return True, f"{len(ss)} superstables and {len(cc)} criticals match the reference table"
-    return False, f"superstables {ss} criticals {cc} differ from the reference table"
+    return verdict([
+        (set(ss) == set(refdata.M_SUPERSTABLES), f"superstables {ss} match the reference table"),
+        (set(cc) == set(refdata.M_CRITICALS), f"criticals {cc} match the reference table"),
+    ], f"{len(ss)} superstables and {len(cc)} criticals match the reference table")
 
 
 # -- 2: pair enumeration -------------------------------------------------------
@@ -89,16 +89,10 @@ def check_pair_enumeration():
     pair = diamond_pair()
     got_ss = {(r.config, r.preimage, r.floor) for r in pair.enumerate_pair_superstables()}
     got_cc = {(r.config, r.preimage, r.floor) for r in pair.enumerate_pair_criticals()}
-    ok_ss = got_ss == set(refdata.PAIR_SUPERSTABLE_ROWS)
-    ok_cc = got_cc == set(refdata.PAIR_CRITICAL_ROWS)
-    if ok_ss and ok_cc:
-        return True, "all 12 superstable and 12 critical (config, preimage, floor) rows match"
-    return False, "\n".join(
-        [
-            _bullet(ok_ss, "superstable rows match the reference table"),
-            _bullet(ok_cc, "critical rows match the reference table"),
-        ]
-    )
+    return verdict([
+        (got_ss == set(refdata.PAIR_SUPERSTABLE_ROWS), "superstable rows match the reference table"),
+        (got_cc == set(refdata.PAIR_CRITICAL_ROWS), "critical rows match the reference table"),
+    ], "all 12 superstable and 12 critical (config, preimage, floor) rows match")
 
 
 # -- 3: duality map, with the reference's duality-table errata ------------------
@@ -106,9 +100,9 @@ def check_pair_enumeration():
 def _unmasked_dual_config(pair, x):
     """Dual configuration of preimage x when mu's identity branch is dropped:
     c_max - sstab(c_max - floor(x)) + {x}, moved to the configuration side."""
-    fl, fr = floor_frac_split(x)
+    fl, fr = pair.split(pair.rplus_numerators(x))
     cmax = pair.m.c_max
-    return pair.to_config(vec_add(vec_sub(cmax, pair.m.sstab_of_class(vec_sub(cmax, fl))), fr))
+    return pair.config_of_numerators(pair.join(vec_sub(cmax, pair.m.sstab_of_class(vec_sub(cmax, fl))), fr))
 
 
 def check_duality_map():
@@ -133,7 +127,7 @@ def check_duality_map():
     mismatches = [cfg for cfg in computed if computed[cfg] != printed.get(cfg)]
     expected = []
     for row in table:
-        fl, _ = floor_frac_split(row["preimage"])
+        fl, _ = pair.split(pair.rplus_numerators(row["preimage"]))
         if row["mu_case"] == "identity" and pair.m.sstab_of_class(vec_sub(pair.m.c_max, fl)) != fl:
             expected.append(row["config"])
     ok_rows = bool(mismatches) and mismatches == expected
@@ -153,20 +147,21 @@ def check_duality_map():
         and pair.class_id(diff) != pair.class_id(refdata.NAIVE_MAP_SUPERSTABLE)
     )
 
-    lines = [
-        _bullet(ok_worked, "duality sends (4/3,7/6,0) to (7/3,7/6,1), configs (5,4,0) -> (8,6,1)"),
-        _bullet(ok_masked, "computed table equals the masked reference on all 12 rows"),
-        _bullet(ok_duals, "the duals are exactly the 12 critical configurations"),
-        _bullet(ok_inverse, "duality_inverse recovers every input"),
-        _bullet(ok_printed, "printed table is the unmasked map s -> sstab(c_max - s) -- documented erratum"),
-        _bullet(ok_rows, f"printed alignment differs on the {len(expected)} identity-branch rows whose complement changes class"),
-        *(f"       {cfg}: computed dual {computed[cfg]}, reference prints {printed.get(cfg)}" for cfg in mismatches),
-        _bullet(ok_mm, f"the unmasked map breaks duality(x) = c_max - x on (M, M), {mm_broken} of {len(mm_rows)} rows"),
-        _bullet(ok_naive, "(9,7,2) - (1,1,0) = (8,6,2) is critical and in another L-class than (1,1,0);"),
-        "       the reference calls it not critical -- documented erratum",
-    ]
-    passed = all((ok_worked, ok_masked, ok_duals, ok_inverse, ok_printed, ok_rows, ok_mm, ok_naive))
-    return passed, "\n".join(lines)
+    rows_text = "\n".join(
+        [f"printed alignment differs on the {len(expected)} identity-branch rows whose complement changes class",
+         *(f"       {cfg}: computed dual {computed[cfg]}, reference prints {printed.get(cfg)}" for cfg in mismatches)]
+    )
+    return verdict([
+        (ok_worked, "duality sends (4/3,7/6,0) to (7/3,7/6,1), configs (5,4,0) -> (8,6,1)"),
+        (ok_masked, "computed table equals the masked reference on all 12 rows"),
+        (ok_duals, "the duals are exactly the 12 critical configurations"),
+        (ok_inverse, "duality_inverse recovers every input"),
+        (ok_printed, "printed table is the unmasked map s -> sstab(c_max - s) -- documented erratum"),
+        (ok_rows, rows_text),
+        (ok_mm, f"the unmasked map breaks duality(x) = c_max - x on (M, M), {mm_broken} of {len(mm_rows)} rows"),
+        (ok_naive, "(9,7,2) - (1,1,0) = (8,6,2) is critical and in another L-class than (1,1,0);\n"
+                   "       the reference calls it not critical -- documented erratum"),
+    ])
 
 
 # -- 4: involution ----------------------------------------------------------------
@@ -189,15 +184,13 @@ def check_involution():
         duality(mm, r.preimage) == vec_sub(cmax, r.preimage)
         for r in mm.enumerate_pair_superstables()
     )
-    lines = [
-        _bullet(ok_table, "mu values and identity/dual cases match on all 8 superstables"),
-        _bullet(ok_invol, "mu(mu(s)) = s on all 8 superstables"),
-        _bullet(ok_example, "mu((1,1,0)) = (0,0,1)"),
-        _bullet(ok_mm_mu, "mu = id on the pair (M, M)"),
-        _bullet(ok_mm_dual, "duality(x) = c_max - x on the pair (M, M)"),
-    ]
-    passed = ok_table and ok_invol and ok_example and ok_mm_mu and ok_mm_dual
-    return passed, "\n".join(lines) if not passed else "mu table, involution law, and (M, M) degeneration all hold"
+    return verdict([
+        (ok_table, "mu values and identity/dual cases match on all 8 superstables"),
+        (ok_invol, "mu(mu(s)) = s on all 8 superstables"),
+        (ok_example, "mu((1,1,0)) = (0,0,1)"),
+        (ok_mm_mu, "mu = id on the pair (M, M)"),
+        (ok_mm_dual, "duality(x) = c_max - x on the pair (M, M)"),
+    ], "mu table, involution law, and (M, M) degeneration all hold")
 
 
 # -- 5: frackets -------------------------------------------------------------------
@@ -241,20 +234,18 @@ def check_frackets():
     ok_shortcut = all(s is not None and s["predicted"] == s["actual"] == refdata.SCALED_GCD
                       for s in shortcuts)
 
-    lines = [
-        _bullet(ok_keys, "6 keys on side L and 4 keys on side M, as listed"),
-        _bullet(ok_sizes, "every fracket has size 2"),
-        _bullet(ok_zero, "zero fracket has size 2 on both sides"),
-        "       note: the tagged member (3,3,3) of F0 collapses to the identity in K(L)",
-        "       (it equals L(1,2,2)); the two-class statement holds verbatim in K(M),",
-        "       and F0 of K(L) is {[(0,0,0)], [(2,2,0)]}",
-        _bullet(ok_quot, "K(M)/F0 = Z_4 and K(L)/F0 = Z_6"),
-        _bullet(ok_flcm, "flcm(ML^-1) = 6 and flcm(LM^-1) = 4 equal the largest invariant factors"),
-        _bullet(ok_formula, "size formula predicts 2 = actual"),
-        _bullet(ok_shortcut, "cyclic shortcut gives gcd = 2 on both sides"),
-    ]
-    passed = all((ok_keys, ok_sizes, ok_zero, ok_quot, ok_flcm, ok_formula, ok_shortcut))
-    return passed, "\n".join(lines)
+    return verdict([
+        (ok_keys, "6 keys on side L and 4 keys on side M, as listed"),
+        (ok_sizes, "every fracket has size 2"),
+        (ok_zero, "zero fracket has size 2 on both sides\n"
+                  "       note: the tagged member (3,3,3) of F0 collapses to the identity in K(L)\n"
+                  "       (it equals L(1,2,2)); the two-class statement holds verbatim in K(M),\n"
+                  "       and F0 of K(L) is {[(0,0,0)], [(2,2,0)]}"),
+        (ok_quot, "K(M)/F0 = Z_4 and K(L)/F0 = Z_6"),
+        (ok_flcm, "flcm(ML^-1) = 6 and flcm(LM^-1) = 4 equal the largest invariant factors"),
+        (ok_formula, "size formula predicts 2 = actual"),
+        (ok_shortcut, "cyclic shortcut gives gcd = 2 on both sides"),
+    ])
 
 
 # -- 6: fixed points -----------------------------------------------------------------
@@ -280,32 +271,26 @@ def check_fixed_points():
     d = lattices.count_order_le2(quot)
     ok_diamond = fps == refdata.FIXED_POINTS and predicted == 4 and (f0, d) == (2, 2)
 
-    ok_triangles = True
+    triangles = []
     shared = None
     for signs in product((1, -1), repeat=3):
         edges = tuple((u, v, s) for (u, v), s in zip(((1, 2), (1, 3), (2, 3)), signs))
         tri = reduced_laplacians(SignedGraph(n=3, edges=edges, sink=3), shared_m=shared)
         shared = tri.m
         count, _, ok = _fixed_point_invariants(tri)
-        ok_triangles = ok_triangles and ok
-        ok_triangles = ok_triangles and count == refdata.TRIANGLE_FIXED_POINT_COUNTS[signs[0]]
+        triangles.append(ok and count == refdata.TRIANGLE_FIXED_POINT_COUNTS[signs[0]])
 
-    ok_cycles = True
+    cycles = []
     for pattern, cyc in sweep("cycle", 6):
         count, _, ok = _fixed_point_invariants(cyc)
-        ok_cycles = ok_cycles and ok
         expected = refdata.C6_FIXED_POINT_COUNTS.get(pattern, refdata.C6_FIXED_POINT_DEFAULT)
-        ok_cycles = ok_cycles and count == expected
+        cycles.append(ok and count == expected)
 
-    lines = [
-        _bullet(ok_diamond, "diamond fixture: fixed points = {(0,0,0),(0,0,2),(0,1,0),(2,0,0)}, count 4 = 2*2"),
-        _bullet(ok_triangles, "all 8 signed triangles: count in {0, predicted}; order criteria hold"),
-        _bullet(ok_cycles, "all 16 signed six-cycles: count in {0, predicted}; order criteria hold"),
-    ]
-    passed = ok_diamond and ok_triangles and ok_cycles
-    return passed, "\n".join(lines) if not passed else (
-        "diamond count 4 = 2*2; 8 triangle and 16 six-cycle signings satisfy the count and order criteria"
-    )
+    return verdict([
+        (ok_diamond, "diamond fixture: fixed points = {(0,0,0),(0,0,2),(0,1,0),(2,0,0)}, count 4 = 2*2"),
+        (all(triangles), "all 8 signed triangles: count in {0, predicted}; order criteria hold"),
+        (all(cycles), "all 16 signed six-cycles: count in {0, predicted}; order criteria hold"),
+    ], "diamond count 4 = 2*2; 8 triangle and 16 six-cycle signings satisfy the count and order criteria")
 
 
 # -- 7: critical set with no maximum ---------------------------------------------------
@@ -325,16 +310,12 @@ def check_no_cmax():
     ok_set = set(crit) == target
     no_max = not any(all(all(c[i] >= d[i] for i in range(5)) for d in crit) for c in crit)
 
-    lines = [
-        _bullet(ok_search, f"16-pattern search finds the fixture uniquely (patterns {matches})"),
-        _bullet(ok_l, "fixture firing matrix matches the frozen all-negative six-cycle"),
-        _bullet(ok_set, "critical configurations match the 6 reference rows"),
-        _bullet(no_max, "no critical configuration dominates all others coordinatewise"),
-    ]
-    passed = ok_search and ok_l and ok_set and no_max
-    return passed, "\n".join(lines) if not passed else (
-        "unique signing (all four non-sink edges negative) reproduces the 6 reference criticals, no coordinatewise maximum"
-    )
+    return verdict([
+        (ok_search, f"16-pattern search finds the fixture uniquely (patterns {matches})"),
+        (ok_l, "fixture firing matrix matches the frozen all-negative six-cycle"),
+        (ok_set, "critical configurations match the 6 reference rows"),
+        (no_max, "no critical configuration dominates all others coordinatewise"),
+    ], "unique signing (all four non-sink edges negative) reproduces the 6 reference criticals, no coordinatewise maximum")
 
 
 # -- 8: complete graph on six vertices ---------------------------------------------------
@@ -349,16 +330,12 @@ def check_k6():
     ok_even = not res["even_factor_failures"]
     sampled = res["structural_samples"]
 
-    lines = [
-        _bullet(ok_transfer, "3 * LM^-1 is integral for all 1024 sign patterns"),
-        _bullet(ok_hist, f"critical groups are exactly the 7 reference groups ({len(histogram)} found)"),
-        _bullet(ok_even, ">= 4 even invariant factors for every pattern"),
-        _bullet(sampled >= 32, f"structural Z_2^4 subgroup verified on {sampled} sampled patterns"),
-    ]
-    passed = ok_transfer and ok_hist and ok_even and sampled >= 32
-    return passed, "\n".join(lines) if not passed else (
-        f"1024 patterns: 3*LM^-1 integral, 7 reference critical groups, >=4 even factors everywhere, Z_2^4 verified structurally on {sampled} samples"
-    )
+    return verdict([
+        (ok_transfer, "3 * LM^-1 is integral for all 1024 sign patterns"),
+        (ok_hist, f"critical groups are exactly the 7 reference groups ({len(histogram)} found)"),
+        (ok_even, ">= 4 even invariant factors for every pattern"),
+        (sampled >= 32, f"structural Z_2^4 subgroup verified on {sampled} sampled patterns"),
+    ], f"1024 patterns: 3*LM^-1 integral, 7 reference critical groups, >=4 even factors everywhere, Z_2^4 verified structurally on {sampled} samples")
 
 
 # -- 9: randomized property suites ----------------------------------------------------------
@@ -447,12 +424,14 @@ def check_property_suites(seed=PROPERTY_SEED):
         images = set()
         for r in rows:
             d = duality(pair, r.preimage)
-            ensure(frac_part(d) == r.frac, "duality preserves fractional parts")
+            _, fr = pair.split(pair.rplus_numerators(d))
+            ensure(over(fr, pair.den_l) == r.frac, "duality preserves fractional parts")
             ensure(duality_inverse(pair, d) == r.preimage, "duality_inverse undoes duality")
             images.add(d)
         ensure(images == crit_pre, "duality is a bijection onto the critical preimages")
 
-    return True, f"100 random M-matrices and 50 random pairs passed every property check (seed {seed})"
+    # every property above is an ensure, so reaching here is the verdict
+    return verdict([], f"100 random M-matrices and 50 random pairs passed every property check (seed {seed})")
 
 
 # -- 10: documented erratum in the scaled transfer matrix -------------------------------------
@@ -465,13 +444,11 @@ def check_scaled_transfer_erratum():
     printed = refdata.SCALED_ML_INV_PRINTED_33
     ok_flag = computed == 12 and printed == 2 and computed != printed
     ok_gcd = gcd_entries(scaled) == refdata.SCALED_GCD
-    lines = [
-        _bullet(ok_matrix, "|L| ML^-1 = [[16,-16,-4],[-10,16,-2],[0,0,12]]"),
-        _bullet(ok_flag, f"(3,3) entry: computed {computed}, reference prints {printed} -- documented erratum"),
-        _bullet(ok_gcd, "gcd of entries = 2 either way, matching the zero-fracket size"),
-    ]
-    passed = ok_matrix and ok_flag and ok_gcd
-    return passed, "\n".join(lines)
+    return verdict([
+        (ok_matrix, "|L| ML^-1 = [[16,-16,-4],[-10,16,-2],[0,0,12]]"),
+        (ok_flag, f"(3,3) entry: computed {computed}, reference prints {printed} -- documented erratum"),
+        (ok_gcd, "gcd of entries = 2 either way, matching the zero-fracket size"),
+    ])
 
 
 CRITERIA = (

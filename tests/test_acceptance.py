@@ -7,7 +7,7 @@ printed errata as expected discrepancies: they pass when the computed
 values hold and the printed ones are wrong in exactly the known way.
 """
 
-from chipfire.verification import run_criterion
+from chipfire.verification import run_criterion, verdict
 
 
 def _run(number, bound=None):
@@ -57,3 +57,10 @@ def test_criterion_09_property_suites():
 
 def test_criterion_10_scaled_transfer_erratum():
     _run(10)
+
+
+def test_verdict_rule():
+    facts = [(True, "first"), (False, "second\n       kept as it is")]
+    assert verdict(facts, "summary") == (False, "ok   first\nFAIL second\n       kept as it is")
+    assert verdict(facts[:1], "summary") == (True, "summary")
+    assert verdict(facts[:1]) == (True, "ok   first")

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipfire import cli, sgraph, verification
 from chipfire.cli import main
@@ -220,6 +224,24 @@ def test_family_scan_critical_groups_sweeps_once(monkeypatch, capsys):
     assert calls == [("cycle", 4)]
 
 
+def test_family_scan_counts_without_building_pairs(monkeypatch, capsys):
+    # K_30 has 406 non-sink edges; the count is 2^406 and no pair is built
+    calls = count_sweeps(monkeypatch)
+    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "30")
+    assert code == 0 and err == ""
+    assert out == f"{2 ** 406} sign patterns of the complete family on 30 vertices\n"
+    assert calls == []
+
+
+def test_family_scan_over_the_pattern_cap_builds_nothing(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(sgraph, "reduced_laplacians", lambda *args, **kwargs: built.append(args))
+    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "8", "--verify", "critical-groups")
+    assert code == 2 and out == ""
+    assert err == "error: 2097152 sign patterns exceeds cap 1000000\n"
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "verify, kind, n",
     [("z2-subgroup", "cycle", "6"), ("z2-subgroup", "complete", "5"), ("half-n", "cycle", "6")],
@@ -258,3 +280,112 @@ def test_show_pair(capsys):
     code, out, _ = run(capsys, "show-pair", "--fixture", "diamond")
     assert code == 0
     assert "det L = 12" in out and "det M = 8" in out
+
+
+# -- fuzzing the input edge ------------------------------------------------------
+# Any --pair blob or --graph text either runs (exit 0) or is rejected with
+# exit 2, an empty stdout and exactly one "error:" line on stderr.
+
+FUZZED_COMMANDS = (
+    ["group"],
+    ["show-pair"],
+    ["enumerate", "--kind", "superstable"],
+    ["duality"],
+)
+M_MATRICES = {
+    1: [["3"]],
+    2: [["2", "-1"], ["-1", "2"]],
+    3: [["3", "-1", "-1"], ["-1", "2", "-1"], ["-1", "-1", "3"]],
+}
+ATOMS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["4/2", "-1/2", "1/0", "1/2/3", "", "x", True, None, 1.5]),
+)
+ENTRIES = ATOMS | st.lists(ATOMS, max_size=2)
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+GRIDS = st.one_of(
+    st.integers(1, 3).flatmap(lambda n: _square(n, ENTRIES)),
+    st.lists(st.lists(ENTRIES, max_size=3), max_size=3),
+    ENTRIES,
+)
+# an integer L over a real M-matrix reaches enumeration and duality
+VALID_SHAPED = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries({"L": _square(n, st.integers(-3, 3).map(str)), "M": st.just(M_MATRICES[n])})
+)
+PAIR_BLOBS = st.one_of(
+    VALID_SHAPED,
+    st.fixed_dictionaries({"L": GRIDS, "M": GRIDS}),
+    st.fixed_dictionaries({"L": GRIDS}),
+    GRIDS,
+)
+HEADERS = st.one_of(
+    st.builds("n {} sink {}".format, st.integers(-1, 5), st.integers(-1, 6)),
+    st.sampled_from(["", "n 3", "n x sink 1", "m 3 sink 3", "n 3 sink 3 extra"]),
+)
+EDGES = st.builds(
+    "{} {} {}".format, st.integers(0, 6), st.integers(0, 6), st.sampled_from(["+", "-", "+-", "x", ""])
+)
+
+def _graph_text(head, edges):
+    return "\n".join([head, *edges]) + "\n"
+
+
+# a good header and in-range edges; disconnected graphs and singular L still occur
+WELL_FORMED_GRAPHS = st.integers(2, 4).flatmap(
+    lambda n: st.builds(
+        _graph_text,
+        st.integers(1, n).map(f"n {n} sink {{}}".format),
+        st.lists(
+            st.builds("{0[0]} {0[1]} {1}".format,
+                      st.sampled_from([(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]),
+                      st.sampled_from("+-")),
+            max_size=6,
+        ),
+    )
+)
+GRAPH_TEXTS = WELL_FORMED_GRAPHS | st.builds(_graph_text, HEADERS, st.lists(EDGES, max_size=8))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_runs_or_rejects(flag, path):
+    for command in FUZZED_COMMANDS:
+        code, out, err = run_quiet(*command, flag, str(path))
+        assert code in (0, 2), (command, code, err)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(PAIR_BLOBS)
+def test_fuzzed_pair_blobs_run_or_exit_2(fuzz_dir, blob):
+    path = fuzz_dir / "pair.json"
+    path.write_text(json.dumps(blob))
+    assert_runs_or_rejects("--pair", path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAPH_TEXTS)
+def test_fuzzed_graph_texts_run_or_exit_2(fuzz_dir, text):
+    path = fuzz_dir / "graph.sg"
+    path.write_text(text)
+    assert_runs_or_rejects("--graph", path)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from chipfire import refdata
@@ -9,7 +11,13 @@ from chipfire.frackets import (
     zero_fracket,
     zero_fracket_size_formula,
 )
-from chipfire.linalg import frac_part, mat_vec
+from chipfire.linalg import mat_vec
+
+
+def frac_part(v):
+    """{v} = v - floor(v) entrywise: a Fraction oracle independent of the
+    integer numerators the package computes with."""
+    return tuple(q - math.floor(q) for q in v)
 
 
 def test_partition_keys(diamond):

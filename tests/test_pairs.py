@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,16 @@ import sympy
 from chipfire import refdata
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
 from chipfire.lattices import EnumerationCapExceeded
-from chipfire.linalg import frac_part, identity, mat_over, mat_vec, vec_add
+from chipfire.linalg import identity, mat_over, mat_vec, vec_add
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
 from chipfire.sgraph import sweep
+
+
+def frac_part(v):
+    """{v} = v - floor(v) entrywise: a Fraction oracle independent of the
+    integer numerators the package computes with."""
+    return tuple(q - math.floor(q) for q in v)
 
 
 def _rational(matrix):
