@@ -44,12 +44,14 @@ from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair, Classification, PairRow
 from .sgraph import (
     SignedGraph,
+    class_sweep,
     family,
     kn_z2_subgroup,
     parse_edge_list,
     reduced_laplacians,
     scan_critical_groups,
     sweep,
+    switching_representatives,
     verify_half_n_integrality,
 )
 from .verification import CriterionResult, run_all, run_criterion
@@ -69,6 +71,7 @@ __all__ = [
     "SnfDecomposition",
     "ZeroFracket",
     "class_id",
+    "class_sweep",
     "count_order_le2",
     "cyclic_shortcut",
     "duality",
@@ -96,6 +99,7 @@ __all__ = [
     "snf",
     "subgroup_invariant_factors",
     "sweep",
+    "switching_representatives",
     "verify_half_n_integrality",
     "verify_largest_invariant_factor",
     "zero_fracket",

@@ -41,6 +41,7 @@ from .linalg import mat_from_json, mat_to_json, vec_to_json
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair, PairRow
 from .sgraph import (
+    class_sweep,
     kn_structure,
     parse_edge_list,
     pattern_count,
@@ -305,31 +306,32 @@ def cmd_family_scan(args):
         payload = {"kind": args.kind, "n": n, "patterns": count}
         text = f"{count} sign patterns of the {args.kind} family on {n} vertices"
         return Report(payload, ("field", "value"), sorted(payload.items()), [text])
+    if args.verify == "critical-groups":
+        patterns = pattern_count(args.kind, n)
+        histogram = scan_critical_groups(class_sweep(args.kind, n), patterns)
+        payload = {
+            "verify": "critical-groups",
+            "patterns": patterns,
+            "groups": [{"invariant_factors": list(f), "patterns": c} for f, c in histogram.items()],
+        }
+        body = [[str(AbelianGroup(f)), c] for f, c in histogram.items()]
+        lines = [f"{g}: {c} patterns" for g, c in body]
+        lines.append(f"{len(histogram)} distinct critical groups over {patterns} patterns")
+        return Report(payload, ("group", "patterns"), body, lines)
     rows = sweep(args.kind, n)
-    if args.verify == "z2-subgroup":
-        res = kn_structure(rows, n)
-        bad = res["even_factor_failures"]
-        transfer_ok = res["half_n_transfer_integral"]
-        ok = not bad and transfer_ok
-        payload = {"verify": "z2-subgroup", "patterns": len(rows), **res, "ok": ok}
-        lines = [
-            f"{len(rows)} sign patterns",
-            f"{n // 2} * LM^-1 integral everywhere: {'yes' if transfer_ok else 'no'}",
-            f">= {n - 2} even invariant factors: {'all patterns' if not bad else f'FAILED on {bad}'}",
-            f"structural Z_2^{n - 2} subgroup verified on {res['structural_samples']} sampled patterns",
-        ]
-        body = [[k, str(v)] for k, v in sorted(payload.items())]
-        return Report(payload, ("field", "value"), body, lines, code=0 if ok else 1)
-    histogram = scan_critical_groups(rows)
-    payload = {
-        "verify": "critical-groups",
-        "patterns": len(rows),
-        "groups": [{"invariant_factors": list(f), "patterns": c} for f, c in histogram.items()],
-    }
-    body = [[str(AbelianGroup(f)), c] for f, c in histogram.items()]
-    lines = [f"{g}: {c} patterns" for g, c in body]
-    lines.append(f"{len(histogram)} distinct critical groups over {len(rows)} patterns")
-    return Report(payload, ("group", "patterns"), body, lines)
+    res = kn_structure(rows, n)
+    bad = res["even_factor_failures"]
+    transfer_ok = res["half_n_transfer_integral"]
+    ok = not bad and transfer_ok
+    payload = {"verify": "z2-subgroup", "patterns": len(rows), **res, "ok": ok}
+    lines = [
+        f"{len(rows)} sign patterns",
+        f"{n // 2} * LM^-1 integral everywhere: {'yes' if transfer_ok else 'no'}",
+        f">= {n - 2} even invariant factors: {'all patterns' if not bad else f'FAILED on {bad}'}",
+        f"structural Z_2^{n - 2} subgroup verified on {res['structural_samples']} sampled patterns",
+    ]
+    body = [[k, str(v)] for k, v in sorted(payload.items())]
+    return Report(payload, ("field", "value"), body, lines, code=0 if ok else 1)
 
 
 def cmd_paper_check(args):

@@ -16,6 +16,19 @@ edges are ordered lexicographically by sorted endpoints, and a sign
 pattern is an integer whose bit i (least significant first) makes the
 i-th non-sink edge negative.  Sink-incident edges stay positive, which
 loses nothing by the remark above.
+
+Switching classes.  Switching at a non-sink vertex v flips the sign of
+every edge at v, which sends L to DLD with D = diag(+-1), -1 at v.  D is
+unimodular and D = D^-1, so x -> Dx maps Z^k / L Z^k onto
+Z^k / DLD Z^k: the critical group K(L) is a switching invariant
+(Zaslavsky, "Signed graphs", 1982).  When the non-sink graph is connected
+on its n - 1 vertices, the switchings act freely up to the flip of all of
+them, so every class has 2^(n-2) sign patterns, and exactly one pattern
+per class is + on a fixed spanning tree of the non-sink graph: switch
+along the tree from its root to make each tree edge +.  For K_n the tree
+is the star at vertex 1, leaving 2^C(n-2,2) classes; for C_n it is the
+whole non-sink path, leaving one.  A statement about K(L) over all
+patterns therefore needs one pair per class, weighted by 2^(n-2).
 """
 
 from __future__ import annotations
@@ -149,20 +162,63 @@ def pattern_count(kind, n):
     return 1 << len(family(kind, n).non_sink_edges)
 
 
-def sweep(kind, n):
-    """All sign patterns of the family as (pattern, pair), ascending by
-    pattern.  Every pair shares one M-matrix instance, since M ignores
+def switching_representatives(kind, n):
+    """One sign pattern per switching class of the family, ascending, as
+    (pattern, weight): the patterns that are + on the spanning tree the
+    breadth-first search from vertex 1 takes through the non-sink edges,
+    each weighted by its class size 2^(n-2).  The weights sum to
+    pattern_count(kind, n); the module docstring has the argument."""
+    edges = [(u, v) for u, v, _ in family(kind, n).non_sink_edges]
+    reached, tree, frontier = {1}, set(), [1]
+    for w in frontier:
+        for i, (u, v) in enumerate(edges):
+            other = v if u == w else u if v == w else None
+            if other is not None and other not in reached:
+                reached.add(other)
+                tree.add(i)
+                frontier.append(other)
+    ensure(len(reached) == n - 1, "the non-sink graph is connected")
+    free = [i for i in range(len(edges)) if i not in tree]
+    weight = 1 << len(tree)
+    for mask in range(1 << len(free)):
+        yield sum(1 << i for b, i in enumerate(free) if mask >> b & 1), weight
+
+
+def _pair_builder(kind, n):
+    """The family's pattern count and a pattern -> pair function whose
+    pairs share the first pair's M-matrix instance, since M ignores
     signs.  Raises EnumerationCapExceeded, before any pair is built, when
     the patterns exceed lattices.DEFAULT_ENUMERATION_CAP."""
     count = pattern_count(kind, n)
     if count > lattices.DEFAULT_ENUMERATION_CAP:
         raise lattices.EnumerationCapExceeded(
             f"{count} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
-    shared = reduced_laplacians(family(kind, n)).m
-    return [
-        (pattern, reduced_laplacians(family(kind, n, pattern), shared_m=shared))
-        for pattern in range(count)
-    ]
+    shared = None
+
+    def build(pattern):
+        nonlocal shared
+        pair = reduced_laplacians(family(kind, n, pattern), shared_m=shared)
+        shared = pair.m
+        return pair
+
+    return count, build
+
+
+def sweep(kind, n):
+    """All sign patterns of the family as (pattern, pair), ascending by
+    pattern, for claims that must hold pattern by pattern.  Capped like
+    _pair_builder."""
+    count, build = _pair_builder(kind, n)
+    return [(pattern, build(pattern)) for pattern in range(count)]
+
+
+def class_sweep(kind, n):
+    """One (weight, pair) row per switching class of the family, from
+    switching_representatives, for switching-invariant claims such as
+    the critical-group histogram.  Capped on the pattern count, like
+    sweep."""
+    _, build = _pair_builder(kind, n)
+    return [(weight, build(pattern)) for pattern, weight in switching_representatives(kind, n)]
 
 
 # -- structure theorems for complete graphs ----------------------------------
@@ -259,13 +315,14 @@ def kn_structure(rows, n):
     }
 
 
-def scan_critical_groups(rows):
-    """Critical groups K(L) over sweep rows: maps each invariant factor
-    tuple to its number of patterns, ascending lex."""
+def scan_critical_groups(rows, patterns):
+    """Critical groups K(L) over weighted rows (weight, pair), each row
+    standing for `weight` of the family's `patterns` sign patterns: maps
+    each invariant factor tuple to its number of patterns, ascending lex."""
     histogram = {}
-    for _, pair in rows:
+    for weight, pair in rows:
         factors = pair.l_group.invariant_factors
-        histogram[factors] = histogram.get(factors, 0) + 1
+        histogram[factors] = histogram.get(factors, 0) + weight
     ordered = dict(sorted(histogram.items()))
-    ensure(sum(ordered.values()) == len(rows), "every pattern is counted once")
+    ensure(sum(ordered.values()) == patterns, "every pattern is counted once")
     return ordered

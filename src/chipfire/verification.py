@@ -43,6 +43,7 @@ from .pairs import ChipFiringPair
 from .sgraph import (
     SignedGraph,
     kn_structure,
+    pattern_count,
     reduced_laplacians,
     scan_critical_groups,
     sweep,
@@ -322,7 +323,7 @@ def check_no_cmax():
 
 def check_k6():
     rows = sweep("complete", 6)
-    histogram = scan_critical_groups(rows)
+    histogram = scan_critical_groups([(1, pair) for _, pair in rows], pattern_count("complete", 6))
     ok_hist = histogram == refdata.K6_CRITICAL_GROUPS
     verify_half_n_integrality(6)
     res = kn_structure(rows, 6)

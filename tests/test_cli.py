@@ -217,11 +217,34 @@ def count_sweeps(monkeypatch):
     return calls
 
 
-def test_family_scan_critical_groups_sweeps_once(monkeypatch, capsys):
-    calls = count_sweeps(monkeypatch)
-    code, _, _ = run(capsys, "family-scan", "--kind", "cycle", "--n", "4", "--verify", "critical-groups")
+def count_pairs(monkeypatch):
+    real = sgraph.reduced_laplacians
+    built = []
+
+    def counted(g, *args, **kwargs):
+        built.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(sgraph, "reduced_laplacians", counted)
+    return built
+
+
+@pytest.mark.parametrize("kind, n, classes", [("cycle", 4, 1), ("complete", 5, 8)])
+def test_family_scan_critical_groups_builds_one_pair_per_switching_class(monkeypatch, capsys, kind, n, classes):
+    sweeps = count_sweeps(monkeypatch)
+    built = count_pairs(monkeypatch)
+    code, _, _ = run(capsys, "family-scan", "--kind", kind, "--n", str(n), "--verify", "critical-groups")
     assert code == 0
-    assert calls == [("cycle", 4)]
+    assert sweeps == []
+    assert [g.edges for g in built] == [sgraph.family(kind, n, p).edges for p, _ in sgraph.switching_representatives(kind, n)]
+    assert len(built) == classes
+
+
+def test_family_scan_critical_groups_cycle21_counts_every_pattern_at_once(capsys):
+    # 2^19 patterns in one switching class: one pair, not 524,288
+    code, out, err = run(capsys, "family-scan", "--kind", "cycle", "--n", "21", "--verify", "critical-groups")
+    assert code == 0 and err == ""
+    assert out == "Z_21: 524288 patterns\n1 distinct critical groups over 524288 patterns\n"
 
 
 def test_family_scan_counts_without_building_pairs(monkeypatch, capsys):

@@ -1,17 +1,23 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from chipfire import refdata
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_graph
 from chipfire.sgraph import (
     SignedGraph,
+    class_sweep,
     count_even_invariant_factors,
     family,
     format_edge_list,
     kn_z2_subgroup,
     parse_edge_list,
+    pattern_count,
     reduced_laplacians,
     scan_critical_groups,
     sweep,
+    switching_representatives,
     verify_half_n_integrality,
 )
 
@@ -116,7 +122,81 @@ def test_kn_z2_subgroup_on_k4():
 
 
 def test_scan_cycle_four():
-    assert scan_critical_groups(sweep("cycle", 4)) == {(4,): 4}
+    assert scan_critical_groups([(1, pair) for _, pair in sweep("cycle", 4)], 4) == {(4,): 4}
+    assert scan_critical_groups(class_sweep("cycle", 4), 4) == {(4,): 4}
+
+
+def test_scan_rejects_weights_that_miss_a_pattern():
+    with pytest.raises(RuntimeError):
+        scan_critical_groups([(1, pair) for _, pair in sweep("cycle", 4)[1:]], 4)
+
+
+def _laplacian(kind, n, pattern):
+    return reduced_laplacians(family(kind, n, pattern)).l
+
+
+def _switched(l, d):
+    return tuple(tuple(d[i] * x * d[j] for j, x in enumerate(row)) for i, row in enumerate(l))
+
+
+@pytest.mark.parametrize("kind, n", [("complete", 5), ("cycle", 6)])
+def test_every_pattern_switches_to_exactly_one_representative(kind, n):
+    # L_p = D L_rep D for one representative and some D = diag(+-1), tried
+    # over all D with d_0 = +1 (D and -D switch alike)
+    reps = dict(switching_representatives(kind, n))
+    rep_ls = {r: _laplacian(kind, n, r) for r in reps}
+    signs = [(1,) + rest for rest in product((1, -1), repeat=n - 2)]
+    hits = Counter()
+    for pattern in range(pattern_count(kind, n)):
+        l = _laplacian(kind, n, pattern)
+        found = {r for r, l_rep in rep_ls.items() for d in signs if _switched(l_rep, d) == l}
+        assert len(found) == 1, (pattern, found)
+        hits[found.pop()] += 1
+    assert hits == reps
+
+
+@pytest.mark.parametrize("kind, n", [(k, n) for k in ("complete", "cycle") for n in range(3, 9)] + [("cycle", 21)])
+def test_representative_weights_sum_to_the_pattern_count(kind, n):
+    reps = list(switching_representatives(kind, n))
+    assert [p for p, _ in reps] == sorted({p for p, _ in reps})
+    assert {w for _, w in reps} == {1 << (n - 2)}
+    assert sum(w for _, w in reps) == pattern_count(kind, n)
+    if kind == "cycle":
+        assert reps == [(0, 1 << (n - 2))]
+    else:
+        assert len(reps) == 1 << (n - 2) * (n - 3) // 2
+
+
+@pytest.mark.parametrize("kind, n", [("complete", 4), ("complete", 5), ("complete", 6), ("cycle", 4), ("cycle", 6)])
+def test_representative_histogram_equals_the_full_sweep(kind, n):
+    full = scan_critical_groups([(1, pair) for _, pair in sweep(kind, n)], pattern_count(kind, n))
+    assert scan_critical_groups(class_sweep(kind, n), pattern_count(kind, n)) == full
+
+
+def test_k7_representative_histogram():
+    # cross-checked once against the full 32,768-pattern sweep (see CHANGES.md)
+    assert scan_critical_groups(class_sweep("complete", 7), 32768) == {
+        (3, 9765): 5760,
+        (5, 5, 5, 5, 55): 32,
+        (5, 5, 1255): 1920,
+        (5, 5, 1295): 480,
+        (5, 45, 135): 480,
+        (5, 5355): 1440,
+        (7, 7, 7, 7, 7): 32,
+        (7, 7, 455): 480,
+        (7, 7, 511): 1920,
+        (7, 21, 189): 480,
+        (7, 4305): 1440,
+        (31, 31, 31): 384,
+        (35, 805): 640,
+        (27559,): 5760,
+        (28735,): 5760,
+        (30535,): 5760,
+    }
+
+
+def test_k6_representative_histogram_is_the_reference():
+    assert scan_critical_groups(class_sweep("complete", 6), 1024) == refdata.K6_CRITICAL_GROUPS
 
 
 def test_count_even_invariant_factors(diamond):
