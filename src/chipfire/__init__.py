@@ -54,7 +54,6 @@ from .sgraph import (
     switching_representatives,
     verify_half_n_integrality,
 )
-from .verification import CriterionResult, run_all, run_criterion
 
 __version__ = "0.1.0"
 
@@ -106,3 +105,15 @@ __all__ = [
     "zero_fracket_size_formula",
     "__version__",
 ]
+
+# the acceptance suite and its reference tables load on first use, so a
+# command that never checks the paper does not pay for their import
+_SUITE = ("CriterionResult", "run_all", "run_criterion")
+
+
+def __getattr__(name):
+    if name in _SUITE:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

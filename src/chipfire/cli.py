@@ -18,9 +18,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import verification
 from .duality import (
     duality_inverse,
     duality_table,
@@ -63,8 +62,7 @@ def _fmt_mat_lines(a):
     return ["  [" + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "]" for row in cells]
 
 
-@dataclass
-class Report:
+class Report(namedtuple("Report", "payload headers rows lines code", defaults=(None, 0))):
     """What a command produced, in every format.
 
     json prints the payload; csv prints the headers and rows; table
@@ -72,11 +70,7 @@ class Report:
     and rows aligned.  code is the exit code.
     """
 
-    payload: object
-    headers: tuple
-    rows: list
-    lines: list | None = None
-    code: int = 0
+    __slots__ = ()
 
     def render(self, fmt):
         if fmt == "json":
@@ -261,6 +255,8 @@ def cmd_frackets(args):
                 hit = short["predicted"] == short["actual"]
                 found = f"gcd = {short['predicted']}" + ("" if hit else f", actual |F0| = {short['actual']}")
             facts.append((hit, f"cyclic shortcut on side {side}: {found}"))
+        from . import verification
+
         ok, detail = verification.verdict(facts)
         payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}
         rows = [(text, flag) for flag, text in facts]
@@ -335,6 +331,8 @@ def cmd_family_scan(args):
 
 
 def cmd_paper_check(args):
+    from . import verification
+
     results = verification.run_all()
     payload = []
     lines = []

@@ -25,7 +25,7 @@ cyclic K(L)/F0_L).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import lattices
 from .linalg import ensure, flcm, gcd_entries, mat_vec, over
@@ -54,11 +54,8 @@ def zero_fracket_lattice(pair: ChipFiringPair, side):
     return pair._zero_lattices[side]
 
 
-@dataclass(frozen=True)
-class FracketPartition:
-    side: str
-    keys: tuple
-    by_key: dict
+class FracketPartition(namedtuple("FracketPartition", "side keys by_key")):
+    __slots__ = ()
 
     @property
     def fracket_count(self):
@@ -71,12 +68,8 @@ class FracketPartition:
         return sizes.pop()
 
 
-@dataclass(frozen=True)
-class ZeroFracket:
-    side: str
-    members: tuple
-    lattice: tuple
-    quotient: lattices.AbelianGroup
+class ZeroFracket(namedtuple("ZeroFracket", "side members lattice quotient")):
+    __slots__ = ()
 
     @property
     def size(self):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .linalg import (
     adjugate,
@@ -42,22 +41,22 @@ class EnumerationCapExceeded(ValueError):
 SnfDecomposition = namedtuple("SnfDecomposition", "U D V Uinv Vinv")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
     """Finite abelian group in invariant-factor form.
 
     invariant_factors is ascending with d_i | d_{i+1}; factors equal to 1
     are dropped, so the trivial group has an empty tuple.
     """
 
-    invariant_factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        fs = self.invariant_factors
+    def __new__(cls, invariant_factors):
+        fs = invariant_factors
         if not all(isinstance(d, int) and d >= 2 for d in fs):
             raise ValueError(f"invariant factors must be integers >= 2, got {fs}")
         if not all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1)):
             raise ValueError(f"invariant factors must divide each other in turn, got {fs}")
+        return super().__new__(cls, fs)
 
     @property
     def order(self):

@@ -21,16 +21,18 @@ fractional part {x} is an invariant of the class, which makes the sweep
 well defined.
 
 Both transfers are carried as integer numerator matrices over a positive
-denominator: M L^-1 = n_ml / |det L| with n_ml = +-M adj(L), and
-L M^-1 = n_lm / det M with n_lm = L adj(M).  A preimage x is carried as
-its numerators p = |det L| x, so floor(x) = p // |det L| and the
-numerators of {x} are p % |det L|; rationals are built only for the
-public row fields and the rational views lm_inv, ml_inv and l_inv.
+denominator, each built and checked on first read: M L^-1 = n_ml / |det L|
+with n_ml = +-M adj(L), and L M^-1 = n_lm / det M with n_lm = L adj(M).
+A preimage x is carried as its numerators p = |det L| x, so
+floor(x) = p // |det L| and the numerators of {x} are p % |det L|;
+rationals are built only for the public row fields and the rational views
+lm_inv, ml_inv and l_inv.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from . import lattices
 from .linalg import (
@@ -38,6 +40,7 @@ from .linalg import (
     ensure,
     identity,
     mat,
+    mat_det,
     mat_is_integral,
     mat_mul,
     mat_over,
@@ -54,7 +57,8 @@ Classification = namedtuple("Classification", "is_superstable is_critical")
 
 
 class ChipFiringPair:
-    """(L, M) with the transfer numerators and Smith data for L."""
+    """(L, M) with the Smith data for L and, built on first read, the
+    adjugate of L and the transfer numerators."""
 
     def __init__(self, l_grid, m_grid):
         self.l = mat(l_grid)
@@ -64,19 +68,11 @@ class ChipFiringPair:
         if len(self.l) != self.m.n or any(len(r) != self.m.n for r in self.l):
             raise ValueError("L and M must be square of equal size")
         self.n = self.m.n
-        self.det_l, self.adj_l = adjugate(self.l)
+        self.det_l = mat_det(self.l)
         if self.det_l == 0:
             raise ValueError("L must be invertible")
         # a signed L can have det L < 0; the preimage denominator is |det L|
         self.den_l = abs(self.det_l)
-        self.n_lm = mat_mul(self.l, self.m.adj)
-        self.n_ml = mat_mul(self.m.m, mat_scale(self.den_l // self.det_l, self.adj_l))
-        ensure(mat_mul(self.l, self.adj_l) == mat_scale(self.det_l, identity(self.n)),
-               "L adj(L) = det L I")
-        ensure(mat_mul(self.n_lm, self.m.m) == mat_scale(self.det_m, self.l),
-               "n_lm M = det M L")
-        ensure(mat_mul(self.n_ml, self.l) == mat_scale(self.den_l, self.m.m),
-               "n_ml L = |det L| M")
         self.l_snf = lattices.snf(self.l)
         self.l_group = lattices.quotient_group(self.l, self.l_snf)
         self._rows = {}
@@ -86,6 +82,29 @@ class ChipFiringPair:
     @property
     def det_m(self):
         return self.m.det
+
+    # -- adjugate and transfers, each built and checked on first read --------------
+    # (a critical-group scan reads only l_group and never builds them)
+
+    @cached_property
+    def adj_l(self):
+        det, adj = adjugate(self.l)
+        ensure(det == self.det_l, "det from the adjugate elimination = det L")
+        ensure(mat_mul(self.l, adj) == mat_scale(self.det_l, identity(self.n)),
+               "L adj(L) = det L I")
+        return adj
+
+    @cached_property
+    def n_lm(self):
+        n_lm = mat_mul(self.l, self.m.adj)
+        ensure(mat_mul(n_lm, self.m.m) == mat_scale(self.det_m, self.l), "n_lm M = det M L")
+        return n_lm
+
+    @cached_property
+    def n_ml(self):
+        n_ml = mat_mul(self.m.m, mat_scale(self.den_l // self.det_l, self.adj_l))
+        ensure(mat_mul(n_ml, self.l) == mat_scale(self.den_l, self.m.m), "n_ml L = |det L| M")
+        return n_ml
 
     # -- rational views, built on demand for printing ----------------------------
 

@@ -33,7 +33,8 @@ patterns therefore needs one pair per class, weighted by 2^(n-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 from . import lattices
 from .linalg import ensure, mat_vec, vec_add, vec_scale
@@ -41,34 +42,34 @@ from .mmatrix import MMatrix
 from .pairs import ChipFiringPair
 
 
-@dataclass(frozen=True)
-class SignedGraph:
-    n: int
-    edges: tuple          # ((u, v, sign), ...) with u < v, sign in {+1, -1}
-    sink: int
+class SignedGraph(namedtuple("SignedGraph", "n edges sink")):
+    """edges is ((u, v, sign), ...) with u < v and sign in {+1, -1}."""
 
-    def __post_init__(self):
-        if self.n < 2:
+    __slots__ = ()
+
+    def __new__(cls, n, edges, sink):
+        if n < 2:
             raise ValueError("need at least two vertices")
-        if not 1 <= self.sink <= self.n:
+        if not 1 <= sink <= n:
             raise ValueError("sink out of range")
-        for u, v, sign in self.edges:
-            if not (1 <= u < v <= self.n):
+        for u, v, sign in edges:
+            if not (1 <= u < v <= n):
                 raise ValueError(f"bad edge ({u}, {v}): need 1 <= u < v <= n")
             if sign not in (1, -1):
                 raise ValueError(f"bad sign {sign!r} on edge ({u}, {v})")
         # every vertex must reach the sink for M to be an M-matrix
-        seen = {self.sink}
-        frontier = [self.sink]
+        seen = {sink}
+        frontier = [sink]
         while frontier:
             w = frontier.pop()
-            for u, v, _ in self.edges:
+            for u, v, _ in edges:
                 for a, b in ((u, v), (v, u)):
                     if a == w and b not in seen:
                         seen.add(b)
                         frontier.append(b)
-        if len(seen) != self.n:
+        if len(seen) != n:
             raise ValueError("graph is not connected")
+        return super().__new__(cls, n, edges, sink)
 
     @property
     def non_sink_edges(self):
@@ -261,13 +262,19 @@ def kn_z2_subgroup(pair: ChipFiringPair, n):
     so [c_i] has order dividing 2 and lies in the zero fracket of K(L).
     Subset sums of the s_i stay z-superstable up to size (n-2)/2, and the
     c_i together generate a subgroup with invariant factors (2,)*(n-2).
-    Raises RuntimeError if any of these fails.
+    Raises RuntimeError if any of these fails, and EnumerationCapExceeded,
+    before any check, when the subset sums exceed
+    lattices.DEFAULT_ENUMERATION_CAP.
     """
     if n % 2:
         raise ValueError("needs even n")
     k = pair.n
     if k != n - 1:
         raise ValueError(f"a signing of K_{n} has {n - 1} non-sink vertices, not {k}")
+    subsets = sum(math.comb(k, r) for r in range((n - 2) // 2 + 1))
+    if subsets > lattices.DEFAULT_ENUMERATION_CAP:
+        raise lattices.EnumerationCapExceeded(
+            f"{subsets} subset sums exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     q = n // 2
     ones = (1,) * k
     configs = []

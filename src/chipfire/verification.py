@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from . import lattices, refdata
@@ -53,13 +53,7 @@ from .sgraph import (
 PROPERTY_SEED = 31415
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+CriterionResult = namedtuple("CriterionResult", "number name passed detail seconds")
 
 
 def verdict(facts, summary=None):

@@ -299,6 +299,14 @@ def test_paper_check_byte_identical(monkeypatch, capsys, paper_results):
     assert fresh == shared
 
 
+@pytest.mark.parametrize("command", ["group", "show-pair"])
+def test_singular_l_exits_2(tmp_path, capsys, command):
+    blob = tmp_path / "pair.json"
+    blob.write_text(json.dumps({"L": [[1, 1], [1, 1]], "M": [[2, -1], [-1, 2]]}))
+    code, out, err = run(capsys, command, "--pair", str(blob))
+    assert (code, out, err) == (2, "", "error: L must be invertible\n")
+
+
 def test_show_pair(capsys):
     code, out, _ = run(capsys, "show-pair", "--fixture", "diamond")
     assert code == 0

@@ -1,0 +1,85 @@
+"""What a CLI process loads, and the value classes it loads instead of
+dataclasses.
+
+A command imports only what it runs: `import chipfire.cli` leaves out the
+acceptance suite (`verification`, `refdata`) and `dataclasses`, which
+pulls in `inspect` and its parsers.  The package still names the suite's
+entry points and loads them on first use.
+"""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import chipfire
+from chipfire.cli import Report, main
+from chipfire.fixtures import diamond_graph, diamond_pair
+from chipfire.frackets import fracket_partition, zero_fracket
+from chipfire.lattices import AbelianGroup
+from chipfire.verification import CriterionResult
+
+SRC = str(Path(chipfire.__file__).resolve().parent.parent)
+
+COLD_START = """
+import sys
+import chipfire.cli
+print(sorted(m for m in ("dataclasses", "inspect", "chipfire.verification", "chipfire.refdata")
+             if m in sys.modules))
+from chipfire import CriterionResult, run_all, run_criterion
+print(callable(run_all) and callable(run_criterion), CriterionResult.__module__)
+"""
+
+
+def test_cli_import_leaves_the_suite_and_dataclasses_out():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\nTrue chipfire.verification\n"
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        chipfire.missing
+
+
+def test_paper_check_loads_the_suite_when_it_runs(monkeypatch, capsys, paper_results):
+    # the command resolves chipfire.verification at call time, whatever
+    # module sys.modules holds then
+    suite = types.ModuleType("chipfire.verification")
+    suite.run_all = lambda: paper_results
+    monkeypatch.delattr(chipfire, "verification")
+    monkeypatch.setitem(sys.modules, "chipfire.verification", suite)
+    assert main(["paper-check"]) == 0
+    assert capsys.readouterr().out.endswith("10 passed, 0 failed\n")
+
+
+VALUES = [
+    AbelianGroup((2, 4)),
+    diamond_graph(),
+    fracket_partition(diamond_pair(), "L"),
+    zero_fracket(diamond_pair(), "M"),
+    CriterionResult(1, "unsigned-baseline", True, "ok", 0.5),
+    Report({}, ("field",), [], None),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_classes_are_immutable(value):
+    field = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+
+
+def test_value_reprs():
+    assert repr(VALUES[4]) == (
+        "CriterionResult(number=1, name='unsigned-baseline', passed=True, detail='ok', seconds=0.5)")
+    assert repr(VALUES[5]) == "Report(payload={}, headers=('field',), rows=[], lines=None, code=0)"
+    assert repr(diamond_graph()).startswith("SignedGraph(n=4, edges=((1, 2, ")
+    assert Report({}, (), []).code == 0

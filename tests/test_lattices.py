@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipfire.lattices import (
+    AbelianGroup,
     EnumerationCapExceeded,
     class_id,
     count_order_le2,
@@ -162,3 +163,17 @@ def test_abelian_group_str():
     assert str(g) == "Z_2 x Z_6"
     assert g.is_cyclic is False
     assert quotient_group(((5, 3), (3, 2))).order == 1
+
+
+@pytest.mark.parametrize("factors", [(3, 2), (1,), (2, 0), (2.0,)])
+def test_abelian_group_rejects_bad_factors(factors):
+    with pytest.raises(ValueError):
+        AbelianGroup(factors)
+
+
+def test_abelian_group_value():
+    g = AbelianGroup((2, 4))
+    assert repr(g) == "AbelianGroup(invariant_factors=(2, 4))"
+    assert str(g) == "Z_2 x Z_4" and g.order == 8 and g.largest_factor == 4
+    assert g == AbelianGroup(invariant_factors=(2, 4)) and hash(g) == hash(AbelianGroup((2, 4)))
+    assert str(AbelianGroup(())) == "trivial" and AbelianGroup(()).is_cyclic

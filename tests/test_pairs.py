@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import identity, mat_over, mat_vec, vec_add
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
-from chipfire.sgraph import sweep
+from chipfire.sgraph import class_sweep, scan_critical_groups, sweep
 
 
 def frac_part(v):
@@ -152,3 +153,36 @@ def test_grid_or_instance_equivalent():
     a = ChipFiringPair(DIAMOND_L, DIAMOND_M)
     b = ChipFiringPair(DIAMOND_L, MMatrix(DIAMOND_M))
     assert a.l == b.l and a.m.m == b.m.m
+
+
+LAZY = ("adj_l", "n_lm", "n_ml")
+
+
+def test_critical_group_scan_builds_no_transfer():
+    rows = class_sweep("complete", 6)
+    scan_critical_groups(rows, 1024)
+    assert all(not set(LAZY) & set(vars(pair)) for _, pair in rows)
+
+
+def test_transfers_are_cached_after_the_first_read():
+    pair = ChipFiringPair(DIAMOND_L, DIAMOND_M)
+    first = pair.n_ml           # reads adj_l on the way
+    assert {"adj_l", "n_ml"} <= set(vars(pair)) and "n_lm" not in vars(pair)
+    assert pair.n_ml is first and vars(pair)["n_ml"] is first
+
+
+def _bumped(grid):
+    return ((grid[0][0] + 1,) + tuple(grid[0][1:]),) + tuple(grid[1:])
+
+
+@pytest.mark.parametrize("tamper, read, check", [
+    (lambda p: setattr(p.m, "adj", _bumped(p.m.adj)), "n_lm", "n_lm M = det M L"),
+    (lambda p: setattr(p, "adj_l", _bumped(p.adj_l)), "n_ml", "n_ml L = |det L| M"),
+    (lambda p: setattr(p, "l", _bumped(p.l)), "adj_l", "= det L"),
+])
+def test_lazy_transfers_keep_their_checks(tamper, read, check):
+    # each identity runs when its matrix is first built, and raises
+    pair = ChipFiringPair(DIAMOND_L, MMatrix(DIAMOND_M))
+    tamper(pair)
+    with pytest.raises(RuntimeError, match=re.escape(check)):
+        getattr(pair, read)

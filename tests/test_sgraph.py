@@ -5,6 +5,7 @@ import pytest
 
 from chipfire import refdata
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_graph
+from chipfire.lattices import EnumerationCapExceeded
 from chipfire.sgraph import (
     SignedGraph,
     class_sweep,
@@ -49,6 +50,15 @@ def test_parse_accepts_comments_and_blank_lines():
 def test_parse_rejects_bad_input(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("edges", [
+    ((1, 1, 1), (1, 3, 1), (2, 3, 1)),      # a loop
+    ((1, 2, 0), (1, 3, 1), (2, 3, 1)),      # a bad sign
+])
+def test_rejects_loops_and_bad_signs(edges):
+    with pytest.raises(ValueError):
+        SignedGraph(n=3, edges=edges, sink=3)
 
 
 def test_rejects_disconnected_graph():
@@ -119,6 +129,14 @@ def test_kn_z2_subgroup_on_k4():
     pair = reduced_laplacians(family("complete", 4, 0))
     res = kn_z2_subgroup(pair, 4)
     assert res["subgroup"].invariant_factors == (2, 2)
+
+
+def test_kn_z2_subgroup_budget_stops_before_any_check():
+    # K22: sum of C(21, r) for r <= 10 is 2^20 = 1,048,576 subset sums
+    pair = reduced_laplacians(family("complete", 22, 0))
+    with pytest.raises(EnumerationCapExceeded, match="1048576 subset sums exceeds cap 1000000"):
+        kn_z2_subgroup(pair, 22)
+    assert not {"n_lm", "n_ml", "adj_l"} & set(vars(pair))
 
 
 def test_scan_cycle_four():
