@@ -92,8 +92,6 @@ def snf(a):
         raise ValueError("snf needs a square matrix")
     if not mat_is_integral(a):
         raise ValueError("snf needs integer entries")
-    if mat_det(a) == 0:
-        raise ValueError("snf of a singular matrix")
 
     d = [list(row) for row in a]
     u = [list(row) for row in identity(n)]      # A = U D V throughout
@@ -143,7 +141,10 @@ def snf(a):
             for j in range(k, n):
                 if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
                     best = (i, j)
-        ensure(best is not None, "no zero block in a nonsingular snf")
+        # the reduction keeps the rank, so only a singular matrix leaves a
+        # zero trailing block
+        if best is None:
+            raise ValueError("snf of a singular matrix")
         if best[0] != k:
             swap_rows(k, best[0])
         if best[1] != k:

@@ -177,3 +177,9 @@ def test_abelian_group_value():
     assert str(g) == "Z_2 x Z_4" and g.order == 8 and g.largest_factor == 4
     assert g == AbelianGroup(invariant_factors=(2, 4)) and hash(g) == hash(AbelianGroup((2, 4)))
     assert str(AbelianGroup(())) == "trivial" and AbelianGroup(()).is_cyclic
+
+
+@pytest.mark.parametrize("a", [((0, 0), (0, 0)), ((2, 4), (1, 2)), ((1, 2, 3), (4, 5, 6), (7, 8, 9))])
+def test_snf_rejects_singular(a):
+    with pytest.raises(ValueError, match="snf of a singular matrix"):
+        snf(a)
