@@ -41,6 +41,7 @@ from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair, PairRow
 from .sgraph import (
     class_sweep,
+    count_text,
     kn_structure,
     parse_edge_list,
     pattern_count,
@@ -117,11 +118,17 @@ def _load_pair(args) -> ChipFiringPair:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("--pair needs a JSON object with L and M grids")
-        return ChipFiringPair(mat_from_json(data["L"]), mat_from_json(data["M"]))
+        return ChipFiringPair(_grid(data, "L"), _grid(data, "M"))
     if args.graph:
         with open(args.graph) as fh:
             return reduced_laplacians(parse_edge_list(fh.read()))
     return FIXTURES[args.fixture]()
+
+
+def _grid(data, key):
+    if key not in data:
+        raise ValueError(f"--pair needs a JSON object with L and M grids (missing {key})")
+    return mat_from_json(data[key])
 
 
 def _load_matrix(args):
@@ -129,7 +136,7 @@ def _load_matrix(args):
     if args.pair:
         with open(args.pair) as fh:
             data = json.load(fh)
-        return mat_from_json(data["M"] if isinstance(data, dict) else data)
+        return _grid(data, "M") if isinstance(data, dict) else mat_from_json(data)
     return _load_pair(args).m.m
 
 
@@ -263,9 +270,9 @@ def cmd_frackets(args):
         return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)
     part = fracket_partition(pair, args.side)
     _, quotient = zero_fracket_lattice(pair, args.side)
-    grid, dec = (pair.l, pair.l_snf) if args.side == "L" else (pair.m.m, pair.m.snf)
+    dec = pair.l_snf if args.side == "L" else pair.m.snf
     # canonical class ids, independent of which representative the sweep produced
-    labels = {k: [vec_to_json(class_id(grid, v, dec)) for v in part.by_key[k]] for k in part.keys}
+    labels = {k: [vec_to_json(class_id(dec, v)) for v in part.by_key[k]] for k in part.keys}
     payload = {
         "side": args.side,
         "fracket_size": part.fracket_size,
@@ -299,8 +306,10 @@ def cmd_family_scan(args):
         raise ValueError("z2-subgroup verification needs the complete family with even n")
     if args.verify is None:
         count = pattern_count(args.kind, n)
+        text = f"{count_text(count)} sign patterns of the {args.kind} family on {n} vertices"
+        if "^" in text:
+            raise ValueError(f"{text}: too many digits to print")
         payload = {"kind": args.kind, "n": n, "patterns": count}
-        text = f"{count} sign patterns of the {args.kind} family on {n} vertices"
         return Report(payload, ("field", "value"), sorted(payload.items()), [text])
     if args.verify == "critical-groups":
         patterns = pattern_count(args.kind, n)

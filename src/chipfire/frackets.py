@@ -28,17 +28,17 @@ import math
 from collections import namedtuple
 
 from . import lattices
-from .linalg import ensure, flcm, gcd_entries, mat_vec, over
+from .linalg import ensure, flcm, gcd_entries, mat_det, mat_vec, over
 from .pairs import ChipFiringPair
 
 
 def _side_data(pair: ChipFiringPair, side):
-    """(matrix grid, keymap numerators, keymap denominator, det, snf) for
-    the requested side; the keymap T S^-1 is numerators / denominator."""
+    """(keymap numerators, keymap denominator, det, snf) for the
+    requested side; the keymap T S^-1 is numerators / denominator."""
     if side == "L":
-        return pair.l, pair.n_ml, pair.den_l, pair.det_l, pair.l_snf
+        return pair.n_ml, pair.den_l, pair.det_l, pair.l_snf
     if side == "M":
-        return pair.m.m, pair.n_lm, pair.det_m, pair.det_m, pair.m.snf
+        return pair.n_lm, pair.det_m, pair.det_m, pair.m.snf
     raise ValueError("side must be 'L' or 'M'")
 
 
@@ -48,9 +48,9 @@ def zero_fracket_lattice(pair: ChipFiringPair, side):
         # Lambda_S comes from the OTHER side's keymap: its members v are the
         # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
         other = "M" if side == "L" else "L"
-        _, num, den, _, _ = _side_data(pair, other)
+        num, den, _, _ = _side_data(pair, other)
         lam = lattices.lattice_intersect_with_Zn(num, den)
-        pair._zero_lattices[side] = lam, lattices.quotient_group(lam)
+        pair._zero_lattices[side] = lam, lattices.quotient_group(lattices.snf(lam, mat_det(lam)))
     return pair._zero_lattices[side]
 
 
@@ -82,7 +82,7 @@ def _residues(num, den, v):
 
 
 def fracket_key(pair: ChipFiringPair, side, v):
-    _, num, den, _, _ = _side_data(pair, side)
+    num, den, _, _ = _side_data(pair, side)
     return over(_residues(num, den, v), den)
 
 
@@ -94,9 +94,9 @@ def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATI
     classes are grouped by residue vectors, which over one positive
     denominator sort as the keys do; each key becomes a rational once.
     """
-    grid, num, den, det, dec = _side_data(pair, side)
+    num, den, det, dec = _side_data(pair, side)
     groups = {}
-    for rep in lattices.enumerate_class_reps(grid, dec, cap=cap):
+    for rep in lattices.enumerate_class_reps(dec, cap=cap):
         groups.setdefault(_residues(num, den, rep), []).append(rep)
     residues = sorted(groups)
     keys = tuple(over(r, den) for r in residues)
@@ -113,11 +113,11 @@ def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATI
 
 def zero_fracket(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CAP):
     """F0 for the given side, with Lambda_S and K(side)/F0 ~= Z^n/Lambda_S."""
-    grid, num, den, det, dec = _side_data(pair, side)
+    num, den, det, dec = _side_data(pair, side)
     lam, quotient = zero_fracket_lattice(pair, side)
     zero = tuple(
         rep
-        for rep in lattices.enumerate_class_reps(grid, dec, cap=cap)
+        for rep in lattices.enumerate_class_reps(dec, cap=cap)
         if not any(_residues(num, den, rep))
     )
     ensure(len(zero) * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
@@ -127,7 +127,7 @@ def zero_fracket(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CA
 def verify_largest_invariant_factor(pair: ChipFiringPair, side):
     """Largest invariant factor of K(side)/F0 against the flcm of the
     side's keymap; the two always agree."""
-    _, num, den, _, _ = _side_data(pair, side)
+    num, den, _, _ = _side_data(pair, side)
     _, quotient = zero_fracket_lattice(pair, side)
     predicted = flcm(num, den)
     largest = quotient.largest_factor
@@ -187,7 +187,7 @@ def cyclic_shortcut(pair: ChipFiringPair, side):
     numerators.  It can miss the actual |F0|: for L = [[-3]], M = [[2]]
     it gives 2 on side L and 3 on side M, but |F0| = 1.
     """
-    _, num, _, det, _ = _side_data(pair, side)
+    num, _, det, _ = _side_data(pair, side)
     _, quotient = zero_fracket_lattice(pair, side)
     if not quotient.is_cyclic:
         return None

@@ -5,10 +5,11 @@ structure Z^n / A Z^n, canonical equivalence-class coordinates, class
 enumeration, intersection of Z^n with a rational lattice B Z^n, and
 element orders in quotients.
 
-The Smith decomposition here is A = U * D * V with |det U| = |det V| = 1
-and D = diag(d_1, ..., d_n), d_1 | d_2 | ... | d_n, d_i >= 1 for
-nonsingular A.  Two integer vectors v, w satisfy v == w (mod A Z^n) iff
-U^-1 v and U^-1 w agree modulo diag(D), which gives a canonical class id.
+A nonsingular A has one Smith decomposition, snf(A, det A):
+Uinv * A * Vinv = D = diag(d_1, ..., d_n), d_1 | ... | d_n, d_i >= 1,
+and the quotient, class ids and class enumeration read only it.  Two
+integer vectors v, w satisfy v == w (mod A Z^n) iff Uinv v and Uinv w
+agree modulo diag(D), which gives a canonical class id.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class EnumerationCapExceeded(ValueError):
     """Raised when a class sweep would exceed the configured cap."""
 
 
-SnfDecomposition = namedtuple("SnfDecomposition", "U D V Uinv Vinv")
+SnfDecomposition = namedtuple("SnfDecomposition", "U D Uinv Vinv")
 
 
 class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
@@ -79,24 +80,26 @@ class AbelianGroup(namedtuple("AbelianGroup", "invariant_factors")):
         return list(self.invariant_factors)
 
 
-def snf(a):
-    """Smith normal form of a nonsingular square integer matrix.
+def snf(a, det):
+    """Smith normal form of a nonsingular square integer matrix a with
+    determinant det, which the caller already holds.
 
-    Returns SnfDecomposition(U, D, V, Uinv, Vinv) with a = U*D*V.  All
-    five matrices are integral; U and V are unimodular and Uinv, Vinv are
-    their exact inverses (accumulated during the reduction, no matrix
-    inversion happens here).
+    Returns SnfDecomposition(U, D, Uinv, Vinv), all integral and built
+    during the reduction, with Uinv*a*Vinv = D and U = Uinv^-1.  The d_i
+    multiply to |det|, so Uinv and Vinv are unimodular; a wrong det raises
+    RuntimeError, and a singular a or det == 0 raises ValueError.
     """
     n, m = mat_shape(a)
     if n != m:
         raise ValueError("snf needs a square matrix")
     if not mat_is_integral(a):
         raise ValueError("snf needs integer entries")
+    if det == 0:
+        raise ValueError("snf of a singular matrix")
 
     d = [list(row) for row in a]
-    u = [list(row) for row in identity(n)]      # A = U D V throughout
+    u = [list(row) for row in identity(n)]      # U = Uinv^-1 throughout
     uinv = [list(row) for row in identity(n)]
-    v = [list(row) for row in identity(n)]
     vinv = [list(row) for row in identity(n)]
 
     def swap_rows(i, j):
@@ -109,7 +112,6 @@ def snf(a):
         for r in range(n):
             d[r][i], d[r][j] = d[r][j], d[r][i]
             vinv[r][i], vinv[r][j] = vinv[r][j], vinv[r][i]
-        v[i], v[j] = v[j], v[i]                  # swap rows i,j of V
 
     def add_row(dst, src, q):
         # row_dst += q * row_src on D, mirrored on Uinv, undone on U
@@ -123,8 +125,6 @@ def snf(a):
         for r in range(n):
             d[r][dst] += q * d[r][src]
             vinv[r][dst] += q * vinv[r][src]
-        for c in range(n):
-            v[src][c] -= q * v[dst][c]
 
     def negate_row(i):
         for c in range(n):
@@ -135,45 +135,31 @@ def snf(a):
 
     k = 0
     while k < n:
-        # pivot: minimal absolute nonzero entry of the trailing block
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+        # pivot: the first minimal absolute nonzero entry of the trailing block
+        best = min(((abs(d[i][j]), i, j) for i in range(k, n) for j in range(k, n) if d[i][j]),
+                   default=None)
         # the reduction keeps the rank, so only a singular matrix leaves a
         # zero trailing block
         if best is None:
             raise ValueError("snf of a singular matrix")
-        if best[0] != k:
-            swap_rows(k, best[0])
         if best[1] != k:
-            swap_cols(k, best[1])
+            swap_rows(k, best[1])
+        if best[2] != k:
+            swap_cols(k, best[2])
 
-        dirty = False
         for i in range(k + 1, n):
             q = d[i][k] // d[k][k]
             if q:
                 add_row(i, k, -q)
-            if d[i][k] != 0:
-                dirty = True
         for j in range(k + 1, n):
             q = d[k][j] // d[k][k]
             if q:
                 add_col(j, k, -q)
-            if d[k][j] != 0:
-                dirty = True
-        if dirty:
+        # a nonzero remainder is smaller than the pivot: pick it next
+        if any(d[i][k] or d[k][i] for i in range(k + 1, n)):
             continue
         # pivot must divide the whole trailing block for the chain to hold
-        bad = None
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                if d[i][j] % d[k][k] != 0:
-                    bad = j
-                    break
-            if bad is not None:
-                break
+        bad = next((j for i in range(k + 1, n) for j in range(k + 1, n) if d[i][j] % d[k][k]), None)
         if bad is not None:
             add_col(k, bad, 1)
             continue
@@ -183,44 +169,37 @@ def snf(a):
         if d[i][i] < 0:
             negate_row(i)
 
-    dec = SnfDecomposition(mat(u), mat(d), mat(v), mat(uinv), mat(vinv))
-    ensure(mat_mul(mat_mul(dec.U, dec.D), dec.V) == mat(a), "A = U D V")
+    dec = SnfDecomposition(mat(u), mat(d), mat(uinv), mat(vinv))
     ensure(mat_mul(dec.U, dec.Uinv) == identity(n), "U Uinv = I")
-    ensure(mat_mul(dec.V, dec.Vinv) == identity(n), "V Vinv = I")
+    ensure(mat_mul(mat_mul(dec.Uinv, a), dec.Vinv) == dec.D, "Uinv A Vinv = D")
     diag = [dec.D[i][i] for i in range(n)]
     ensure(all(x >= 1 for x in diag), "positive invariant factors")
     ensure(all(diag[i + 1] % diag[i] == 0 for i in range(n - 1)), "d_i divides d_(i+1)")
+    ensure(math.prod(diag) == abs(det), "the invariant factors multiply to |det A|")
     return dec
 
 
-def quotient_group(a, dec=None):
-    """Invariant factors of Z^n / A Z^n as an AbelianGroup."""
-    dec = dec or snf(a)
-    n = len(dec.D)
-    factors = tuple(dec.D[i][i] for i in range(n) if dec.D[i][i] > 1)
-    group = AbelianGroup(factors)
-    ensure(group.order == abs(mat_det(a)), "|Z^n / A Z^n| = |det A|")
-    return group
+def quotient_group(dec):
+    """Invariant factors of Z^n / A Z^n as an AbelianGroup; dec = snf(A, det A)."""
+    return AbelianGroup(tuple(row[i] for i, row in enumerate(dec.D) if row[i] > 1))
 
 
-def class_id(a, v, dec):
-    """Canonical coordinates of [v] in Z^n / A Z^n.
+def class_id(dec, v):
+    """Canonical coordinates of [v] in Z^n / A Z^n; dec = snf(A, det A).
 
     Equal class ids iff the vectors differ by an element of A Z^n.
     """
     w = mat_vec(dec.Uinv, v)
-    n = len(w)
-    return tuple(w[i] % dec.D[i][i] for i in range(n))
+    return tuple(w[i] % dec.D[i][i] for i in range(len(w)))
 
 
-def enumerate_class_reps(a, dec=None, cap=DEFAULT_ENUMERATION_CAP):
-    """One representative per class of Z^n / A Z^n.
+def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP):
+    """One representative per class of Z^n / A Z^n; dec = snf(A, det A).
 
     Representatives are U*r for r in the residue box 0 <= r_i < d_i,
     generated in lexicographic residue order, so the output is the same
     no matter how the caller partitions the work.
     """
-    dec = dec or snf(a)
     n = len(dec.D)
     total = math.prod(dec.D[i][i] for i in range(n))
     if total > cap:
@@ -234,20 +213,21 @@ def lattice_intersect_with_Zn(num, den):
     with an integer matrix num and a positive integer den.
 
     Algorithm: k = flcm(B) = den / g with g = gcd(den, content of num), so
-    C = kB = num / g is integral; for y in Z^n, Cy lies in k Z^n iff
-    (V y)_i is a multiple of k / gcd(d_i, k) where C = U D V.  Hence the
-    intersection is B * V^-1 * diag(k / gcd(d_i, k)) * Z^n.
+    C = kB = num / g is integral; with Uinv C Vinv = D and y = Vinv z,
+    Cy = U D z lies in k Z^n iff each z_i is a multiple of k / gcd(d_i, k).
+    Hence the intersection is B * Vinv * diag(k / gcd(d_i, k)) * Z^n.
     """
     n, m = mat_shape(num)
     if n != m:
         raise ValueError("square matrix required")
     if den <= 0:
         raise ValueError("the denominator must be positive")
-    if mat_det(num) == 0:
+    det = mat_det(num)
+    if det == 0:
         raise ValueError("singular matrix")
     k = flcm(num, den)
     g = den // k
-    dec = snf(tuple(tuple(x // g for x in row) for row in num))
+    dec = snf(tuple(tuple(x // g for x in row) for row in num), det // g**n)
     scale = tuple(
         tuple(k // math.gcd(dec.D[i][i], k) if i == j else 0 for j in range(n))
         for i in range(n)
@@ -330,4 +310,5 @@ def subgroup_invariant_factors(generators, a):
     det, adj = adjugate(lattice_basis_from_columns(cols))
     x = mat_mul(adj, a)
     ensure(not any(q % det for row in x for q in row), "A Z^n sits inside the generated lattice")
-    return quotient_group(tuple(tuple(q // det for q in row) for row in x))
+    x = tuple(tuple(q // det for q in row) for row in x)
+    return quotient_group(snf(x, mat_det(x)))

@@ -101,8 +101,8 @@ class MMatrix:
         self.m = m
         self.n = len(m)
         self.det, self.adj = found
-        self.snf = lattices.snf(m)
-        self.group = lattices.quotient_group(m, self.snf)
+        self.snf = lattices.snf(m, self.det)
+        self.group = lattices.quotient_group(self.snf)
         self.c_max = tuple(m[i][i] - 1 for i in range(self.n))
         self.burning = mat_vec(m, burning_script(m))
         self._superstables = None
@@ -152,7 +152,7 @@ class MMatrix:
     # -- class lookups -----------------------------------------------------
 
     def class_id(self, v):
-        return lattices.class_id(self.m, v, self.snf)
+        return lattices.class_id(self.snf, v)
 
     def classical_dual(self, v):
         return vec_sub(self.c_max, v)
@@ -194,7 +194,7 @@ class MMatrix:
         minus the critical of each class.  The work is |det M|
         stabilizations, and the enumeration cap bounds it."""
         if self._superstables is None:
-            for r in lattices.enumerate_class_reps(self.m, self.snf):
+            for r in lattices.enumerate_class_reps(self.snf):
                 self.crit_of_class(r)
             if len(self._crit_by_class) != abs(self.det):
                 raise RuntimeError(f"found {len(self._crit_by_class)} criticals, expected "

@@ -26,7 +26,7 @@ with n_ml = +-M adj(L), and L M^-1 = n_lm / det M with n_lm = L adj(M).
 A preimage x is carried as its numerators p = |det L| x, so
 floor(x) = p // |det L| and the numerators of {x} are p % |det L|;
 rationals are built only for the public row fields and the rational views
-lm_inv, ml_inv and l_inv.
+lm_inv and ml_inv.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ class ChipFiringPair:
             raise ValueError("L must be invertible")
         # a signed L can have det L < 0; the preimage denominator is |det L|
         self.den_l = abs(self.det_l)
-        self.l_snf = lattices.snf(self.l)
-        self.l_group = lattices.quotient_group(self.l, self.l_snf)
+        self.l_snf = lattices.snf(self.l, self.det_l)
+        self.l_group = lattices.quotient_group(self.l_snf)
         self._rows = {}
         self._mu = None     # {s: (mu case, mu(s))}, filled by duality._mu_table
         self._zero_lattices = {}    # side -> (Lambda, quotient), filled by frackets
@@ -115,10 +115,6 @@ class ChipFiringPair:
     @property
     def ml_inv(self):
         return mat_over(self.n_ml, self.den_l)
-
-    @property
-    def l_inv(self):
-        return mat_over(self.adj_l, self.det_l)
 
     # -- numerator transfers ---------------------------------------------------------
 
@@ -169,7 +165,7 @@ class ChipFiringPair:
         return self.config_of_numerators(p)
 
     def class_id(self, c):
-        return lattices.class_id(self.l, c, self.l_snf)
+        return lattices.class_id(self.l_snf, c)
 
     # -- dynamics in preimage space ------------------------------------------
 
@@ -223,7 +219,7 @@ class ChipFiringPair:
             lookup = self.m.sstab_of_class if kind == "superstable" else self.m.crit_of_class
             d = self.den_l
             rows = []
-            for rep in lattices.enumerate_class_reps(self.l, self.l_snf, cap=cap):
+            for rep in lattices.enumerate_class_reps(self.l_snf, cap=cap):
                 fl, fr = self.split(self.preimage_numerators(rep))
                 base = lookup(fl)
                 p = self.join(base, fr)

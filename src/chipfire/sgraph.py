@@ -132,10 +132,8 @@ def reduced_laplacians(g: SignedGraph, shared_m: MMatrix | None = None):
 def _family_edges(kind, n):
     if kind == "complete":
         return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    if kind == "cycle":
-        pairs = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-        return sorted(pairs)
-    raise ValueError("kind must be 'complete' or 'cycle'")
+    pairs = [(i, i + 1) for i in range(1, n)] + [(1, n)]     # kind == "cycle"
+    return sorted(pairs)
 
 
 def family(kind, n, sign_pattern=0):
@@ -145,11 +143,10 @@ def family(kind, n, sign_pattern=0):
     in lex order by endpoints, least significant bit first).  Edges at
     the sink keep sign +.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    count = pattern_count(kind, n)      # checks n and kind
     base = _family_edges(kind, n)
     non_sink = [e for e in base if n not in e]
-    if not 0 <= sign_pattern < 1 << len(non_sink):
+    if not 0 <= sign_pattern < count:
         raise ValueError(f"sign pattern needs {len(non_sink)} bits")
     signs = {}
     for i, e in enumerate(non_sink):
@@ -159,8 +156,22 @@ def family(kind, n, sign_pattern=0):
 
 
 def pattern_count(kind, n):
-    """2^k sign patterns for the k non-sink edges of the family."""
-    return 1 << len(family(kind, n).non_sink_edges)
+    """2^k sign patterns, k = C(n-1, 2) non-sink edges for K_n, n - 2 for C_n."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if kind == "complete":
+        return 1 << math.comb(n - 1, 2)
+    if kind == "cycle":
+        return 1 << n - 2
+    raise ValueError("kind must be 'complete' or 'cycle'")
+
+
+def count_text(count):
+    """A pattern count in decimal, or as 2^k past sys.get_int_max_str_digits()."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"2^{count.bit_length() - 1}"
 
 
 def switching_representatives(kind, n):
@@ -193,7 +204,7 @@ def _pair_builder(kind, n):
     count = pattern_count(kind, n)
     if count > lattices.DEFAULT_ENUMERATION_CAP:
         raise lattices.EnumerationCapExceeded(
-            f"{count} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
+            f"{count_text(count)} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     shared = None
 
     def build(pattern):
@@ -286,7 +297,7 @@ def kn_z2_subgroup(pair: ChipFiringPair, n):
         ensure(c_i is not None, f"{q} e_{i} transfers integrally")
         doubled = vec_scale(2, c_i)
         ensure(doubled == mat_vec(pair.l, vec_add(ones, e_i)), f"2 c_{i} = L(ones + e_{i})")
-        ensure(lattices.class_id(pair.l, doubled, pair.l_snf) == (0,) * k, f"2 [c_{i}] = 0")
+        ensure(lattices.class_id(pair.l_snf, doubled) == (0,) * k, f"2 [c_{i}] = 0")
         frac_key = pair.preimage_numerators(c_i)
         ensure(not any(x % pair.den_l for x in frac_key), f"c_{i} sits in the zero fracket")
         configs.append(c_i)

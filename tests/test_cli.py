@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import cli, sgraph, verification
+from chipfire import cli, linalg, sgraph, verification
 from chipfire.cli import main
 
 
@@ -119,6 +120,15 @@ def test_check_mmatrix(tmp_path, capsys):
     bad.write_text('[["1","-5"],["-5","1"]]')
     code, out, _ = run(capsys, "check-mmatrix", "--pair", str(bad))
     assert code == 1 and "no" in out
+
+
+@pytest.mark.parametrize("command", ["group", "check-mmatrix"])
+def test_pair_without_m_names_the_missing_grid(tmp_path, capsys, command):
+    blob = tmp_path / "pair.json"
+    blob.write_text('{"L": [[2, -1], [-1, 2]]}')
+    code, out, err = run(capsys, command, "--pair", str(blob))
+    assert (code, out) == (2, "")
+    assert err == "error: --pair needs a JSON object with L and M grids (missing M)\n"
 
 
 def test_pair_json_input(tmp_path, capsys):
@@ -263,6 +273,34 @@ def test_family_scan_over_the_pattern_cap_builds_nothing(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err == "error: 2097152 sign patterns exceeds cap 1000000\n"
     assert built == []
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify", "critical-groups"], ["--verify", "z2-subgroup"]])
+def test_family_scan_on_k2000_fails_fast(monkeypatch, capsys, verify):
+    # 2^1997001 patterns: the count is closed form and never printed in decimal
+    built = []
+    monkeypatch.setattr(sgraph, "reduced_laplacians", lambda *args, **kwargs: built.append(args))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "2000", *verify)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and built == []
+    assert err.startswith("error: 2^1997001 sign patterns ") and err.count("\n") == 1
+
+
+def test_family_scan_critical_groups_takes_one_determinant_per_pair(monkeypatch, capsys):
+    # 64 K6 switching classes, one Bareiss determinant of L each; M's
+    # determinant comes from its adjugate
+    real = linalg._det_bareiss
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_det_bareiss", counted)
+    code, _, _ = run(capsys, "family-scan", "--kind", "complete", "--n", "6", "--verify", "critical-groups")
+    assert code == 0
+    assert len(calls) == 64
 
 
 @pytest.mark.parametrize(

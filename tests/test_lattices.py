@@ -21,6 +21,7 @@ from chipfire.lattices import (
 )
 from chipfire.linalg import (
     adjugate,
+    identity,
     mat_det,
     mat_mul,
     mat_scale,
@@ -46,13 +47,18 @@ def small_invertible(n, bound=4, det_cap=60):
     )
 
 
+def _snf(a):
+    return snf(a, mat_det(a))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_invertible(3))
 def test_snf_decomposition(a):
-    dec = snf(a)
-    assert mat_mul(mat_mul(dec.U, dec.D), dec.V) == a
+    dec = _snf(a)
+    assert mat_mul(mat_mul(dec.Uinv, a), dec.Vinv) == dec.D
+    assert mat_mul(dec.U, dec.Uinv) == identity(3)
     assert abs(mat_det(dec.U)) == 1
-    assert abs(mat_det(dec.V)) == 1
+    assert abs(mat_det(dec.Vinv)) == 1
     diag = [dec.D[i][i] for i in range(3)]
     for i in range(3):
         for j in range(3):
@@ -67,7 +73,7 @@ def test_snf_decomposition(a):
 @settings(max_examples=30, deadline=None)
 @given(small_invertible(3))
 def test_quotient_group_order(a):
-    g = quotient_group(a)
+    g = quotient_group(_snf(a))
     assert g.order == abs(mat_det(a))
     assert g.largest_factor == (g.invariant_factors[-1] if g.invariant_factors else 1)
 
@@ -75,26 +81,26 @@ def test_quotient_group_order(a):
 @settings(max_examples=30, deadline=None)
 @given(small_invertible(2, det_cap=30), st.lists(st.integers(-5, 5), min_size=2, max_size=2))
 def test_class_id_invariant_under_lattice_shift(a, w):
-    dec = snf(a)
+    dec = _snf(a)
     v = (1, -2)
     shifted = vec_add(v, mat_vec(a, tuple(w)))
-    assert class_id(a, v, dec) == class_id(a, shifted, dec)
+    assert class_id(dec, v) == class_id(dec, shifted)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_invertible(2, det_cap=24))
 def test_enumerate_class_reps(a):
-    dec = snf(a)
-    reps = enumerate_class_reps(a, dec)
+    dec = _snf(a)
+    reps = enumerate_class_reps(dec)
     assert len(reps) == abs(mat_det(a))
-    ids = {class_id(a, r, dec) for r in reps}
+    ids = {class_id(dec, r) for r in reps}
     assert len(ids) == len(reps)
 
 
 def test_enumeration_cap():
     a = ((1000, 0), (0, 1000))
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_class_reps(a, cap=10)
+        enumerate_class_reps(_snf(a), cap=10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -125,8 +131,8 @@ def test_lattice_intersect_membership(a):
 
 
 def test_count_order_le2():
-    assert count_order_le2(quotient_group(((4, 0), (0, 6)))) == 4
-    assert count_order_le2(quotient_group(((3, 0), (0, 5)))) == 1
+    assert count_order_le2(quotient_group(_snf(((4, 0), (0, 6))))) == 4
+    assert count_order_le2(quotient_group(_snf(((3, 0), (0, 5))))) == 1
 
 
 def test_element_order():
@@ -159,10 +165,10 @@ def test_subgroup_invariant_factors():
 
 
 def test_abelian_group_str():
-    g = quotient_group(((2, 0), (0, 6)))
+    g = quotient_group(_snf(((2, 0), (0, 6))))
     assert str(g) == "Z_2 x Z_6"
     assert g.is_cyclic is False
-    assert quotient_group(((5, 3), (3, 2))).order == 1
+    assert quotient_group(_snf(((5, 3), (3, 2)))).order == 1
 
 
 @pytest.mark.parametrize("factors", [(3, 2), (1,), (2, 0), (2.0,)])
@@ -181,5 +187,20 @@ def test_abelian_group_value():
 
 @pytest.mark.parametrize("a", [((0, 0), (0, 0)), ((2, 4), (1, 2)), ((1, 2, 3), (4, 5, 6), (7, 8, 9))])
 def test_snf_rejects_singular(a):
+    # det 0 is refused up front; a wrong nonzero det still meets the zero
+    # trailing block of the reduction
+    for det in (mat_det(a), 1):
+        with pytest.raises(ValueError, match="snf of a singular matrix"):
+            snf(a, det)
+
+
+@pytest.mark.parametrize("a", [((2, 1), (1, 3)), ((4, 0), (0, 6)), ((1, 2, 0), (0, 3, 1), (2, 0, 5))])
+def test_snf_checks_the_supplied_determinant(a):
+    det = mat_det(a)
+    for wrong in (2 * det, det + 1, -3 * det):
+        with pytest.raises(RuntimeError, match="the invariant factors multiply to"):
+            snf(a, wrong)
     with pytest.raises(ValueError, match="snf of a singular matrix"):
-        snf(a)
+        snf(a, 0)
+    # the sign of det is not part of the contract: only |det| is checked
+    assert snf(a, -det) == snf(a, det)

@@ -105,6 +105,20 @@ def test_family_validation():
         family("cycle", 4, 1 << 10)
 
 
+@pytest.mark.parametrize("kind", ["complete", "cycle"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_pattern_count_closed_form(kind, n):
+    assert pattern_count(kind, n) == 1 << len(family(kind, n).non_sink_edges)
+
+
+@pytest.mark.parametrize("kind, n", [("cycle", 2), ("complete", 1), ("path", 4)])
+def test_pattern_count_rejects_what_family_rejects(kind, n):
+    with pytest.raises(ValueError) as want:
+        family(kind, n)
+    with pytest.raises(ValueError, match=str(want.value)):
+        pattern_count(kind, n)
+
+
 def test_sweep_shares_one_m_matrix():
     rows = sweep("cycle", 5)
     assert [p for p, _ in rows] == list(range(8))
