@@ -181,7 +181,8 @@ def snf(a, det):
 
 def quotient_group(dec):
     """Invariant factors of Z^n / A Z^n as an AbelianGroup; dec = snf(A, det A)."""
-    return AbelianGroup(tuple(row[i] for i, row in enumerate(dec.D) if row[i] > 1))
+    n = len(dec.D)
+    return AbelianGroup(tuple(dec.D[i][i] for i in range(n) if dec.D[i][i] > 1))
 
 
 def class_id(dec, v):
@@ -190,7 +191,8 @@ def class_id(dec, v):
     Equal class ids iff the vectors differ by an element of A Z^n.
     """
     w = mat_vec(dec.Uinv, v)
-    return tuple(w[i] % dec.D[i][i] for i in range(len(w)))
+    n = len(w)
+    return tuple(w[i] % dec.D[i][i] for i in range(n))
 
 
 def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP):
