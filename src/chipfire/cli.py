@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .duality import (
     duality_inverse,
-    duality_table,
+    duality_rows,
     fixed_points,
     nonzero_criteria,
     predicted_fixed_point_count,
@@ -36,9 +36,9 @@ from .frackets import (
     zero_fracket_size_formula,
 )
 from .lattices import AbelianGroup, class_id
-from .linalg import mat_from_json, mat_to_json, vec_to_json
+from .linalg import mat_from_json, mat_to_json, over_json, vec_to_json
 from .mmatrix import MMatrix, is_m_matrix
-from .pairs import ChipFiringPair, PairRow
+from .pairs import ChipFiringPair
 from .sgraph import (
     class_sweep,
     count_text,
@@ -189,12 +189,21 @@ def cmd_show_pair(args):
     return Report(payload, ("field", "value"), rows, lines)
 
 
+def _config_and_preimage(r):
+    """JSON vectors of a PairRow's configuration and preimage, rendered
+    from the preimage numerators."""
+    return vec_to_json(r.config), over_json(r.num, r.den)
+
+
 def cmd_enumerate(args):
     pair = _load_pair(args)
     rows = (pair.enumerate_pair_superstables() if args.kind == "superstable"
             else pair.enumerate_pair_criticals())
-    records = [_vec_record(PairRow._fields, r) for r in rows]
-    return _records(records, PairRow._fields if args.preimages else ("config",))
+    fields = ("config", "preimage", "floor", "frac")
+    records = [dict(zip(fields, (*_config_and_preimage(r), vec_to_json(r.floor),
+                                 over_json(r.frac_num, r.den))))
+               for r in rows]
+    return _records(records, fields if args.preimages else ("config",))
 
 
 def cmd_duality(args):
@@ -208,10 +217,10 @@ def cmd_duality(args):
         return _records(records, fields[2:] + fields[:2])
     records = [
         {
-            **_vec_record(fields, (row["config"], row["preimage"], row["dual_config"], row["dual_preimage"])),
-            "mu_case": row["mu_case"],
+            **dict(zip(fields, (*_config_and_preimage(r), *_config_and_preimage(dual)))),
+            "mu_case": case,
         }
-        for row in duality_table(pair)
+        for r, case, dual in duality_rows(pair)
     ]
     return _records(records, fields + ("mu_case",) if args.show_mu_cases else fields)
 

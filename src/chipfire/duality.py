@@ -33,36 +33,36 @@ from __future__ import annotations
 
 from . import lattices
 from .frackets import zero_fracket_lattice
-from .linalg import mat_vec, numerators, over, vec_sub
+from .linalg import mat_vec, over, vec_sub
 from .pairs import ChipFiringPair
 
 
-def _transfer_frac(pair: ChipFiringPair, v):
-    """Numerators of {L M^-1 v}: residues of L adj(M) v mod det M."""
-    return tuple(q % pair.det_m for q in mat_vec(pair.n_lm, v))
-
-
-def _mu_table(pair: ChipFiringPair):
-    """{s: (case, mu(s))} over the z-superstables of M in lex order,
-    built once per pair: one transfer per superstable plus one for c_max."""
-    if pair._mu is None:
+def _mu(pair: ChipFiringPair, s):
+    """(case, mu(s)) for a z-superstable s of M, computed on first ask and
+    kept per pair.  The identity case {L M^-1 (2s)} = {L M^-1 c_max} holds
+    iff L M^-1 (2s - c_max) is integral, i.e. L adj(M) (2s - c_max) = 0
+    mod det M: one transfer per floor."""
+    entry = pair._mu.get(s)
+    if entry is None:
         m = pair.m
-        target = _transfer_frac(pair, m.c_max)
-        table = {}
-        for s in m.superstables():
-            if _transfer_frac(pair, tuple(2 * q for q in s)) == target:
-                table[s] = ("identity", s)
-            else:
-                table[s] = ("dual", vec_sub(m.c_max, m.crit_of_class(s)))
-        pair._mu = table
-    return pair._mu
+        shift = tuple(2 * q - c for q, c in zip(s, m.c_max))
+        if any(q % pair.det_m for q in mat_vec(pair.n_lm, shift)):
+            entry = ("dual", vec_sub(m.c_max, m.crit_of_class(s)))
+        else:
+            entry = ("identity", s)
+        pair._mu[s] = entry
+    return entry
+
+
+def _is_z_superstable(pair: ChipFiringPair, s):
+    return not any(x < 0 for x in s) and pair.m.is_z_superstable(s)
 
 
 def _mu_entry(pair: ChipFiringPair, s):
-    entry = _mu_table(pair).get(tuple(s))
-    if entry is None:
+    s = tuple(s)
+    if not _is_z_superstable(pair, s):
         raise ValueError("mu is only defined on z-superstable configurations")
-    return entry
+    return _mu(pair, s)
 
 
 def mu_case(pair: ChipFiringPair, s):
@@ -78,14 +78,13 @@ def _dual_numerators(pair: ChipFiringPair, p, inverse):
     """Preimage numerators of D(x) (or D^-1(x) when inverse) for the
     numerators p of x, or None when x is not a superstable (critical)
     preimage."""
-    table = _mu_table(pair)
     c_max = pair.m.c_max
     fl, fr = pair.split(p)
     # fl is critical iff c_max - fl is superstable
     key = vec_sub(c_max, fl) if inverse else fl
-    if key not in table:
+    if not _is_z_superstable(pair, key):
         return None
-    image = table[key][1]
+    image = _mu(pair, key)[1]
     return pair.join(image if inverse else vec_sub(c_max, image), fr)
 
 
@@ -107,35 +106,50 @@ def duality_inverse(pair: ChipFiringPair, y):
     return _apply(pair, y, True, "critical")
 
 
-def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
-    """One row per superstable configuration, ascending lex, giving the
-    dual critical on both the configuration and preimage sides.  Raises
-    RuntimeError if the rows are not a bijection onto the criticals."""
-    table = _mu_table(pair)
+def duality_rows(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
+    """(superstable row, mu case, dual critical row) per superstable
+    configuration, ascending lex, on integer rows.
+
+    D(x) = c_max - mu(floor(x)) + {x} needs mu only at the floors of the
+    superstable rows, and each dual is looked up among the critical rows
+    by its preimage numerators.  Raises RuntimeError when a dual is not a
+    critical preimage or the duals miss a critical: D must be a bijection
+    onto the criticals."""
+    c_max = pair.m.c_max
+    criticals = {r.num: r for r in pair.enumerate_pair_criticals(cap=cap)}
     rows = []
     for r in pair.enumerate_pair_superstables(cap=cap):
-        p = numerators(r.preimage, pair.den_l)
-        dual = _dual_numerators(pair, p, False)
-        if _dual_numerators(pair, dual, True) != p:
-            raise RuntimeError(f"duality_inverse does not undo duality at {r.preimage}")
-        rows.append(
-            {
-                "config": r.config,
-                "preimage": r.preimage,
-                "mu_case": table[r.floor][0],
-                "dual_config": pair.config_of_numerators(dual),
-                "dual_preimage": over(dual, pair.den_l),
-            }
-        )
-    crit_cfgs = {row.config for row in pair.enumerate_pair_criticals(cap=cap)}
-    if {row["dual_config"] for row in rows} != crit_cfgs:
+        case, image = _mu(pair, r.floor)
+        dual = criticals.get(pair.join(vec_sub(c_max, image), r.frac_num))
+        if dual is None:
+            raise RuntimeError(f"the dual of the superstable {r.config} is not a critical preimage")
+        rows.append((r, case, dual))
+    if len({dual.num for _, _, dual in rows}) != len(criticals):
         raise RuntimeError("the duals are not the critical configurations")
     return rows
 
 
+def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
+    """One row per superstable configuration, ascending lex, giving the
+    dual critical on both the configuration and preimage sides, with
+    rational preimages.  Raises RuntimeError if the rows are not a
+    bijection onto the criticals."""
+    return [
+        {
+            "config": r.config,
+            "preimage": r.preimage,
+            "mu_case": case,
+            "dual_config": dual.config,
+            "dual_preimage": dual.preimage,
+        }
+        for r, case, dual in duality_rows(pair, cap=cap)
+    ]
+
+
 def fixed_points(pair: ChipFiringPair):
-    """The z-superstables of M fixed by mu, in lex order."""
-    return tuple(s for s, (case, _) in _mu_table(pair).items() if case == "identity")
+    """The z-superstables of M fixed by mu, in lex order: mu at every
+    superstable of M, capped like M's class walk."""
+    return tuple(s for s in pair.m.superstables() if _mu(pair, s)[0] == "identity")
 
 
 def predicted_fixed_point_count(pair: ChipFiringPair):

@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 
 from . import lattices
-from .linalg import ensure, flcm, gcd_entries, mat_det, mat_vec, over
+from .linalg import ensure, flcm, gcd_entries, mat_vec, over
 from .pairs import ChipFiringPair
 
 
@@ -47,10 +47,13 @@ def zero_fracket_lattice(pair: ChipFiringPair, side):
     if side not in pair._zero_lattices:
         # Lambda_S comes from the OTHER side's keymap: its members v are the
         # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
+        # num = +-S adj(T), so |det num| = |det S| |det T|^(n-1) with no
+        # further elimination
         other = "M" if side == "L" else "L"
-        num, den, _, _ = _side_data(pair, other)
-        lam = lattices.lattice_intersect_with_Zn(num, den)
-        pair._zero_lattices[side] = lam, lattices.quotient_group(lattices.snf(lam, mat_det(lam)))
+        num, den, det_t, _ = _side_data(pair, other)
+        det_s = pair.det_l if side == "L" else pair.det_m
+        lam, det_lam = lattices.lattice_intersect_with_Zn(num, den, det_s * det_t ** (pair.n - 1))
+        pair._zero_lattices[side] = lam, lattices.quotient_group(lattices.snf(lam, det_lam))
     return pair._zero_lattices[side]
 
 

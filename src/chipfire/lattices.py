@@ -14,9 +14,9 @@ agree modulo diag(D), which gives a canonical class id.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
+from operator import add
 
 from .linalg import (
     adjugate,
@@ -195,51 +195,73 @@ def class_id(dec, v):
     return tuple(w[i] % dec.D[i][i] for i in range(n))
 
 
-def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP):
+def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None):
     """One representative per class of Z^n / A Z^n; dec = snf(A, det A).
 
     Representatives are U*r for r in the residue box 0 <= r_i < d_i,
     generated in lexicographic residue order, so the output is the same
-    no matter how the caller partitions the work.
+    no matter how the caller partitions the work.  With an integer matrix
+    image, the list holds image*U*r in the same order instead.
+
+    The box is walked like an odometer: U*(r + e_i) = U*r + U e_i, and a
+    digit that wraps from d_i - 1 to 0 takes (d_i - 1) U e_i off, so each
+    class costs vector additions instead of a matrix-vector product.
     """
     n = len(dec.D)
-    total = math.prod(dec.D[i][i] for i in range(n))
+    dims = [dec.D[i][i] for i in range(n)]
+    total = math.prod(dims)
     if total > cap:
         raise EnumerationCapExceeded(f"{total} classes exceeds cap {cap}")
-    return [mat_vec(dec.U, r)
-            for r in itertools.product(*(range(dec.D[i][i]) for i in range(n)))]
+    basis = dec.U if image is None else mat_mul(image, dec.U)
+    # only the digits with d_i > 1 move; the last one turns fastest
+    wheels = [(d - 1, tuple(row[i] for row in basis), tuple((1 - d) * row[i] for row in basis))
+              for i, d in enumerate(dims) if d > 1]
+    digits = [0] * len(wheels)
+    v = (0,) * len(basis)
+    out = [v]
+    for _ in range(total - 1):
+        k = len(wheels) - 1
+        while digits[k] == wheels[k][0]:
+            digits[k] = 0
+            v = tuple(map(add, v, wheels[k][2]))
+            k -= 1
+        digits[k] += 1
+        v = tuple(map(add, v, wheels[k][1]))
+        out.append(v)
+    return out
 
 
-def lattice_intersect_with_Zn(num, den):
-    """Integer basis of the lattice Z^n intersect B Z^n, where B = num / den
-    with an integer matrix num and a positive integer den.
+def lattice_intersect_with_Zn(num, den, det):
+    """(W, |det W|): an integer basis W of the lattice Z^n intersect B Z^n,
+    where B = num / den with an integer matrix num of determinant det,
+    which the caller already holds, and a positive integer den.
 
     Algorithm: k = flcm(B) = den / g with g = gcd(den, content of num), so
     C = kB = num / g is integral; with Uinv C Vinv = D and y = Vinv z,
     Cy = U D z lies in k Z^n iff each z_i is a multiple of k / gcd(d_i, k).
-    Hence the intersection is B * Vinv * diag(k / gcd(d_i, k)) * Z^n.
+    Hence the intersection is B * Vinv * diag(k / gcd(d_i, k)) * Z^n, and
+    since snf certifies det C and a unimodular Vinv,
+    |det W| = |det num| * prod(scale) / den^n.
     """
     n, m = mat_shape(num)
     if n != m:
         raise ValueError("square matrix required")
     if den <= 0:
         raise ValueError("the denominator must be positive")
-    det = mat_det(num)
     if det == 0:
         raise ValueError("singular matrix")
     k = flcm(num, den)
     g = den // k
     dec = snf(tuple(tuple(x // g for x in row) for row in num), det // g**n)
-    scale = tuple(
-        tuple(k // math.gcd(dec.D[i][i], k) if i == j else 0 for j in range(n))
-        for i in range(n)
-    )
-    w = mat_mul(mat_mul(num, dec.Vinv), scale)
+    scale = [k // math.gcd(dec.D[i][i], k) for i in range(n)]
+    w = mat_mul(num, dec.Vinv)
+    w = tuple(tuple(x * s for x, s in zip(row, scale)) for row in w)
     ensure(not any(x % den for row in w for x in row), "the intersection basis is integral")
     w = tuple(tuple(x // den for x in row) for row in w)
-    ensure(mat_det(w) != 0, "the intersection basis is nonsingular")
+    det_w, rest = divmod(abs(det) * math.prod(scale), den**n)
+    ensure(rest == 0, "den^n divides |det num| * prod(scale)")
     # every column lies in B Z^n by construction: B^-1 W = Vinv * scale
-    return w
+    return w, det_w
 
 
 def count_order_le2(group):

@@ -10,22 +10,24 @@ its fractional numerators are N % d, so there is no pivot tolerance and
 no rational arithmetic: every helper below takes integer operands and
 returns plain integer results.
 
-fractions.Fraction lives only at the parse and render boundary.
-parse_rational reads "a/b" and vec/mat normalize input entries (a
-Fraction with denominator 1 becomes an int); over and mat_over turn
-numerators into the rationals that public fields and printed output
-show; numerators reads such rationals back as integers over a given
-denominator, and rational_str renders them.
+fractions.Fraction lives only at the parse and render boundary, and the
+module loads on first use inside _norm, over and parse_rational, so a
+command that parses and prints only integers never imports fractions
+(or the decimal module it pulls in).  parse_rational reads "a/b" and
+vec/mat normalize input entries (a Fraction with denominator 1 becomes
+an int); over and mat_over turn numerators into the rationals that
+public fields show; numerators reads such rationals back as integers
+over a given denominator, and rational_str renders them.
 
 Serialization: a rational renders as "a/b" in lowest terms, or "a" when
 the denominator is 1.  Matrices serialize row-major as JSON arrays of
-such strings (bare ints stay ints).
+such strings (bare ints stay ints).  over_json renders numerators over a
+denominator the same way without building a rational.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
 
@@ -33,6 +35,8 @@ def _norm(x):
     # ints stay ints, Fraction with denominator 1 collapses to int
     if type(x) is int:
         return x
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
@@ -185,6 +189,8 @@ def adjugate(a):
 def over(nums, den):
     """The vector nums / den as normalized rationals: the one place a
     numerator vector becomes Fraction entries."""
+    from fractions import Fraction
+
     return tuple(q // den if q % den == 0 else Fraction(q, den) for q in nums)
 
 
@@ -258,11 +264,27 @@ def parse_rational(s):
     num, den = (int(t) for t in s.split("/"))
     if den == 0:
         raise ValueError(f"zero denominator in {s!r}")
+    from fractions import Fraction
+
     return _norm(Fraction(num, den))
 
 
 def vec_to_json(v):
     return [x if isinstance(x, int) else rational_str(x) for x in v]
+
+
+def over_json(nums, den):
+    """vec_to_json(over(nums, den)) for a positive den, without building a
+    rational: an int where den divides the numerator, else "a/b" reduced
+    by the gcd."""
+    out = []
+    for q in nums:
+        if q % den:
+            g = math.gcd(q, den)
+            out.append(f"{q // g}/{den // g}")
+        else:
+            out.append(q // den)
+    return out
 
 
 def mat_to_json(a):

@@ -24,9 +24,14 @@ Both transfers are carried as integer numerator matrices over a positive
 denominator, each built and checked on first read: M L^-1 = n_ml / |det L|
 with n_ml = +-M adj(L), and L M^-1 = n_lm / det M with n_lm = L adj(M).
 A preimage x is carried as its numerators p = |det L| x, so
-floor(x) = p // |det L| and the numerators of {x} are p % |det L|;
-rationals are built only for the public row fields and the rational views
-lm_inv and ml_inv.
+floor(x) = p // |det L| and the numerators of {x} are p % |det L|.  An
+enumerated row keeps them: PairRow holds the configuration, the preimage
+numerators, the floor, the fractional numerators and |det L|, and its
+preimage and frac properties build rationals only when a caller reads
+them, as do the rational views lm_inv and ml_inv.  The class walk steps
+the preimage numerators through the residue box one column of n_ml U at
+a time (lattices.enumerate_class_reps), and both sweeps share its split
+into (floor, fractional numerators).
 """
 
 from __future__ import annotations
@@ -52,7 +57,23 @@ from .linalg import (
 )
 from .mmatrix import MMatrix
 
-PairRow = namedtuple("PairRow", "config preimage floor frac")
+
+class PairRow(namedtuple("PairRow", "config num floor frac_num den")):
+    """One enumerated row: the configuration, the numerators num of its
+    preimage over the denominator den = |det L|, the floor of the
+    preimage and the numerators of its fractional part."""
+
+    __slots__ = ()
+
+    @property
+    def preimage(self):
+        return over(self.num, self.den)
+
+    @property
+    def frac(self):
+        return over(self.frac_num, self.den)
+
+
 Classification = namedtuple("Classification", "is_superstable is_critical")
 
 
@@ -75,8 +96,9 @@ class ChipFiringPair:
         self.den_l = abs(self.det_l)
         self.l_snf = lattices.snf(self.l, self.det_l)
         self.l_group = lattices.quotient_group(self.l_snf)
+        self._classes = {}  # cap -> ((floor, frac numerators), ...) per class of L
         self._rows = {}
-        self._mu = None     # {s: (mu case, mu(s))}, filled by duality._mu_table
+        self._mu = {}       # {s: (mu case, mu(s))}, filled floor by floor in duality
         self._zero_lattices = {}    # side -> (Lambda, quotient), filled by frackets
 
     @property
@@ -213,21 +235,29 @@ class ChipFiringPair:
             is_critical=self.m.crit_of_class(fl) == fl,
         )
 
+    def _split_classes(self, cap):
+        """(floor, fractional numerators) of the preimage of one
+        representative per class of Z^n / L Z^n, in class-walk order."""
+        if cap not in self._classes:
+            walk = lattices.enumerate_class_reps(self.l_snf, cap=cap, image=self.n_ml)
+            self._classes[cap] = tuple(map(self.split, walk))
+        return self._classes[cap]
+
     def _enumerate(self, kind, cap):
         key = (kind, cap)
         if key not in self._rows:
             lookup = self.m.sstab_of_class if kind == "superstable" else self.m.crit_of_class
             d = self.den_l
             rows = []
-            for rep in lattices.enumerate_class_reps(self.l_snf, cap=cap):
-                fl, fr = self.split(self.preimage_numerators(rep))
+            for fl, fr in self._split_classes(cap):
                 base = lookup(fl)
                 p = self.join(base, fr)
                 config = self.config_of_numerators(p)
                 if config is None or any(q < 0 for q in base):
-                    raise RuntimeError(f"class rep {rep} gave no valid {kind} preimage")
-                rows.append(PairRow(config=config, preimage=over(p, d), floor=base, frac=over(fr, d)))
-            rows.sort(key=lambda r: r.config)
+                    raise RuntimeError(f"the class with preimage floor {fl} gave no valid "
+                                       f"{kind} preimage")
+                rows.append(PairRow(config, p, base, fr, d))
+            rows.sort()
             if len({r.config for r in rows}) != self.den_l:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
             self._rows[key] = tuple(rows)
@@ -235,7 +265,7 @@ class ChipFiringPair:
 
     def enumerate_pair_superstables(self, cap=lattices.DEFAULT_ENUMERATION_CAP):
         """The |det L| superstable rows, ascending lexicographic by
-        configuration.  Each row carries (config, preimage, floor, frac)."""
+        configuration.  Each row is a PairRow."""
         return self._enumerate("superstable", cap)
 
     def enumerate_pair_criticals(self, cap=lattices.DEFAULT_ENUMERATION_CAP):

@@ -86,14 +86,19 @@ def test_frackets_verify_reports_failed_checks(tmp_path, capsys):
 
 
 def test_large_m_with_one_l_class(tmp_path, capsys):
-    # |det L| = 1, so enumerate needs one class of M; duality needs all
-    # 8,999,999 of them and must stop at the cap instead of hanging
+    # |det L| = 1, so enumerate and duality need one class of M (duality
+    # takes mu at the one floor); fixed-points needs all 8,999,999 of them
+    # and must stop at the cap instead of hanging
     path = tmp_path / "pair.json"
     path.write_text('{"L": [["1", "0"], ["0", "1"]], "M": [["3000", "-1"], ["-1", "3000"]]}')
     code, out, err = run(capsys, "enumerate", "--pair", str(path), "--kind", "superstable")
     assert code == 0 and err == ""
     assert out.splitlines()[2:] == ["(0, 0)"]
-    code, out, err = run(capsys, "duality", "--pair", str(path))
+    code, out, err = run(capsys, "duality", "--pair", str(path), "--format", "csv")
+    assert code == 0 and err == ""
+    assert out == ("superstable,superstable_preimage,critical,critical_preimage\n"
+                   '"(0, 0)","(0, 0)","(1, 1)","(2999, 2999)"\n')
+    code, out, err = run(capsys, "fixed-points", "--pair", str(path))
     assert code == 2 and out == ""
     assert err == "error: 8999999 classes exceeds cap 1000000\n"
 
@@ -285,6 +290,23 @@ def test_family_scan_on_k2000_fails_fast(monkeypatch, capsys, verify):
     assert time.perf_counter() - start < 2
     assert code == 2 and out == "" and built == []
     assert err.startswith("error: 2^1997001 sign patterns ") and err.count("\n") == 1
+
+
+def test_family_scan_half_n_on_k200_builds_no_matrix(monkeypatch, capsys):
+    # the identity M (I + J) = n I needs M's grid only: no pair, no
+    # M-matrix object with its adjugate and Smith form, no determinant
+    def refuse(*args, **kwargs):
+        raise AssertionError("half-n built a matrix object")
+
+    monkeypatch.setattr(sgraph, "ChipFiringPair", refuse)
+    monkeypatch.setattr(sgraph, "MMatrix", refuse)
+    monkeypatch.setattr(linalg, "_det_bareiss", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "200", "--verify", "half-n")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert out == ("reduced complete graph on 200 vertices: inverse has 2/200 on the diagonal "
+                   "and 1/200 off it; 200 * M^-1 e_i = ones + e_i\n")
 
 
 def test_family_scan_critical_groups_takes_one_determinant_per_pair(monkeypatch, capsys):

@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from chipfire import refdata
+from chipfire import linalg, refdata
+from chipfire.fixtures import diamond_pair
 from chipfire.frackets import (
     cyclic_shortcut,
     fracket_key,
     fracket_partition,
     verify_largest_invariant_factor,
     zero_fracket,
+    zero_fracket_lattice,
     zero_fracket_size_formula,
 )
 from chipfire.linalg import mat_vec
@@ -99,3 +101,14 @@ def test_equal_pair_has_single_fracket():
 def test_bad_side_rejected(diamond):
     with pytest.raises((KeyError, ValueError)):
         fracket_partition(diamond, "X")
+
+
+def test_zero_fracket_lattice_takes_one_determinant(monkeypatch):
+    # the pair build takes det L; |det Lambda| comes from the intersection
+    # and det n_lm from det L and det M, so no further elimination runs
+    real = linalg._det_bareiss
+    calls = []
+    monkeypatch.setattr(linalg, "_det_bareiss", lambda a: calls.append(a) or real(a))
+    lam, quotient = zero_fracket_lattice(diamond_pair(), "L")
+    assert len(calls) <= 1
+    assert abs(real(lam)) == quotient.order

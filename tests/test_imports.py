@@ -4,7 +4,9 @@ dataclasses.
 A command imports only what it runs: `import chipfire.cli` leaves out the
 acceptance suite (`verification`, `refdata`) and `dataclasses`, which
 pulls in `inspect` and its parsers.  The package still names the suite's
-entry points and loads them on first use.
+entry points and loads them on first use.  `fractions`, and the `decimal`
+module it imports, load only when a rational is parsed or built:
+`enumerate` and `duality` render their rows from integer numerators.
 """
 
 import os
@@ -39,6 +41,30 @@ def test_cli_import_leaves_the_suite_and_dataclasses_out():
     out = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\nTrue chipfire.verification\n"
+
+
+RATIONAL_FREE = """
+import contextlib, io, sys
+import chipfire.cli
+
+def loaded():
+    return sorted(m for m in ("fractions", "decimal") if m in sys.modules)
+
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes = [chipfire.cli.main(["enumerate", "--kind", "superstable", "--preimages",
+                                "--fixture", "diamond"]),
+             chipfire.cli.main(["duality", "--fixture", "diamond"])]
+print(codes, "/" in out.getvalue(), loaded())
+"""
+
+
+def test_enumerate_and_duality_load_no_fractions():
+    # the diamond rows have denominator 6, so both commands print rationals
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", RATIONAL_FREE], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n[0, 0] True []\n"
 
 
 def test_unknown_package_attribute_raises():

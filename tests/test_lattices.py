@@ -95,6 +95,21 @@ def test_enumerate_class_reps(a):
     assert len(reps) == abs(mat_det(a))
     ids = {class_id(dec, r) for r in reps}
     assert len(ids) == len(reps)
+    # the odometer walk gives U r over the residue box in lexicographic order
+    box = product(*(range(dec.D[i][i]) for i in range(2)))
+    assert reps == [mat_vec(dec.U, r) for r in box]
+    assert enumerate_class_reps(dec, image=a) == [mat_vec(a, r) for r in reps]
+
+
+@pytest.mark.parametrize("diag", [(1, 1, 1), (1, 2, 6), (2, 2, 4), (1, 1, 12)])
+def test_enumerate_class_reps_odometer_in_three_dims(diag):
+    # U A V = D for a unimodular U, V: the classes of A are those of D
+    u = ((1, 2, 0), (0, 1, -3), (0, 0, 1))
+    a = mat_mul(mat_mul(u, tuple(tuple(d if i == j else 0 for j in range(3)) for i, d in enumerate(diag))),
+                ((1, 0, 0), (5, 1, 0), (-2, 7, 1)))
+    dec = _snf(a)
+    box = product(*(range(dec.D[i][i]) for i in range(3)))
+    assert enumerate_class_reps(dec) == [mat_vec(dec.U, r) for r in box]
 
 
 def test_enumeration_cap():
@@ -113,8 +128,10 @@ def test_lattice_intersect_membership(a):
     # Z^n unless A = 0 (mod 2)
     det, adj = adjugate(a)
     sign = 1 if det > 0 else -1
-    w = lattice_intersect_with_Zn(mat_scale(2 * sign, adj), abs(det))
+    num = mat_scale(2 * sign, adj)
+    w, det_w = lattice_intersect_with_Zn(num, abs(det), mat_det(num))
     w_det, w_adj = adjugate(w)
+    assert det_w == abs(w_det)
 
     def in_b(v):
         return not any(q % 2 for q in mat_vec(a, v))

@@ -17,6 +17,8 @@ from chipfire.linalg import (
     mat_over,
     mat_to_json,
     mat_vec,
+    over,
+    over_json,
     parse_rational,
     rational_str,
     vec_from_json,
@@ -64,6 +66,14 @@ def test_gcd_entries():
 def test_rational_str_roundtrip(num, den):
     q = Fraction(num, den)
     assert parse_rational(rational_str(q)) == q
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
+@example(0, 1)
+@example(-3, 6)
+@example(4096, 2048)
+def test_over_json_renders_like_the_rational(q, d):
+    assert over_json((q,), d) == vec_to_json(over((q,), d))
 
 
 def test_json_roundtrip():
