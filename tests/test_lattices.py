@@ -105,8 +105,9 @@ def test_enumerate_class_reps(a):
 def test_enumerate_class_reps_odometer_in_three_dims(diag):
     # U A V = D for a unimodular U, V: the classes of A are those of D
     u = ((1, 2, 0), (0, 1, -3), (0, 0, 1))
-    a = mat_mul(mat_mul(u, tuple(tuple(d if i == j else 0 for j in range(3)) for i, d in enumerate(diag))),
-                ((1, 0, 0), (5, 1, 0), (-2, 7, 1)))
+    v = ((1, 0, 0), (5, 1, 0), (-2, 7, 1))
+    d = tuple(tuple(x if i == j else 0 for j in range(3)) for i, x in enumerate(diag))
+    a = mat_mul(mat_mul(u, d), v)
     dec = _snf(a)
     box = product(*(range(dec.D[i][i]) for i in range(3)))
     assert enumerate_class_reps(dec) == [mat_vec(dec.U, r) for r in box]
