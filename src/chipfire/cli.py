@@ -20,29 +20,15 @@ import json
 import sys
 from collections import namedtuple
 
-from .duality import (
-    duality_inverse,
-    duality_rows,
-    fixed_points,
-    nonzero_criteria,
-    predicted_fixed_point_count,
-)
 from .fixtures import FIXTURES
-from .frackets import (
-    cyclic_shortcut,
-    fracket_partition,
-    verify_largest_invariant_factor,
-    zero_fracket_lattice,
-    zero_fracket_size_formula,
-)
 from .lattices import AbelianGroup, class_id
 from .linalg import mat_from_json, mat_to_json, over_json, vec_to_json
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair
 from .sgraph import (
-    class_sweep,
     count_text,
     kn_structure,
+    orbit_sweep,
     parse_edge_list,
     pattern_count,
     reduced_laplacians,
@@ -89,10 +75,6 @@ class Report(namedtuple("Report", "payload headers rows lines code", defaults=(N
             lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
             lines.insert(1, "  ".join("-" * w for w in widths))
         return "\n".join(lines) + "\n"
-
-
-def _vec_record(fields, vectors):
-    return {f: vec_to_json(v) for f, v in zip(fields, vectors, strict=True)}
 
 
 def _records(records, columns):
@@ -207,13 +189,21 @@ def cmd_enumerate(args):
 
 
 def cmd_duality(args):
+    from .duality import _dual_numerators, duality_rows
+
     pair = _load_pair(args)
     fields = ("superstable", "superstable_preimage", "critical", "critical_preimage")
     if args.inverse:
+        # D^-1 computed afresh on each critical row, not read off duality_rows
         records = []
         for r in pair.enumerate_pair_criticals():
-            x = duality_inverse(pair, r.preimage)
-            records.append(_vec_record(fields, (pair.to_config(x), x, r.config, r.preimage)))
+            p = _dual_numerators(pair, r.num, inverse=True)
+            config = None if p is None else pair.config_of_numerators(p)
+            if config is None:
+                raise RuntimeError(f"the inverse dual of the critical {r.config} is not a "
+                                   f"superstable preimage")
+            records.append(dict(zip(fields, (vec_to_json(config), over_json(p, pair.den_l),
+                                             *_config_and_preimage(r)))))
         return _records(records, fields[2:] + fields[:2])
     records = [
         {
@@ -226,6 +216,8 @@ def cmd_duality(args):
 
 
 def cmd_fixed_points(args):
+    from .duality import fixed_points, nonzero_criteria, predicted_fixed_point_count
+
     pair = _load_pair(args)
     fps = fixed_points(pair)
     payload = {"fixed_points": [vec_to_json(s) for s in fps], "count": len(fps)}
@@ -255,6 +247,14 @@ def cmd_fixed_points(args):
 def cmd_frackets(args):
     if not args.verify and not args.side:
         raise ValueError("frackets needs --side L|M or --verify")
+    from .frackets import (
+        cyclic_shortcut,
+        fracket_partition,
+        verify_largest_invariant_factor,
+        zero_fracket_lattice,
+        zero_fracket_size_formula,
+    )
+
     pair = _load_pair(args)
     if args.verify:
         facts = []
@@ -322,7 +322,7 @@ def cmd_family_scan(args):
         return Report(payload, ("field", "value"), sorted(payload.items()), [text])
     if args.verify == "critical-groups":
         patterns = pattern_count(args.kind, n)
-        histogram = scan_critical_groups(class_sweep(args.kind, n), patterns)
+        histogram = scan_critical_groups(orbit_sweep(args.kind, n), patterns)
         payload = {
             "verify": "critical-groups",
             "patterns": patterns,

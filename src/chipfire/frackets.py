@@ -43,7 +43,8 @@ def _side_data(pair: ChipFiringPair, side):
 
 
 def zero_fracket_lattice(pair: ChipFiringPair, side):
-    """(Lambda_S, Z^n / Lambda_S) for the side, computed once per pair."""
+    """(Lambda_S, Z^n / Lambda_S) for the side, computed once per pair
+    from one Smith decomposition (lattices.lattice_intersection)."""
     if side not in pair._zero_lattices:
         # Lambda_S comes from the OTHER side's keymap: its members v are the
         # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
@@ -52,8 +53,8 @@ def zero_fracket_lattice(pair: ChipFiringPair, side):
         other = "M" if side == "L" else "L"
         num, den, det_t, _ = _side_data(pair, other)
         det_s = pair.det_l if side == "L" else pair.det_m
-        lam, det_lam = lattices.lattice_intersect_with_Zn(num, den, det_s * det_t ** (pair.n - 1))
-        pair._zero_lattices[side] = lam, lattices.quotient_group(lattices.snf(lam, det_lam))
+        pair._zero_lattices[side] = lattices.lattice_intersection(
+            num, den, det_s * det_t ** (pair.n - 1))
     return pair._zero_lattices[side]
 
 
@@ -84,6 +85,15 @@ def _residues(num, den, v):
     return tuple(q % den for q in mat_vec(num, v))
 
 
+def _classes_with_residues(num, den, dec, cap):
+    """(representative, residues of num rep over den) per class of the
+    side, in class-walk order: a second walk steps num U r beside the
+    plain one, so no class takes a matrix-vector product."""
+    reps = lattices.enumerate_class_reps(dec, cap=cap)
+    images = lattices.enumerate_class_reps(dec, cap=cap, image=num)
+    return zip(reps, (tuple(q % den for q in v) for v in images))
+
+
 def fracket_key(pair: ChipFiringPair, side, v):
     num, den, _, _ = _side_data(pair, side)
     return over(_residues(num, den, v), den)
@@ -99,8 +109,8 @@ def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATI
     """
     num, den, det, dec = _side_data(pair, side)
     groups = {}
-    for rep in lattices.enumerate_class_reps(dec, cap=cap):
-        groups.setdefault(_residues(num, den, rep), []).append(rep)
+    for rep, residues in _classes_with_residues(num, den, dec, cap):
+        groups.setdefault(residues, []).append(rep)
     residues = sorted(groups)
     keys = tuple(over(r, den) for r in residues)
     part = FracketPartition(
@@ -118,11 +128,8 @@ def zero_fracket(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CA
     """F0 for the given side, with Lambda_S and K(side)/F0 ~= Z^n/Lambda_S."""
     num, den, det, dec = _side_data(pair, side)
     lam, quotient = zero_fracket_lattice(pair, side)
-    zero = tuple(
-        rep
-        for rep in lattices.enumerate_class_reps(dec, cap=cap)
-        if not any(_residues(num, den, rep))
-    )
+    zero = tuple(rep for rep, residues in _classes_with_residues(num, den, dec, cap)
+                 if not any(residues))
     ensure(len(zero) * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
     return ZeroFracket(side=side, members=zero, lattice=lam, quotient=quotient)
 

@@ -231,17 +231,24 @@ def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None):
     return out
 
 
-def lattice_intersect_with_Zn(num, den, det):
-    """(W, |det W|): an integer basis W of the lattice Z^n intersect B Z^n,
-    where B = num / den with an integer matrix num of determinant det,
-    which the caller already holds, and a positive integer den.
+def lattice_intersection(num, den, det):
+    """(W, Z^n / W Z^n as an AbelianGroup) for the lattice
+    Z^n intersect B Z^n = W Z^n, where B = num / den with an integer
+    matrix num of determinant det, which the caller already holds, and a
+    positive integer den.  One Smith decomposition gives both.
 
-    Algorithm: k = flcm(B) = den / g with g = gcd(den, content of num), so
-    C = kB = num / g is integral; with Uinv C Vinv = D and y = Vinv z,
-    Cy = U D z lies in k Z^n iff each z_i is a multiple of k / gcd(d_i, k).
-    Hence the intersection is B * Vinv * diag(k / gcd(d_i, k)) * Z^n, and
-    since snf certifies det C and a unimodular Vinv,
-    |det W| = |det num| * prod(scale) / den^n.
+    Proof.  k = flcm(B) = den / g with g = gcd(den, content of num), so
+    C = kB = num / g is integral, and snf gives Uinv C Vinv = D, that is
+    C = U D V with U and V = Vinv^-1 unimodular.  Then
+    B Z^n = (1/k) C Z^n = (1/k) U D Z^n, and since U is unimodular,
+    (1/k) U D z is integral iff D z lies in k Z^n, iff each z_i is a
+    multiple of s_i = k / gcd(d_i, k).  So the intersection is
+    (1/k) U D diag(s) Z^n = U diag(e) Z^n with e_i = d_i s_i / k =
+    d_i / gcd(d_i, k), and Z^n / W Z^n is the sum of the Z / e_i Z, again
+    because U is unimodular.  e_i = lcm(d_i, k) / k, and d_i | d_(i+1)
+    gives e_i | e_(i+1), so the e_i > 1 are the invariant factors.  The
+    same W is B Vinv diag(s), so den W = num Vinv diag(s), and
+    |det W| = prod(e) = |det num| prod(s) / den^n; both are checked.
     """
     n, m = mat_shape(num)
     if n != m:
@@ -253,15 +260,26 @@ def lattice_intersect_with_Zn(num, den, det):
     k = flcm(num, den)
     g = den // k
     dec = snf(tuple(tuple(x // g for x in row) for row in num), det // g**n)
-    scale = [k // math.gcd(dec.D[i][i], k) for i in range(n)]
-    w = mat_mul(num, dec.Vinv)
-    w = tuple(tuple(x * s for x, s in zip(row, scale)) for row in w)
-    ensure(not any(x % den for row in w for x in row), "the intersection basis is integral")
-    w = tuple(tuple(x // den for x in row) for row in w)
-    det_w, rest = divmod(abs(det) * math.prod(scale), den**n)
-    ensure(rest == 0, "den^n divides |det num| * prod(scale)")
-    # every column lies in B Z^n by construction: B^-1 W = Vinv * scale
-    return w, det_w
+    diag = [dec.D[i][i] for i in range(n)]
+    scale = [k // math.gcd(d, k) for d in diag]
+    e = [d // math.gcd(d, k) for d in diag]
+    w = tuple(tuple(x * f for x, f in zip(row, e)) for row in dec.U)
+    ensure(all(den * x == y * s
+               for row_w, row_b in zip(w, mat_mul(num, dec.Vinv))
+               for x, y, s in zip(row_w, row_b, scale)),
+           "den W = num Vinv diag(scale)")
+    ensure(math.prod(e) * den**n == abs(det) * math.prod(scale),
+           "prod(e) den^n = |det num| prod(scale)")
+    return w, AbelianGroup(tuple(x for x in e if x > 1))
+
+
+def lattice_intersect_with_Zn(num, den, det):
+    """(W, |det W|): an integer basis W of the lattice Z^n intersect B Z^n,
+    where B = num / den with an integer matrix num of determinant det,
+    which the caller already holds, and a positive integer den.  See
+    lattice_intersection for the algorithm."""
+    w, quotient = lattice_intersection(num, den, det)
+    return w, quotient.order
 
 
 def count_order_le2(group):

@@ -24,6 +24,8 @@ scans the stable box prod [0, M_ii).
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import lattices
 from .linalg import (
     adjugate,
@@ -172,7 +174,10 @@ class MMatrix:
         stabilize(y' + (a - y')) = c.  Each class holds exactly one
         critical (Guzman-Klivans 2015), so c is the critical of v's class.
         """
-        key = self.class_id(v)
+        return self._crit(self.class_id(v), v)
+
+    def _crit(self, key, v):
+        """crit_of_class(v) for a v whose class id is key."""
         crit = self._crit_by_class.get(key)
         if crit is None:
             b = self.burning
@@ -194,8 +199,10 @@ class MMatrix:
         minus the critical of each class.  The work is |det M|
         stabilizations, and the enumeration cap bounds it."""
         if self._superstables is None:
-            for r in lattices.enumerate_class_reps(self.snf):
-                self.crit_of_class(r)
+            # the walk yields U r in residue order, and the class id of U r is r
+            box = product(*(range(self.snf.D[i][i]) for i in range(self.n)))
+            for key, rep in zip(box, lattices.enumerate_class_reps(self.snf)):
+                self._crit(key, rep)
             if len(self._crit_by_class) != abs(self.det):
                 raise RuntimeError(f"found {len(self._crit_by_class)} criticals, expected "
                                    f"|det M| = {abs(self.det)}")

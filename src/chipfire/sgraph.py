@@ -29,6 +29,33 @@ along the tree from its root to make each tree edge +.  For K_n the tree
 is the star at vertex 1, leaving 2^C(n-2,2) classes; for C_n it is the
 whole non-sink path, leaving one.  A statement about K(L) over all
 patterns therefore needs one pair per class, weighted by 2^(n-2).
+
+Relabeling orbits.  A permutation pi of the non-sink vertices that maps
+the family's non-sink edges onto themselves sends a pattern to the
+pattern negative on the images of its negative edges, and L to P L P^T
+with P the permutation matrix.  P is unimodular, so x -> Px maps
+Z^k / L Z^k onto Z^k / P L P^T Z^k: K(L) is a relabeling invariant too.
+Relabeling then switching at v is switching at pi^-1(v) then relabeling,
+so the relabelings permute the switching classes, and the group they
+generate together with the switchings has as orbits unions of whole
+classes.  For K_n every permutation of 1..n-1 qualifies, generated by
+the transposition (1 2) and the cycle (1 2 ... n-1); the orbits are the
+two-graphs on n - 1 vertices (Seidel 1976), 2, 3, 7, 16 and 54 of them
+for K_4 to K_8 (Mallows-Sloane 1975).  For C_n the only one is the
+reflection v -> n - v, and its single class is its single orbit.  A
+statement about K(L) over all patterns therefore needs one pair per
+orbit, weighted by the orbit's class count times 2^(n-2).
+
+The walk acts on class indices, the bits of a representative on the
+non-tree edges.  A generator's action on them is linear over GF(2):
+relabeling permutes bits, and switching back to the tree-positive
+representative flips each non-tree edge (u, v) by the parity of the
+negative tree edges on the tree path from u to v, a sum of bits.  So a
+generator is one table of images per byte of the index, and the image
+of an index is the XOR of its bytes' entries.  A finite orbit is closed
+under a permutation's inverse once it is closed under the permutation,
+so the classes reached from an index by the generators alone are its
+whole orbit.
 """
 
 from __future__ import annotations
@@ -183,37 +210,115 @@ def count_text(count):
         return f"2^{count.bit_length() - 1}"
 
 
+def _switching_tree(kind, n):
+    """(edges, paths, free) for the family: its non-sink edges (u, v) in
+    bit order; for each non-sink vertex, the bits of its path from vertex
+    1 in the spanning tree the breadth-first search from vertex 1 takes
+    through those edges; and the bits off that tree, ascending, which are
+    the bits of a class index."""
+    edges = [(u, v) for u, v, _ in family(kind, n).non_sink_edges]
+    paths, frontier = {1: 0}, [1]
+    for w in frontier:
+        for i, (u, v) in enumerate(edges):
+            other = v if u == w else u if v == w else None
+            if other is not None and other not in paths:
+                paths[other] = paths[w] | 1 << i
+                frontier.append(other)
+    ensure(len(paths) == n - 1, "the non-sink graph is connected")
+    tree = 0
+    for bits in paths.values():
+        tree |= bits
+    return edges, paths, [i for i in range(len(edges)) if not tree >> i & 1]
+
+
+def _pattern_of(free, index):
+    """The tree-positive representative of the class with this index."""
+    return sum(1 << i for b, i in enumerate(free) if index >> b & 1)
+
+
 def switching_representatives(kind, n):
     """One sign pattern per switching class of the family, ascending, as
     (pattern, weight): the patterns that are + on the spanning tree the
     breadth-first search from vertex 1 takes through the non-sink edges,
     each weighted by its class size 2^(n-2).  The weights sum to
     pattern_count(kind, n); the module docstring has the argument."""
-    edges = [(u, v) for u, v, _ in family(kind, n).non_sink_edges]
-    reached, tree, frontier = {1}, set(), [1]
-    for w in frontier:
-        for i, (u, v) in enumerate(edges):
-            other = v if u == w else u if v == w else None
-            if other is not None and other not in reached:
-                reached.add(other)
-                tree.add(i)
-                frontier.append(other)
-    ensure(len(reached) == n - 1, "the non-sink graph is connected")
-    free = [i for i in range(len(edges)) if i not in tree]
-    weight = 1 << len(tree)
-    for mask in range(1 << len(free)):
-        yield sum(1 << i for b, i in enumerate(free) if mask >> b & 1), weight
+    _, _, free = _switching_tree(kind, n)
+    for index in range(1 << len(free)):
+        yield _pattern_of(free, index), 1 << n - 2
+
+
+def _relabelings(kind, n):
+    """Generators of the family's relabelings that fix the sink, each a
+    list taking a non-sink vertex to its image (entry 0 unused)."""
+    if kind == "cycle":
+        return [[0] + [n - v for v in range(1, n)]]
+    return [[0, 2, 1] + list(range(3, n)), [0] + [v % (n - 1) + 1 for v in range(1, n)]]
+
+
+def _byte_tables(perm, edges, paths, free):
+    """A relabeling's action on class indices, as one table of images per
+    byte of the index: relabel the representative's negative edges, then
+    switch back to the tree-positive representative (module docstring)."""
+    bit = {e: i for i, e in enumerate(edges)}
+
+    def act(index):
+        image = 0
+        for b, i in enumerate(free):
+            if index >> b & 1:
+                u, v = edges[i]
+                moved = bit.get((min(perm[u], perm[v]), max(perm[u], perm[v])))
+                ensure(moved is not None, "the relabeling keeps the family's edges")
+                image |= 1 << moved
+        out = 0
+        for b, i in enumerate(free):
+            u, v = edges[i]
+            out |= ((image >> i ^ (image & (paths[u] ^ paths[v])).bit_count()) & 1) << b
+        return out
+
+    return [[act(x << 8 * j) for x in range(1 << min(8, len(free) - 8 * j))]
+            for j in range(-(-len(free) // 8))]
+
+
+def orbit_representatives(kind, n):
+    """One sign pattern per orbit of relabeling x switching on the
+    family's patterns, ascending, as (pattern, weight): the least
+    tree-positive pattern of the orbit, weighted by the orbit's switching
+    classes times 2^(n-2).  The weights sum to pattern_count(kind, n); the
+    module docstring has the argument.
+
+    The walk visits every switching class once, 2^C(n-2, 2) of them for
+    K_n and one for C_n, and raises EnumerationCapExceeded before any work
+    when they exceed lattices.DEFAULT_ENUMERATION_CAP.
+    """
+    count = pattern_count(kind, n)
+    classes = count >> n - 2
+    if classes > lattices.DEFAULT_ENUMERATION_CAP:
+        raise lattices.EnumerationCapExceeded(
+            f"{count_text(count)} sign patterns in {count_text(classes)} switching classes "
+            f"exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
+    edges, paths, free = _switching_tree(kind, n)
+    ensure(1 << len(free) == classes, "2^(n-2) patterns per switching class")
+    generators = [_byte_tables(perm, edges, paths, free) for perm in _relabelings(kind, n)]
+    seen = bytearray(classes)
+    for start in range(classes):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for index in orbit:
+            for tables in generators:
+                image = 0
+                for j, table in enumerate(tables):
+                    image ^= table[index >> 8 * j & 255]
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
+        yield _pattern_of(free, start), len(orbit) << n - 2
 
 
 def _pair_builder(kind, n):
-    """The family's pattern count and a pattern -> pair function whose
-    pairs share the first pair's M-matrix instance, since M ignores
-    signs.  Raises EnumerationCapExceeded, before any pair is built, when
-    the patterns exceed lattices.DEFAULT_ENUMERATION_CAP."""
-    count = pattern_count(kind, n)
-    if count > lattices.DEFAULT_ENUMERATION_CAP:
-        raise lattices.EnumerationCapExceeded(
-            f"{count_text(count)} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
+    """A pattern -> pair function whose pairs share the first pair's
+    M-matrix instance, since M ignores signs."""
     shared = None
 
     def build(pattern):
@@ -222,24 +327,29 @@ def _pair_builder(kind, n):
         shared = pair.m
         return pair
 
-    return count, build
+    return build
 
 
 def sweep(kind, n):
     """All sign patterns of the family as (pattern, pair), ascending by
-    pattern, for claims that must hold pattern by pattern.  Capped like
-    _pair_builder."""
-    count, build = _pair_builder(kind, n)
+    pattern, for claims that must hold pattern by pattern.  Raises
+    EnumerationCapExceeded, before any pair is built, when the patterns
+    exceed lattices.DEFAULT_ENUMERATION_CAP."""
+    count = pattern_count(kind, n)
+    if count > lattices.DEFAULT_ENUMERATION_CAP:
+        raise lattices.EnumerationCapExceeded(
+            f"{count_text(count)} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
+    build = _pair_builder(kind, n)
     return [(pattern, build(pattern)) for pattern in range(count)]
 
 
-def class_sweep(kind, n):
-    """One (weight, pair) row per switching class of the family, from
-    switching_representatives, for switching-invariant claims such as
-    the critical-group histogram.  Capped on the pattern count, like
-    sweep."""
-    _, build = _pair_builder(kind, n)
-    return [(weight, build(pattern)) for pattern, weight in switching_representatives(kind, n)]
+def orbit_sweep(kind, n):
+    """One (weight, pair) row per orbit of relabeling x switching, from
+    orbit_representatives, for claims about K(L) such as the
+    critical-group histogram.  Capped like orbit_representatives, before
+    any pair is built."""
+    build = _pair_builder(kind, n)
+    return [(weight, build(pattern)) for pattern, weight in orbit_representatives(kind, n)]
 
 
 # -- structure theorems for complete graphs ----------------------------------

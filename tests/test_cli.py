@@ -244,15 +244,15 @@ def count_pairs(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("kind, n, classes", [("cycle", 4, 1), ("complete", 5, 8)])
-def test_family_scan_critical_groups_builds_one_pair_per_switching_class(monkeypatch, capsys, kind, n, classes):
+@pytest.mark.parametrize("kind, n, orbits", [("cycle", 4, 1), ("complete", 5, 3)])
+def test_family_scan_critical_groups_builds_one_pair_per_orbit(monkeypatch, capsys, kind, n, orbits):
     sweeps = count_sweeps(monkeypatch)
     built = count_pairs(monkeypatch)
     code, _, _ = run(capsys, "family-scan", "--kind", kind, "--n", str(n), "--verify", "critical-groups")
     assert code == 0
     assert sweeps == []
-    assert [g.edges for g in built] == [sgraph.family(kind, n, p).edges for p, _ in sgraph.switching_representatives(kind, n)]
-    assert len(built) == classes
+    assert [g.edges for g in built] == [sgraph.family(kind, n, p).edges for p, _ in sgraph.orbit_representatives(kind, n)]
+    assert len(built) == orbits
 
 
 def test_family_scan_critical_groups_cycle21_counts_every_pattern_at_once(capsys):
@@ -272,12 +272,23 @@ def test_family_scan_counts_without_building_pairs(monkeypatch, capsys):
 
 
 def test_family_scan_over_the_pattern_cap_builds_nothing(monkeypatch, capsys):
+    # the orbit walk visits every switching class: 2^21 for K9, over the cap
     built = []
     monkeypatch.setattr(sgraph, "reduced_laplacians", lambda *args, **kwargs: built.append(args))
-    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "8", "--verify", "critical-groups")
+    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "9", "--verify", "critical-groups")
     assert code == 2 and out == ""
-    assert err == "error: 2097152 sign patterns exceeds cap 1000000\n"
+    assert err == "error: 268435456 sign patterns in 2097152 switching classes exceeds cap 1000000\n"
     assert built == []
+
+
+def test_family_scan_critical_groups_on_k8(capsys):
+    # 54 orbits stand for 2,097,152 patterns
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "8", "--verify", "critical-groups")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert out.endswith("\n52 distinct critical groups over 2097152 patterns\n")
+    assert "Z_8 x Z_8 x Z_8 x Z_8 x Z_8 x Z_8: 64 patterns\n" in out
 
 
 @pytest.mark.parametrize("verify", [[], ["--verify", "critical-groups"], ["--verify", "z2-subgroup"]])
@@ -310,8 +321,8 @@ def test_family_scan_half_n_on_k200_builds_no_matrix(monkeypatch, capsys):
 
 
 def test_family_scan_critical_groups_takes_one_determinant_per_pair(monkeypatch, capsys):
-    # 64 K6 switching classes, one Bareiss determinant of L each; M's
-    # determinant comes from its adjugate
+    # 7 K6 orbits, one Bareiss determinant of L each; M's determinant
+    # comes from its adjugate
     real = linalg._det_bareiss
     calls = []
 
@@ -322,7 +333,7 @@ def test_family_scan_critical_groups_takes_one_determinant_per_pair(monkeypatch,
     monkeypatch.setattr(linalg, "_det_bareiss", counted)
     code, _, _ = run(capsys, "family-scan", "--kind", "complete", "--n", "6", "--verify", "critical-groups")
     assert code == 0
-    assert len(calls) == 64
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,12 @@
 dataclasses.
 
 A command imports only what it runs: `import chipfire.cli` leaves out the
-acceptance suite (`verification`, `refdata`) and `dataclasses`, which
-pulls in `inspect` and its parsers.  The package still names the suite's
-entry points and loads them on first use.  `fractions`, and the `decimal`
-module it imports, load only when a rational is parsed or built:
-`enumerate` and `duality` render their rows from integer numerators.
+acceptance suite (`verification`, `refdata`), the duality and fracket
+modules, and `dataclasses`, which pulls in `inspect` and its parsers.
+The package still names the entry points of those modules and loads
+them on first use.  `fractions`, and the `decimal` module it imports,
+load only when a rational is parsed or built: `enumerate`, `duality` and
+`duality --inverse` render their rows from integer numerators.
 """
 
 import os
@@ -36,6 +37,32 @@ print(callable(run_all) and callable(run_criterion), CriterionResult.__module__)
 """
 
 
+LAZY_MODULES = """
+import sys
+import chipfire
+import chipfire.cli
+
+print(sorted(m for m in ("chipfire.duality", "chipfire.frackets") if m in sys.modules))
+from chipfire.duality import duality_rows
+from chipfire import duality, duality_table, fracket_partition
+print(duality.__module__, duality.__name__, duality_table.__module__, fracket_partition.__module__)
+"""
+
+
+def test_cli_import_leaves_duality_and_frackets_out():
+    # the submodule chipfire.duality loads first here, and the package name
+    # chipfire.duality still resolves to the function
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", LAZY_MODULES], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\nchipfire.duality duality chipfire.duality chipfire.frackets\n"
+
+
+def test_every_exported_name_resolves():
+    assert all(getattr(chipfire, name) is not None for name in chipfire.__all__)
+    assert callable(chipfire.duality) and chipfire.duality.__name__ == "duality"
+
+
 def test_cli_import_leaves_the_suite_and_dataclasses_out():
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
@@ -54,17 +81,18 @@ print(loaded())
 with contextlib.redirect_stdout(io.StringIO()) as out:
     codes = [chipfire.cli.main(["enumerate", "--kind", "superstable", "--preimages",
                                 "--fixture", "diamond"]),
-             chipfire.cli.main(["duality", "--fixture", "diamond"])]
+             chipfire.cli.main(["duality", "--fixture", "diamond"]),
+             chipfire.cli.main(["duality", "--inverse", "--fixture", "diamond"])]
 print(codes, "/" in out.getvalue(), loaded())
 """
 
 
 def test_enumerate_and_duality_load_no_fractions():
-    # the diamond rows have denominator 6, so both commands print rationals
+    # the diamond rows have denominator 6, so every command prints rationals
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", RATIONAL_FREE], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n[0, 0] True []\n"
+    assert out == "[]\n[0, 0, 0] True []\n"
 
 
 def test_unknown_package_attribute_raises():

@@ -15,6 +15,7 @@ from chipfire.lattices import (
     enumerate_class_reps,
     lattice_basis_from_columns,
     lattice_intersect_with_Zn,
+    lattice_intersection,
     quotient_group,
     snf,
     subgroup_invariant_factors,
@@ -146,6 +147,19 @@ def test_lattice_intersect_membership(a):
     # W^-1 v = adj(W) v / det W is integral
     for v in product(range(-4, 5), repeat=2):
         assert in_b(v) == (not any(q % w_det for q in mat_vec(w_adj, v)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_invertible(3), st.integers(1, 12))
+@example(((2, 0, 0), (0, 4, 0), (0, 0, 6)), 4)
+def test_lattice_intersection_quotient_equals_the_smith_form_of_w(num, den):
+    # the quotient read off the one Smith decomposition of k B is the
+    # quotient of a second, independent Smith form of W
+    det = mat_det(num)
+    w, quotient = lattice_intersection(num, den, det)
+    det_w = mat_det(w)
+    assert quotient == quotient_group(snf(w, det_w))
+    assert lattice_intersect_with_Zn(num, den, det) == (w, abs(det_w))
 
 
 def test_count_order_le2():

@@ -11,7 +11,7 @@ from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import identity, mat_over, mat_vec, vec_add
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
-from chipfire.sgraph import class_sweep, scan_critical_groups, sweep
+from chipfire.sgraph import orbit_sweep, scan_critical_groups, sweep
 
 
 def frac_part(v):
@@ -158,7 +158,7 @@ LAZY = ("adj_l", "n_lm", "n_ml")
 
 
 def test_critical_group_scan_builds_no_transfer():
-    rows = class_sweep("complete", 6)
+    rows = orbit_sweep("complete", 6)
     scan_critical_groups(rows, 1024)
     assert all(not set(LAZY) & set(vars(pair)) for _, pair in rows)
 

@@ -1,18 +1,19 @@
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from chipfire import refdata
+from chipfire import refdata, sgraph
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_graph
 from chipfire.lattices import EnumerationCapExceeded
 from chipfire.sgraph import (
     SignedGraph,
-    class_sweep,
     count_even_invariant_factors,
     family,
     format_edge_list,
     kn_z2_subgroup,
+    orbit_representatives,
+    orbit_sweep,
     parse_edge_list,
     pattern_count,
     reduced_laplacians,
@@ -201,31 +202,158 @@ def test_representative_weights_sum_to_the_pattern_count(kind, n):
 
 
 @pytest.mark.parametrize("kind, n", [("complete", 4), ("complete", 5), ("complete", 6), ("cycle", 4), ("cycle", 6)])
-def test_representative_histogram_equals_the_full_sweep(kind, n):
+def test_representative_histogram_equals_the_full_sweep(class_sweep, kind, n):
     full = scan_critical_groups([(1, pair) for _, pair in sweep(kind, n)], pattern_count(kind, n))
     assert scan_critical_groups(class_sweep(kind, n), pattern_count(kind, n)) == full
 
 
-def test_k7_representative_histogram():
+K7_HISTOGRAM = {
+    (3, 9765): 5760,
+    (5, 5, 5, 5, 55): 32,
+    (5, 5, 1255): 1920,
+    (5, 5, 1295): 480,
+    (5, 45, 135): 480,
+    (5, 5355): 1440,
+    (7, 7, 7, 7, 7): 32,
+    (7, 7, 455): 480,
+    (7, 7, 511): 1920,
+    (7, 21, 189): 480,
+    (7, 4305): 1440,
+    (31, 31, 31): 384,
+    (35, 805): 640,
+    (27559,): 5760,
+    (28735,): 5760,
+    (30535,): 5760,
+}
+
+
+def test_k7_representative_histogram(class_sweep):
     # cross-checked once against the full 32,768-pattern sweep (see CHANGES.md)
-    assert scan_critical_groups(class_sweep("complete", 7), 32768) == {
-        (3, 9765): 5760,
-        (5, 5, 5, 5, 55): 32,
-        (5, 5, 1255): 1920,
-        (5, 5, 1295): 480,
-        (5, 45, 135): 480,
-        (5, 5355): 1440,
-        (7, 7, 7, 7, 7): 32,
-        (7, 7, 455): 480,
-        (7, 7, 511): 1920,
-        (7, 21, 189): 480,
-        (7, 4305): 1440,
-        (31, 31, 31): 384,
-        (35, 805): 640,
-        (27559,): 5760,
-        (28735,): 5760,
-        (30535,): 5760,
-    }
+    assert scan_critical_groups(class_sweep("complete", 7), 32768) == K7_HISTOGRAM
+
+
+ORBITS = {("complete", 4): 2, ("complete", 5): 3, ("complete", 6): 7, ("complete", 7): 16,
+          ("complete", 8): 54, **{("cycle", n): 1 for n in range(3, 9)}}
+
+
+@pytest.mark.parametrize("kind, n", sorted(ORBITS))
+def test_orbit_weights_sum_to_the_pattern_count(kind, n):
+    # the K_n orbits are the two-graphs on n - 1 vertices (Mallows-Sloane 1975)
+    reps = list(orbit_representatives(kind, n))
+    assert len(reps) == ORBITS[kind, n]
+    assert [p for p, _ in reps] == sorted({p for p, _ in reps})
+    assert {p for p, _ in reps} <= {p for p, _ in switching_representatives(kind, n)}
+    assert all(w % (1 << n - 2) == 0 for _, w in reps)
+    assert sum(w for _, w in reps) == pattern_count(kind, n)
+
+
+@pytest.mark.parametrize("kind, n", [("complete", 5), ("complete", 6), ("complete", 7), ("cycle", 4), ("cycle", 6)])
+def test_orbit_histogram_equals_the_class_sweep(class_sweep, kind, n):
+    count = pattern_count(kind, n)
+    assert scan_critical_groups(orbit_sweep(kind, n), count) == scan_critical_groups(class_sweep(kind, n), count)
+
+
+def test_k7_orbit_histogram():
+    assert scan_critical_groups(orbit_sweep("complete", 7), 32768) == K7_HISTOGRAM
+
+
+def _relabeled(l, perm):
+    # P L P^T: vertex i of l becomes vertex perm[i]
+    out = [[0] * len(l) for _ in l]
+    for i, row in enumerate(l):
+        for j, x in enumerate(row):
+            out[perm[i]][perm[j]] = x
+    return tuple(map(tuple, out))
+
+
+def test_every_k5_pattern_reaches_exactly_one_orbit_representative():
+    # L_p = D P L_rep P^T D for one orbit representative and some
+    # relabeling P and switching D = diag(+-1) with d_0 = +1
+    reps = dict(orbit_representatives("complete", 5))
+    rep_ls = {r: _laplacian("complete", 5, r) for r in reps}
+    images = {r: {_switched(_relabeled(l, perm), d)
+                  for perm in permutations(range(4))
+                  for d in ((1,) + rest for rest in product((1, -1), repeat=3))}
+              for r, l in rep_ls.items()}
+    hits = Counter()
+    for pattern in range(pattern_count("complete", 5)):
+        found = [r for r in reps if _laplacian("complete", 5, pattern) in images[r]]
+        assert len(found) == 1, (pattern, found)
+        hits[found[0]] += 1
+    assert hits == reps
+
+
+K8_HISTOGRAM = {
+    (2, 2, 2, 2, 2, 15330): 80640,
+    (2, 2, 2, 2, 2, 15378): 80640,
+    (2, 2, 2, 2, 2, 15826): 161280,
+    (2, 2, 2, 2, 2, 16066): 161280,
+    (2, 2, 2, 2, 4, 7824): 80640,
+    (2, 2, 2, 2, 4, 7968): 80640,
+    (2, 2, 2, 2, 4, 8096): 80640,
+    (2, 2, 2, 2, 4, 8288): 80640,
+    (2, 2, 2, 2, 6, 5334): 40320,
+    (2, 2, 2, 2, 6, 5430): 80640,
+    (2, 2, 2, 2, 6, 5478): 80640,
+    (2, 2, 2, 2, 6, 5694): 40320,
+    (2, 2, 2, 2, 6, 5742): 26880,
+    (2, 2, 2, 2, 8, 3432): 26880,
+    (2, 2, 2, 2, 8, 3624): 26880,
+    (2, 2, 2, 2, 8, 3720): 80640,
+    (2, 2, 2, 2, 8, 3784): 80640,
+    (2, 2, 2, 2, 12, 2736): 26880,
+    (2, 2, 2, 2, 12, 2784): 120960,
+    (2, 2, 2, 2, 12, 2820): 40320,
+    (2, 2, 2, 2, 16, 1776): 80640,
+    (2, 2, 2, 2, 16, 1840): 40320,
+    (2, 2, 2, 2, 16, 1904): 40320,
+    (2, 2, 2, 2, 16, 1952): 80640,
+    (2, 2, 2, 2, 16, 1968): 20160,
+    (2, 2, 2, 2, 22, 1430): 53760,
+    (2, 2, 2, 2, 22, 1518): 16128,
+    (2, 2, 2, 2, 24, 1320): 20160,
+    (2, 2, 2, 2, 44, 704): 16128,
+    (2, 2, 2, 2, 44, 748): 53760,
+    (2, 2, 2, 2, 48, 720): 6720,
+    (2, 2, 2, 2, 58, 522): 23040,
+    (2, 2, 2, 2, 60, 540): 26880,
+    (2, 2, 2, 2, 80, 400): 26880,
+    (2, 2, 2, 2, 82, 410): 23040,
+    (2, 2, 2, 6, 12, 864): 13440,
+    (2, 2, 2, 6, 24, 360): 6720,
+    (2, 2, 2, 6, 24, 456): 2240,
+    (2, 2, 2, 6, 30, 330): 6720,
+    (2, 2, 4, 8, 8, 480): 13440,
+    (2, 2, 4, 16, 16, 128): 6720,
+    (2, 2, 4, 24, 24, 48): 2240,
+    (2, 2, 6, 6, 6, 630): 6720,
+    (2, 2, 6, 6, 6, 654): 6720,
+    (2, 2, 6, 6, 24, 168): 1344,
+    (2, 2, 6, 6, 36, 108): 4480,
+    (2, 2, 8, 8, 8, 168): 1344,
+    (2, 2, 8, 8, 8, 200): 4480,
+    (2, 2, 8, 8, 16, 96): 6720,
+    (2, 2, 8, 8, 16, 112): 6720,
+    (6, 6, 6, 6, 6, 78): 64,
+    (8, 8, 8, 8, 8, 8): 64,
+}
+
+
+def test_k8_orbit_histogram():
+    # 54 pairs for 2,097,152 patterns; cross-checked once against the full
+    # 32,768-class sweep (see CHANGES.md)
+    assert scan_critical_groups(orbit_sweep("complete", 8), 1 << 21) == K8_HISTOGRAM
+
+
+def test_orbit_walk_over_the_class_cap_does_no_work(monkeypatch):
+    # K9: 2^28 patterns in 2^21 switching classes
+    def refuse(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(sgraph, "_switching_tree", refuse)
+    with pytest.raises(EnumerationCapExceeded,
+                       match="^268435456 sign patterns in 2097152 switching classes exceeds cap 1000000$"):
+        orbit_sweep("complete", 9)
 
 
 def test_count_even_invariant_factors(diamond):
