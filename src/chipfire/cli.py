@@ -19,12 +19,14 @@ import io
 import json
 import sys
 from collections import namedtuple
+from itertools import repeat
+from math import gcd
 
 from .fixtures import FIXTURES
 from .lattices import AbelianGroup, class_id
 from .linalg import mat_from_json, mat_to_json, over_json, vec_to_json
 from .mmatrix import MMatrix, is_m_matrix
-from .pairs import ChipFiringPair
+from .pairs import ChipFiringPair, PairRow
 from .sgraph import (
     count_text,
     kn_structure,
@@ -77,10 +79,49 @@ class Report(namedtuple("Report", "payload headers rows lines code", defaults=(N
         return "\n".join(lines) + "\n"
 
 
-def _records(records, columns):
-    """Report of a list of records: json shows every field, table and csv the columns."""
-    rows = [[_fmt_vec(r[c]) if isinstance(r[c], list) else r[c] for c in columns] for r in records]
-    return Report(records, tuple(columns), rows)
+def _over_cell(floor, frac_num, den):
+    """Cell text of the vector floor + frac_num / den, 0 <= frac_num < den:
+    each entry an integer, or "a/b" reduced by gcd(frac_num, den), as
+    over_json renders it."""
+    parts = []
+    for f, r in zip(floor, frac_num):
+        if r:
+            g = gcd(r, den)
+            d = den // g
+            parts.append(f"{f * d + r // g}/{d}")
+        else:
+            parts.append(str(f))
+    return "(" + ", ".join(parts) + ")"
+
+
+# what a column shows of a PairRow field, or (None) of a plain value,
+# as (JSON value, cell text)
+_ROW_FIELDS = {
+    None: (lambda x: x, lambda x: x),
+    "config": (lambda r: vec_to_json(r.config), lambda r: _fmt_vec(r.config)),
+    "preimage": (lambda r: over_json(r.num, r.den),
+                 lambda r: _over_cell(r.floor, r.frac_num, r.den)),
+    "floor": (lambda r: vec_to_json(r.floor), lambda r: _fmt_vec(r.floor)),
+    "frac": (lambda r: over_json(r.frac_num, r.den),
+             lambda r: _over_cell(repeat(0), r.frac_num, r.den)),
+}
+
+
+def _rows_report(args, records, columns, shown):
+    """Report of records, each a tuple of PairRows and plain values.
+
+    Each column is (name, index into the record, PairRow field, or None
+    for a plain value).  json prints every column and table and csv the
+    first shown ones; only the format printed is built, json from the
+    JSON renderers and table and csv from the cell texts.
+    """
+    if args.format == "json":
+        getters = [(name, i, _ROW_FIELDS[field][0]) for name, i, field in columns]
+        payload = [{name: get(rec[i]) for name, i, get in getters} for rec in records]
+        return Report(payload, (), None)
+    getters = [(i, _ROW_FIELDS[field][1]) for _, i, field in columns[:shown]]
+    rows = [[get(rec[i]) for i, get in getters] for rec in records]
+    return Report(None, tuple(name for name, _, _ in columns[:shown]), rows)
 
 
 def _emit(args, text):
@@ -171,28 +212,18 @@ def cmd_show_pair(args):
     return Report(payload, ("field", "value"), rows, lines)
 
 
-def _config_and_preimage(r):
-    """JSON vectors of a PairRow's configuration and preimage, rendered
-    from the preimage numerators."""
-    return vec_to_json(r.config), over_json(r.num, r.den)
-
-
 def cmd_enumerate(args):
     pair = _load_pair(args)
     rows = (pair.enumerate_pair_superstables() if args.kind == "superstable"
             else pair.enumerate_pair_criticals())
-    fields = ("config", "preimage", "floor", "frac")
-    records = [dict(zip(fields, (*_config_and_preimage(r), vec_to_json(r.floor),
-                                 over_json(r.frac_num, r.den))))
-               for r in rows]
-    return _records(records, fields if args.preimages else ("config",))
+    columns = tuple((field, 0, field) for field in ("config", "preimage", "floor", "frac"))
+    return _rows_report(args, zip(rows), columns, 4 if args.preimages else 1)
 
 
 def cmd_duality(args):
     from .duality import _dual_numerators, duality_rows
 
     pair = _load_pair(args)
-    fields = ("superstable", "superstable_preimage", "critical", "critical_preimage")
     if args.inverse:
         # D^-1 computed afresh on each critical row, not read off duality_rows
         records = []
@@ -202,17 +233,14 @@ def cmd_duality(args):
             if config is None:
                 raise RuntimeError(f"the inverse dual of the critical {r.config} is not a "
                                    f"superstable preimage")
-            records.append(dict(zip(fields, (vec_to_json(config), over_json(p, pair.den_l),
-                                             *_config_and_preimage(r)))))
-        return _records(records, fields[2:] + fields[:2])
-    records = [
-        {
-            **dict(zip(fields, (*_config_and_preimage(r), *_config_and_preimage(dual)))),
-            "mu_case": case,
-        }
-        for r, case, dual in duality_rows(pair)
-    ]
-    return _records(records, fields + ("mu_case",) if args.show_mu_cases else fields)
+            records.append((r, PairRow(config, *pair.split(p), pair.den_l)))
+        columns = (("critical", 0, "config"), ("critical_preimage", 0, "preimage"),
+                   ("superstable", 1, "config"), ("superstable_preimage", 1, "preimage"))
+        return _rows_report(args, records, columns, 4)
+    columns = (("superstable", 0, "config"), ("superstable_preimage", 0, "preimage"),
+               ("critical", 2, "config"), ("critical_preimage", 2, "preimage"),
+               ("mu_case", 1, None))
+    return _rows_report(args, duality_rows(pair), columns, 5 if args.show_mu_cases else 4)
 
 
 def cmd_fixed_points(args):
@@ -220,28 +248,33 @@ def cmd_fixed_points(args):
 
     pair = _load_pair(args)
     fps = fixed_points(pair)
-    payload = {"fixed_points": [vec_to_json(s) for s in fps], "count": len(fps)}
-    lines = [_fmt_vec(s) for s in fps]
-    rows = [[line] for line in lines]
     ok = True
     if args.predict:
         predicted = predicted_fixed_point_count(pair)
         crit = nonzero_criteria(pair)
         ok = len(fps) in (0, predicted)
-        payload.update(
-            predicted=predicted,
-            quotient=str(crit["quotient"]),
-            cmax_order=crit["cmax_order"],
-            odd_order_guarantee=crit["odd_order_guarantee"],
-            cyclic_even_criterion=crit["cyclic_even_criterion"],
-        )
+    code = 0 if ok else 1
+    if args.format == "json":
+        payload = {"fixed_points": [vec_to_json(s) for s in fps], "count": len(fps)}
+        if args.predict:
+            payload.update(
+                predicted=predicted,
+                quotient=str(crit["quotient"]),
+                cmax_order=crit["cmax_order"],
+                odd_order_guarantee=crit["odd_order_guarantee"],
+                cyclic_even_criterion=crit["cyclic_even_criterion"],
+            )
+        return Report(payload, (), None, code=code)
+    cells = [_fmt_vec(s) for s in fps]
+    lines = cells
+    if args.predict:
         lines = [
             f"actual={len(fps)} predicted={predicted}",
-            *lines,
+            *cells,
             f"quotient by the zero fracket: {crit['quotient']}",
             f"order of [c_max] there: {crit['cmax_order']}",
         ]
-    return Report(payload, ("fixed_point",), rows, lines, code=0 if ok else 1)
+    return Report(None, ("fixed_point",), [[c] for c in cells], lines, code)
 
 
 def cmd_frackets(args):
@@ -281,23 +314,28 @@ def cmd_frackets(args):
     _, quotient = zero_fracket_lattice(pair, args.side)
     dec = pair.l_snf if args.side == "L" else pair.m.snf
     # canonical class ids, independent of which representative the sweep produced
-    labels = {k: [vec_to_json(class_id(dec, v)) for v in part.by_key[k]] for k in part.keys}
-    payload = {
-        "side": args.side,
-        "fracket_size": part.fracket_size,
-        "quotient": quotient.to_json(),
-        "frackets": [{"key": vec_to_json(k), "classes": labels[k]} for k in part.keys],
-    }
+    labels = {k: [class_id(dec, v) for v in part.by_key[k]] for k in part.keys}
+    if args.format == "json":
+        payload = {
+            "side": args.side,
+            "fracket_size": part.fracket_size,
+            "quotient": quotient.to_json(),
+            "frackets": [{"key": vec_to_json(k), "classes": list(map(vec_to_json, labels[k]))}
+                         for k in part.keys],
+        }
+        return Report(payload, (), None)
     rows = [[_fmt_vec(k), len(labels[k]), " ".join(map(_fmt_vec, labels[k]))] for k in part.keys]
-    return Report(payload, ("key", "size", "classes"), rows)
+    return Report(None, ("key", "size", "classes"), rows)
 
 
 def cmd_group(args):
     pair = _load_pair(args)
     groups = {"K(L)": pair.l_group, "K(M)": pair.m.group}
-    payload = {k: {"group": str(g), "invariant_factors": g.to_json()} for k, g in groups.items()}
+    if args.format == "json":
+        return Report({k: {"group": str(g), "invariant_factors": g.to_json()}
+                       for k, g in groups.items()}, (), None)
     rows = [[k, str(g)] for k, g in groups.items()]
-    return Report(payload, ("group", "value"), rows, [f"{k}: {g}" for k, g in rows])
+    return Report(None, ("group", "value"), rows, [f"{k}: {g}" for k, g in rows])
 
 
 def cmd_family_scan(args):

@@ -112,19 +112,19 @@ def duality_rows(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
 
     D(x) = c_max - mu(floor(x)) + {x} needs mu only at the floors of the
     superstable rows, and each dual is looked up among the critical rows
-    by its preimage numerators.  Raises RuntimeError when a dual is not a
-    critical preimage or the duals miss a critical: D must be a bijection
-    onto the criticals."""
+    by its (floor, fractional numerators), the tuples the rows hold.
+    Raises RuntimeError when a dual is not a critical preimage or the
+    duals miss a critical: D must be a bijection onto the criticals."""
     c_max = pair.m.c_max
-    criticals = {r.num: r for r in pair.enumerate_pair_criticals(cap=cap)}
+    criticals = {(r.floor, r.frac_num): r for r in pair.enumerate_pair_criticals(cap=cap)}
     rows = []
     for r in pair.enumerate_pair_superstables(cap=cap):
         case, image = _mu(pair, r.floor)
-        dual = criticals.get(pair.join(vec_sub(c_max, image), r.frac_num))
+        dual = criticals.get((vec_sub(c_max, image), r.frac_num))
         if dual is None:
             raise RuntimeError(f"the dual of the superstable {r.config} is not a critical preimage")
         rows.append((r, case, dual))
-    if len({dual.num for _, _, dual in rows}) != len(criticals):
+    if len({dual.config for _, _, dual in rows}) != len(criticals):
         raise RuntimeError("the duals are not the critical configurations")
     return rows
 

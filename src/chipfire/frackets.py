@@ -87,11 +87,10 @@ def _residues(num, den, v):
 
 def _classes_with_residues(num, den, dec, cap):
     """(representative, residues of num rep over den) per class of the
-    side, in class-walk order: a second walk steps num U r beside the
-    plain one, so no class takes a matrix-vector product."""
-    reps = lattices.enumerate_class_reps(dec, cap=cap)
-    images = lattices.enumerate_class_reps(dec, cap=cap, image=num)
-    return zip(reps, (tuple(q % den for q in v) for v in images))
+    side, in class-walk order: one walk steps U r and num U r together,
+    so no class takes a matrix-vector product and no list holds them."""
+    walk = lattices.walk_class_reps(dec, cap=cap, image=num, with_rep=True)
+    return ((rep, tuple(q % den for q in v)) for rep, v in walk)
 
 
 def fracket_key(pair: ChipFiringPair, side, v):

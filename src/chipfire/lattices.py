@@ -202,10 +202,20 @@ def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None):
     generated in lexicographic residue order, so the output is the same
     no matter how the caller partitions the work.  With an integer matrix
     image, the list holds image*U*r in the same order instead.
+    """
+    return list(walk_class_reps(dec, cap, image))
+
+
+def walk_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None, with_rep=False):
+    """enumerate_class_reps one class at a time: an iterator over the same
+    vectors in the same order, or over (U*r, image*U*r) pairs when
+    with_rep, from one walk.  The cap is checked before it returns.
 
     The box is walked like an odometer: U*(r + e_i) = U*r + U e_i, and a
     digit that wraps from d_i - 1 to 0 takes (d_i - 1) U e_i off, so each
     class costs vector additions instead of a matrix-vector product.
+    With with_rep the odometer moves U*r and image*U*r as one stacked
+    vector.
     """
     n = len(dec.D)
     dims = [dec.D[i][i] for i in range(n)]
@@ -213,12 +223,19 @@ def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None):
     if total > cap:
         raise EnumerationCapExceeded(f"{total} classes exceeds cap {cap}")
     basis = dec.U if image is None else mat_mul(image, dec.U)
+    if with_rep:
+        basis = dec.U + basis
     # only the digits with d_i > 1 move; the last one turns fastest
     wheels = [(d - 1, tuple(row[i] for row in basis), tuple((1 - d) * row[i] for row in basis))
               for i, d in enumerate(dims) if d > 1]
+    walk = _odometer(wheels, len(basis), total)
+    return ((v[:n], v[n:]) for v in walk) if with_rep else walk
+
+
+def _odometer(wheels, size, total):
     digits = [0] * len(wheels)
-    v = (0,) * len(basis)
-    out = [v]
+    v = (0,) * size
+    yield v
     for _ in range(total - 1):
         k = len(wheels) - 1
         while digits[k] == wheels[k][0]:
@@ -227,8 +244,7 @@ def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None):
             k -= 1
         digits[k] += 1
         v = tuple(map(add, v, wheels[k][1]))
-        out.append(v)
-    return out
+        yield v
 
 
 def lattice_intersection(num, den, det):

@@ -10,21 +10,25 @@ decides z-superstability.
 Everything comes from one stabilizer and one table.  Each class holds
 exactly one critical c, and c_max - c is the class's superstable
 partner: c -> c_max - c is a bijection from criticals onto superstables
-(Guzman-Klivans 2015).  The critical of v's class is stabilize(v + k b),
-where b = Mz is the burning vector of Dhar (1990), z the least integer
-vector >= 0 with Mz >= 1, and k >= 0 the least integer with
-v + k b >= c_max.  This works because b lies in M Z^n, so v + k b stays
-in v's class, and stabilizing c_max plus chips gives a critical (the
-proof is in crit_of_class).  crit_of_class caches each critical by class
-id the first time it is asked for; sstab_of_class, superstables,
-criticals and is_z_superstable are read off it.  A lookup costs at
-most one stabilization and the full enumeration |det M| of them; nothing
-scans the stable box prod [0, M_ii).
+(Guzman-Klivans 2015).  The critical of v's class is the stabilization
+of v + k b, where b = Mz is the burning vector of Dhar (1990), z the
+least integer vector >= 0 with Mz >= 1, and k >= 0 the least integer
+with v + k b >= c_max: b lies in M Z^n, so v + k b stays in v's class,
+and stabilizing c_max plus chips gives a critical.  The stabilizer
+starts instead from c0 = v - M ceil(M^-1 (v - c_max)): c0 is in the
+class, equals c_max - M e for some 0 <= e < 1, and lies on the way from
+v + k b to the critical, so a far-off v costs no more sweeps than one
+near c_max (the proofs are in crit_of_class).  crit_of_class caches
+each critical by class id the first time it is asked for;
+sstab_of_class, superstables, criticals and is_z_superstable are read
+off it.  A lookup costs at most one stabilization and the full
+enumeration |det M| of them; nothing scans the stable box prod [0, M_ii).
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul, sub
 
 from . import lattices
 from .linalg import (
@@ -164,15 +168,37 @@ class MMatrix:
 
         Accepts arbitrary integer vectors, negatives included.  The
         critical is stabilize(a) for a = v + k b, where b = self.burning
-        and k >= 0 is the least integer with a >= c_max.
+        = M z_b and k >= 0 is the least integer with a >= c_max, and it
+        is computed as stabilize(c0) for c0 = v - M z with
+        z = ceil(M^-1 (v - c_max)), which needs no k.
 
-        Proof.  b = M z_b lies in M Z^n, so a and c = stabilize(a) lie in
-        v's class, and c is stable.  c is critical, that is, reached from
-        every configuration by adding chips and stabilizing: for an
-        effective y, its stabilization y' is stable, so y' <= c_max <= a,
-        and by the abelian property stabilize(y + (a - y')) =
-        stabilize(y' + (a - y')) = c.  Each class holds exactly one
-        critical (Guzman-Klivans 2015), so c is the critical of v's class.
+        Proof that stabilize(a) is the critical.  b lies in M Z^n, so a
+        and c = stabilize(a) lie in v's class, and c is stable.  c is
+        critical, that is, reached from every configuration by adding
+        chips and stabilizing: for an effective y, its stabilization y'
+        is stable, so y' <= c_max <= a, and by the abelian property
+        stabilize(y + (a - y')) = stabilize(y' + (a - y')) = c.  Each
+        class holds exactly one critical (Guzman-Klivans 2015), so c is
+        the critical of v's class.
+
+        Proof that stabilize(c0) = stabilize(a).  Write
+        e = z - M^-1 (v - c_max), so 0 <= e < 1 and c0 = c_max - M e.
+        (1) c0 is effective: the off-diagonal entries of M are <= 0 and
+        e >= 0, so (M e)_i <= M_ii e_i < M_ii, and c0_i > c_max_i - M_ii
+        = -1.  (2) c0 = v - M z lies in v's class.  (3) c0 = a - M w for
+        w = z + k z_b = ceil(M^-1 (a - c_max)), and w >= 0 because
+        a >= c_max and M^-1 >= 0.  (4) w can be fired legally from a.
+        Fire from a only ready sites i that have fired fewer than w_i
+        times, until none is left; let t <= w count the firings and
+        S = {i : t_i < w_i}.  Each i in S is not ready, so
+        (a - M t)_i <= c_max_i.  For d = w - t - e, M d = a - M t - c_max,
+        so (M d)_i <= 0 on S, while d > 0 on S (w_i - t_i >= 1 > e_i) and
+        d <= 0 off S (w_i = t_i).  The off-diagonal entries of M are <= 0,
+        so M_SS d_S <= (M d)_S <= 0, and M_SS, a principal submatrix of an
+        M-matrix, has a nonnegative inverse: d_S <= 0.  So S is empty and
+        t = w.  Hence c0 is reached from a by legal firings, w is at most
+        the least-action odometer of a, and by the abelian property
+        stabilize(c0) = stabilize(a).
         """
         return self._crit(self.class_id(v), v)
 
@@ -180,10 +206,11 @@ class MMatrix:
         """crit_of_class(v) for a v whose class id is key."""
         crit = self._crit_by_class.get(key)
         if crit is None:
-            b = self.burning
-            # ceil((c_max_i - v_i) / b_i), and b >= 1
-            k = max(0, *(-((x - top) // y) for x, top, y in zip(v, self.c_max, b)))
-            crit = self.stabilize(x + k * y for x, y in zip(v, b))
+            det = self.det
+            gap = tuple(map(sub, v, self.c_max))
+            # z = ceil(M^-1 (v - c_max)) as ceil(adj (v - c_max) / det)
+            z = [-(sum(map(mul, row, gap)) // -det) for row in self.adj]
+            crit = self.stabilize(x - sum(map(mul, row, z)) for x, row in zip(v, self.m))
             self._crit_by_class[key] = crit
         return crit
 
@@ -201,7 +228,7 @@ class MMatrix:
         if self._superstables is None:
             # the walk yields U r in residue order, and the class id of U r is r
             box = product(*(range(self.snf.D[i][i]) for i in range(self.n)))
-            for key, rep in zip(box, lattices.enumerate_class_reps(self.snf)):
+            for key, rep in zip(box, lattices.walk_class_reps(self.snf)):
                 self._crit(key, rep)
             if len(self._crit_by_class) != abs(self.det):
                 raise RuntimeError(f"found {len(self._crit_by_class)} criticals, expected "

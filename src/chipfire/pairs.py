@@ -25,12 +25,12 @@ denominator, each built and checked on first read: M L^-1 = n_ml / |det L|
 with n_ml = +-M adj(L), and L M^-1 = n_lm / det M with n_lm = L adj(M).
 A preimage x is carried as its numerators p = |det L| x, so
 floor(x) = p // |det L| and the numerators of {x} are p % |det L|.  An
-enumerated row keeps them: PairRow holds the configuration, the preimage
-numerators, the floor, the fractional numerators and |det L|, and its
-preimage and frac properties build rationals only when a caller reads
-them, as do the rational views lm_inv and ml_inv.  The class walk steps
+enumerated row keeps the split: PairRow holds the configuration, the
+floor, the fractional numerators and |det L|, and its num, preimage and
+frac properties are derived only when a caller reads them, as are the
+rational views lm_inv and ml_inv.  The class walk steps
 the preimage numerators through the residue box one column of n_ml U at
-a time (lattices.enumerate_class_reps), and both sweeps share its split
+a time (lattices.walk_class_reps), and both sweeps share its split
 into (floor, fractional numerators).
 """
 
@@ -58,16 +58,22 @@ from .linalg import (
 from .mmatrix import MMatrix
 
 
-class PairRow(namedtuple("PairRow", "config num floor frac_num den")):
-    """One enumerated row: the configuration, the numerators num of its
-    preimage over the denominator den = |det L|, the floor of the
-    preimage and the numerators of its fractional part."""
+class PairRow(namedtuple("PairRow", "config floor frac_num den")):
+    """One enumerated row: the configuration, the floor of its preimage
+    and the numerators of the preimage's fractional part over the
+    denominator den = |det L|.  The preimage numerators num, the preimage
+    and its fractional part are derived when read."""
 
     __slots__ = ()
 
     @property
+    def num(self):
+        d = self.den
+        return tuple(f * d + r for f, r in zip(self.floor, self.frac_num))
+
+    @property
     def preimage(self):
-        return over(self.num, self.den)
+        return over(self.frac_num, self.den, self.floor)
 
     @property
     def frac(self):
@@ -239,7 +245,7 @@ class ChipFiringPair:
         """(floor, fractional numerators) of the preimage of one
         representative per class of Z^n / L Z^n, in class-walk order."""
         if cap not in self._classes:
-            walk = lattices.enumerate_class_reps(self.l_snf, cap=cap, image=self.n_ml)
+            walk = lattices.walk_class_reps(self.l_snf, cap=cap, image=self.n_ml)
             self._classes[cap] = tuple(map(self.split, walk))
         return self._classes[cap]
 
@@ -256,7 +262,7 @@ class ChipFiringPair:
                 if config is None or any(q < 0 for q in base):
                     raise RuntimeError(f"the class with preimage floor {fl} gave no valid "
                                        f"{kind} preimage")
-                rows.append(PairRow(config, p, base, fr, d))
+                rows.append(PairRow(config, base, fr, d))
             rows.sort()
             if len({r.config for r in rows}) != self.den_l:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")

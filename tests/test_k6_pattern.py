@@ -3,9 +3,11 @@
 The golden cases use fixtures whose preimage denominators are at most
 12.  Sign pattern 691 of K6 has det L = 2048, so its rows carry
 numerators over 2048 that reduce to many different denominators.  The
-digests are the benchmark's frozen ones for this pattern (the
-`k6_pairs["691"]` entry of bench/reference.json, frozen by
-bench/freeze.py); the edge list is the one its input generator writes
+STDOUT_SHA256 digests are the benchmark's frozen ones for this pattern
+(the `k6_pairs["691"]` entry of bench/reference.json, frozen by
+bench/freeze.py); FORMAT_SHA256 pins the remaining formats of
+`enumerate` and `duality`, so that no change to the renderer moves a
+byte.  The edge list is the one the benchmark's input generator writes
 for the pattern (bench/gen.py, `k6_input(691)`).
 """
 
@@ -13,6 +15,8 @@ import hashlib
 
 import pytest
 
+import chipfire.cli
+import chipfire.linalg
 from chipfire.cli import main
 from chipfire.sgraph import family, format_edge_list, reduced_laplacians
 
@@ -40,6 +44,23 @@ STDOUT_SHA256 = {
     ("duality", "--show-mu-cases"):
         "a5cb8a70d38761329532ef9a12523ff515f81107b43b81f7eb5a8dfdb583db2b",
 }
+FORMAT_SHA256 = {
+    ("enumerate", "--kind", "superstable", "--preimages"):
+        "c3b61adb23c2efd0dc0ff8f3b31f00b44f82fc41ec781bd6123d30d9cd6562ab",
+    ("enumerate", "--kind", "superstable", "--format", "json"):
+        "e1513f41fb9fb4ec95a50d4e61935e22ccc49898cf849366e20f8acfae3d85be",
+    ("enumerate", "--kind", "critical", "--preimages"):
+        "8e32e595001cb265f7ad0bde0291621f24e443958c0c508a9a6b1cb50211f50b",
+    ("enumerate", "--kind", "critical", "--format", "json"):
+        "36039718483926164ab934adba02397d256ca5bbce13a9692e8c51c867314a0f",
+    ("duality", "--format", "csv"):
+        "664290dcbe52be2c859095ae188153ffcffc2a07e7b0912fc989e54881cfae32",
+    ("duality", "--show-mu-cases", "--format", "json"):
+        "2610d0ca42e2d348f94e99c9af3df63d7680cc7c5a4dad3918559e4dae21c540",
+    ("duality", "--inverse"):
+        "74a67fcde1d1d48803371b6490991259372dec636fe122e1d69f113c99c11897",
+}
+JSON_BUILDERS = ("over_json", "vec_to_json")
 
 
 def test_pattern_is_the_benchmark_input():
@@ -48,11 +69,43 @@ def test_pattern_is_the_benchmark_input():
     assert reduced_laplacians(graph).det_l == 2048
 
 
-@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=lambda a: a[0])
-def test_k6_pattern_output_digest(tmp_path, capsys, argv):
-    path = tmp_path / f"k6-pattern-{PATTERN}.sg"
+@pytest.fixture(scope="module")
+def graph_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("k6") / f"k6-pattern-{PATTERN}.sg"
     path.write_text(EDGE_LIST)
-    assert main([*argv, "--graph", str(path)]) == 0
+    return str(path)
+
+
+def stdout_digest(capsys, argv, graph_path):
+    assert main([*argv, "--graph", graph_path]) == 0
     out = capsys.readouterr()
     assert out.err == ""
-    assert hashlib.sha256(out.out.encode()).hexdigest() == STDOUT_SHA256[argv]
+    return hashlib.sha256(out.out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=lambda a: a[0])
+def test_k6_pattern_output_digest(graph_path, capsys, argv):
+    assert stdout_digest(capsys, argv, graph_path) == STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(FORMAT_SHA256), ids=" ".join)
+def test_k6_pattern_format_digest(graph_path, capsys, argv):
+    assert stdout_digest(capsys, argv, graph_path) == FORMAT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--kind", "superstable", "--preimages"),
+    ("enumerate", "--kind", "critical", "--preimages", "--format", "csv"),
+    ("duality", "--show-mu-cases"),
+    ("duality", "--format", "csv"),
+    ("duality", "--inverse", "--format", "csv"),
+], ids=" ".join)
+def test_table_and_csv_rows_skip_the_json_builders(graph_path, capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a table or CSV row went through a JSON builder")
+
+    for name in JSON_BUILDERS:
+        monkeypatch.setattr(chipfire.linalg, name, refuse)
+        monkeypatch.setattr(chipfire.cli, name, refuse)
+    assert main([*argv, "--graph", graph_path]) == 0
+    assert capsys.readouterr().out.count("\n") == 2048 + (1 if "csv" in argv else 2)

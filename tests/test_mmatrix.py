@@ -89,6 +89,20 @@ def test_burning_vector_is_least(grid):
             assert all(a >= b for a, b in zip(w, z)), w
 
 
+@settings(max_examples=100, deadline=None)
+@given(general_m_matrices(n_max=4), st.lists(st.integers(-200, 200), min_size=4, max_size=4))
+@example(((1, -2), (0, 1)), [150, -7, 0, 0])
+@example(((2, -1, 0), (-2, 2, -1), (0, -2, 3)), [-200, 200, 31, 0])
+def test_stabilization_start_gives_the_burning_critical(grid, entries):
+    # crit_of_class starts from c0 = v - M ceil(M^-1 (v - c_max)); the
+    # definition stabilizes v + k b for the burning vector b and the least
+    # k >= 0 with v + k b >= c_max
+    m = MMatrix(grid)
+    v = tuple(entries[: m.n])
+    k = max(0, *(-((x - top) // b) for x, top, b in zip(v, m.c_max, m.burning)))
+    assert m.crit_of_class(v) == m.stabilize(x + k * b for x, b in zip(v, m.burning))
+
+
 def test_burning_vector_of_complete_graph_is_all_ones():
     k6 = tuple(tuple(5 if i == j else -1 for j in range(5)) for i in range(5))
     m = MMatrix(k6)
