@@ -24,8 +24,6 @@ from .lattices import (
     class_id,
     count_order_le2,
     element_order,
-    enumerate_class_reps,
-    lattice_intersect_with_Zn,
     quotient_group,
     snf,
     subgroup_invariant_factors,
@@ -67,15 +65,14 @@ __all__ = [
     "duality_inverse",
     "duality_table",
     "element_order",
-    "enumerate_class_reps",
     "family",
+    "fixed_point_invariants",
     "fixed_points",
     "fracket_key",
     "fracket_partition",
     "involution_mu",
     "is_m_matrix",
     "kn_z2_subgroup",
-    "lattice_intersect_with_Zn",
     "mu_case",
     "nonzero_criteria",
     "orbit_representatives",
@@ -105,6 +102,7 @@ _LAZY = {
         "duality",
         "duality_inverse",
         "duality_table",
+        "fixed_point_invariants",
         "fixed_points",
         "involution_mu",
         "mu_case",

@@ -244,16 +244,15 @@ def cmd_duality(args):
 
 
 def cmd_fixed_points(args):
-    from .duality import fixed_points, nonzero_criteria, predicted_fixed_point_count
+    from .duality import fixed_point_invariants, fixed_points
 
     pair = _load_pair(args)
-    fps = fixed_points(pair)
-    ok = True
+    code = 0
     if args.predict:
-        predicted = predicted_fixed_point_count(pair)
-        crit = nonzero_criteria(pair)
-        ok = len(fps) in (0, predicted)
-    code = 0 if ok else 1
+        fps, predicted, crit, ok = fixed_point_invariants(pair)
+        code = 0 if ok else 1
+    else:
+        fps = fixed_points(pair)
     if args.format == "json":
         payload = {"fixed_points": [vec_to_json(s) for s in fps], "count": len(fps)}
         if args.predict:

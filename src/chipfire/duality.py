@@ -106,7 +106,7 @@ def duality_inverse(pair: ChipFiringPair, y):
     return _apply(pair, y, True, "critical")
 
 
-def duality_rows(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
+def duality_rows(pair: ChipFiringPair):
     """(superstable row, mu case, dual critical row) per superstable
     configuration, ascending lex, on integer rows.
 
@@ -116,9 +116,9 @@ def duality_rows(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
     Raises RuntimeError when a dual is not a critical preimage or the
     duals miss a critical: D must be a bijection onto the criticals."""
     c_max = pair.m.c_max
-    criticals = {(r.floor, r.frac_num): r for r in pair.enumerate_pair_criticals(cap=cap)}
+    criticals = {(r.floor, r.frac_num): r for r in pair.enumerate_pair_criticals()}
     rows = []
-    for r in pair.enumerate_pair_superstables(cap=cap):
+    for r in pair.enumerate_pair_superstables():
         case, image = _mu(pair, r.floor)
         dual = criticals.get((vec_sub(c_max, image), r.frac_num))
         if dual is None:
@@ -129,7 +129,7 @@ def duality_rows(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
     return rows
 
 
-def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
+def duality_table(pair: ChipFiringPair):
     """One row per superstable configuration, ascending lex, giving the
     dual critical on both the configuration and preimage sides, with
     rational preimages.  Raises RuntimeError if the rows are not a
@@ -142,7 +142,7 @@ def duality_table(pair: ChipFiringPair, cap=lattices.DEFAULT_ENUMERATION_CAP):
             "dual_config": dual.config,
             "dual_preimage": dual.preimage,
         }
-        for r, case, dual in duality_rows(pair, cap=cap)
+        for r, case, dual in duality_rows(pair)
     ]
 
 
@@ -160,6 +160,20 @@ def predicted_fixed_point_count(pair: ChipFiringPair):
         raise RuntimeError(f"|K(M) / F0_M| = {quotient.order} does not divide "
                            f"|det M| = {abs(pair.det_m)}")
     return f0_size * lattices.count_order_le2(quotient)
+
+
+def fixed_point_invariants(pair: ChipFiringPair):
+    """(fixed points, predicted count, nonzero_criteria, ok): ok holds
+    iff the count is 0 or the prediction, and it is nonzero exactly when
+    an applicable order criterion says it must be."""
+    fps = fixed_points(pair)
+    predicted = predicted_fixed_point_count(pair)
+    crit = nonzero_criteria(pair)
+    nonzero = len(fps) > 0
+    ok = (len(fps) in (0, predicted)
+          and (nonzero or not crit["odd_order_guarantee"])
+          and crit["cyclic_even_criterion"] in (None, nonzero))
+    return fps, predicted, crit, ok
 
 
 def nonzero_criteria(pair: ChipFiringPair):

@@ -85,11 +85,11 @@ def _residues(num, den, v):
     return tuple(q % den for q in mat_vec(num, v))
 
 
-def _classes_with_residues(num, den, dec, cap):
+def _classes_with_residues(num, den, dec):
     """(representative, residues of num rep over den) per class of the
     side, in class-walk order: one walk steps U r and num U r together,
     so no class takes a matrix-vector product and no list holds them."""
-    walk = lattices.walk_class_reps(dec, cap=cap, image=num, with_rep=True)
+    walk = lattices.walk_class_reps(dec, image=num, with_rep=True)
     return ((rep, tuple(q % den for q in v)) for rep, v in walk)
 
 
@@ -98,17 +98,17 @@ def fracket_key(pair: ChipFiringPair, side, v):
     return over(_residues(num, den, v), den)
 
 
-def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CAP):
+def fracket_partition(pair: ChipFiringPair, side):
     """Partition the classes of K(side) by key, keys in ascending lex order.
 
     by_key maps each key to the tuple of class representatives carrying
-    it, each representative in the image of enumerate_class_reps.  The
+    it, each as lattices.walk_class_reps yields it.  The
     classes are grouped by residue vectors, which over one positive
     denominator sort as the keys do; each key becomes a rational once.
     """
     num, den, det, dec = _side_data(pair, side)
     groups = {}
-    for rep, residues in _classes_with_residues(num, den, dec, cap):
+    for rep, residues in _classes_with_residues(num, den, dec):
         groups.setdefault(residues, []).append(rep)
     residues = sorted(groups)
     keys = tuple(over(r, den) for r in residues)
@@ -123,11 +123,11 @@ def fracket_partition(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATI
     return part
 
 
-def zero_fracket(pair: ChipFiringPair, side, cap=lattices.DEFAULT_ENUMERATION_CAP):
+def zero_fracket(pair: ChipFiringPair, side):
     """F0 for the given side, with Lambda_S and K(side)/F0 ~= Z^n/Lambda_S."""
     num, den, det, dec = _side_data(pair, side)
     lam, quotient = zero_fracket_lattice(pair, side)
-    zero = tuple(rep for rep, residues in _classes_with_residues(num, den, dec, cap)
+    zero = tuple(rep for rep, residues in _classes_with_residues(num, den, dec)
                  if not any(residues))
     ensure(len(zero) * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
     return ZeroFracket(side=side, members=zero, lattice=lam, quotient=quotient)

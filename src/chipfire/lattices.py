@@ -1,15 +1,18 @@
 """Integer lattice algorithms.
 
 Smith normal form with unimodular transforms, finite abelian quotient
-structure Z^n / A Z^n, canonical equivalence-class coordinates, class
-enumeration, intersection of Z^n with a rational lattice B Z^n, and
+structure Z^n / A Z^n, canonical equivalence-class coordinates, the
+class walk, intersection of Z^n with a rational lattice B Z^n, and
 element orders in quotients.
 
 A nonsingular A has one Smith decomposition, snf(A, det A):
 Uinv * A * Vinv = D = diag(d_1, ..., d_n), d_1 | ... | d_n, d_i >= 1,
-and the quotient, class ids and class enumeration read only it.  Two
+and the quotient, class ids and the class walk read only it.  Two
 integer vectors v, w satisfy v == w (mod A Z^n) iff Uinv v and Uinv w
 agree modulo diag(D), which gives a canonical class id.
+
+Every class walk (pair, fracket side, M-matrix) goes through
+walk_class_reps, which checks the one budget DEFAULT_ENUMERATION_CAP.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class EnumerationCapExceeded(ValueError):
-    """Raised when a class sweep would exceed the configured cap."""
+    """Raised when a walk or scan would exceed DEFAULT_ENUMERATION_CAP."""
 
 
 SnfDecomposition = namedtuple("SnfDecomposition", "U D Uinv Vinv")
@@ -195,21 +198,15 @@ def class_id(dec, v):
     return tuple(w[i] % dec.D[i][i] for i in range(n))
 
 
-def enumerate_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None):
+def walk_class_reps(dec, image=None, with_rep=False):
     """One representative per class of Z^n / A Z^n; dec = snf(A, det A).
 
-    Representatives are U*r for r in the residue box 0 <= r_i < d_i,
-    generated in lexicographic residue order, so the output is the same
-    no matter how the caller partitions the work.  With an integer matrix
-    image, the list holds image*U*r in the same order instead.
-    """
-    return list(walk_class_reps(dec, cap, image))
-
-
-def walk_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None, with_rep=False):
-    """enumerate_class_reps one class at a time: an iterator over the same
-    vectors in the same order, or over (U*r, image*U*r) pairs when
-    with_rep, from one walk.  The cap is checked before it returns.
+    An iterator over U*r for r in the residue box 0 <= r_i < d_i, in
+    lexicographic residue order, so the output is the same no matter how
+    the caller partitions the work.  With an integer matrix image it
+    yields image*U*r in the same order instead, or (U*r, image*U*r)
+    pairs from one walk when with_rep.  DEFAULT_ENUMERATION_CAP, read at
+    each call, is checked before it returns.
 
     The box is walked like an odometer: U*(r + e_i) = U*r + U e_i, and a
     digit that wraps from d_i - 1 to 0 takes (d_i - 1) U e_i off, so each
@@ -220,8 +217,8 @@ def walk_class_reps(dec, cap=DEFAULT_ENUMERATION_CAP, image=None, with_rep=False
     n = len(dec.D)
     dims = [dec.D[i][i] for i in range(n)]
     total = math.prod(dims)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} classes exceeds cap {cap}")
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"{total} classes exceeds cap {DEFAULT_ENUMERATION_CAP}")
     basis = dec.U if image is None else mat_mul(image, dec.U)
     if with_rep:
         basis = dec.U + basis
@@ -287,15 +284,6 @@ def lattice_intersection(num, den, det):
     ensure(math.prod(e) * den**n == abs(det) * math.prod(scale),
            "prod(e) den^n = |det num| prod(scale)")
     return w, AbelianGroup(tuple(x for x in e if x > 1))
-
-
-def lattice_intersect_with_Zn(num, den, det):
-    """(W, |det W|): an integer basis W of the lattice Z^n intersect B Z^n,
-    where B = num / den with an integer matrix num of determinant det,
-    which the caller already holds, and a positive integer den.  See
-    lattice_intersection for the algorithm."""
-    w, quotient = lattice_intersection(num, den, det)
-    return w, quotient.order
 
 
 def count_order_le2(group):

@@ -36,7 +36,6 @@ from .linalg import (
     mat,
     mat_is_integral,
     mat_over,
-    mat_vec,
     mat_shape,
     vec_sub,
 )
@@ -91,8 +90,8 @@ def burning_script(grid):
 
 
 class MMatrix:
-    """An M-matrix with its adjugate, Smith data and a table of the
-    criticals found so far, keyed by class id.
+    """An M-matrix with its adjugate, Smith data, c_max and a table of
+    the criticals found so far, keyed by class id.
 
     The inverse is adj / det; det is positive, as for every nonsingular
     M-matrix.
@@ -110,7 +109,6 @@ class MMatrix:
         self.snf = lattices.snf(m, self.det)
         self.group = lattices.quotient_group(self.snf)
         self.c_max = tuple(m[i][i] - 1 for i in range(self.n))
-        self.burning = mat_vec(m, burning_script(m))
         self._superstables = None
         self._crit_by_class = {}
 
@@ -167,10 +165,10 @@ class MMatrix:
         """The unique critical equivalent to v mod M Z^n.
 
         Accepts arbitrary integer vectors, negatives included.  The
-        critical is stabilize(a) for a = v + k b, where b = self.burning
-        = M z_b and k >= 0 is the least integer with a >= c_max, and it
-        is computed as stabilize(c0) for c0 = v - M z with
-        z = ceil(M^-1 (v - c_max)), which needs no k.
+        critical is stabilize(a) for a = v + k b, where b = M z_b for
+        z_b = burning_script(M) and k >= 0 is the least integer with
+        a >= c_max, and it is computed as stabilize(c0) for c0 = v - M z
+        with z = ceil(M^-1 (v - c_max)), which needs no k.
 
         Proof that stabilize(a) is the critical.  b lies in M Z^n, so a
         and c = stabilize(a) lie in v's class, and c is stable.  c is

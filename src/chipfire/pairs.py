@@ -31,7 +31,7 @@ frac properties are derived only when a caller reads them, as are the
 rational views lm_inv and ml_inv.  The class walk steps
 the preimage numerators through the residue box one column of n_ml U at
 a time (lattices.walk_class_reps), and both sweeps share its split
-into (floor, fractional numerators).
+into (floor, fractional numerators), walked once per pair.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class ChipFiringPair:
         self.den_l = abs(self.det_l)
         self.l_snf = lattices.snf(self.l, self.det_l)
         self.l_group = lattices.quotient_group(self.l_snf)
-        self._classes = {}  # cap -> ((floor, frac numerators), ...) per class of L
-        self._rows = {}
+        self._classes = None    # ((floor, frac numerators), ...) per class of L
+        self._rows = {}         # kind -> sorted PairRows
         self._mu = {}       # {s: (mu case, mu(s))}, filled floor by floor in duality
         self._zero_lattices = {}    # side -> (Lambda, quotient), filled by frackets
 
@@ -241,21 +241,21 @@ class ChipFiringPair:
             is_critical=self.m.crit_of_class(fl) == fl,
         )
 
-    def _split_classes(self, cap):
+    def _split_classes(self):
         """(floor, fractional numerators) of the preimage of one
-        representative per class of Z^n / L Z^n, in class-walk order."""
-        if cap not in self._classes:
-            walk = lattices.walk_class_reps(self.l_snf, cap=cap, image=self.n_ml)
-            self._classes[cap] = tuple(map(self.split, walk))
-        return self._classes[cap]
+        representative per class of Z^n / L Z^n, in class-walk order,
+        walked once and shared by both sweeps."""
+        if self._classes is None:
+            walk = lattices.walk_class_reps(self.l_snf, image=self.n_ml)
+            self._classes = tuple(map(self.split, walk))
+        return self._classes
 
-    def _enumerate(self, kind, cap):
-        key = (kind, cap)
-        if key not in self._rows:
+    def _enumerate(self, kind):
+        if kind not in self._rows:
             lookup = self.m.sstab_of_class if kind == "superstable" else self.m.crit_of_class
             d = self.den_l
             rows = []
-            for fl, fr in self._split_classes(cap):
+            for fl, fr in self._split_classes():
                 base = lookup(fl)
                 p = self.join(base, fr)
                 config = self.config_of_numerators(p)
@@ -266,13 +266,13 @@ class ChipFiringPair:
             rows.sort()
             if len({r.config for r in rows}) != self.den_l:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
-            self._rows[key] = tuple(rows)
-        return self._rows[key]
+            self._rows[kind] = tuple(rows)
+        return self._rows[kind]
 
-    def enumerate_pair_superstables(self, cap=lattices.DEFAULT_ENUMERATION_CAP):
+    def enumerate_pair_superstables(self):
         """The |det L| superstable rows, ascending lexicographic by
         configuration.  Each row is a PairRow."""
-        return self._enumerate("superstable", cap)
+        return self._enumerate("superstable")
 
-    def enumerate_pair_criticals(self, cap=lattices.DEFAULT_ENUMERATION_CAP):
-        return self._enumerate("critical", cap)
+    def enumerate_pair_criticals(self):
+        return self._enumerate("critical")

@@ -21,11 +21,9 @@ from .duality import (
     duality,
     duality_inverse,
     duality_table,
-    fixed_points,
+    fixed_point_invariants,
     involution_mu,
     mu_case,
-    nonzero_criteria,
-    predicted_fixed_point_count,
 )
 from .fixtures import C6_NEGATIVE_PATTERN, DIAMOND_M, diamond_pair, negative_c6_pair
 from .frackets import (
@@ -34,7 +32,6 @@ from .frackets import (
     fracket_partition,
     verify_largest_invariant_factor,
     zero_fracket,
-    zero_fracket_lattice,
     zero_fracket_size_formula,
 )
 from .linalg import ensure, gcd_entries, mat_vec, over, vec_sub
@@ -245,26 +242,13 @@ def check_frackets():
 
 # -- 6: fixed points -----------------------------------------------------------------
 
-def _fixed_point_invariants(pair):
-    count = len(fixed_points(pair))
-    predicted = predicted_fixed_point_count(pair)
-    crit = nonzero_criteria(pair)
-    ok = count in (0, predicted)
-    if crit["odd_order_guarantee"]:
-        ok = ok and count > 0
-    if crit["cyclic_even_criterion"] is not None:
-        ok = ok and (count > 0) == crit["cyclic_even_criterion"]
-    return count, predicted, ok
-
-
 def check_fixed_points():
     pair = diamond_pair()
-    fps = fixed_points(pair)
-    predicted = predicted_fixed_point_count(pair)
-    _, quot = zero_fracket_lattice(pair, "M")
+    fps, predicted, crit, ok = fixed_point_invariants(pair)
+    quot = crit["quotient"]
     f0 = abs(pair.det_m) // quot.order
     d = lattices.count_order_le2(quot)
-    ok_diamond = fps == refdata.FIXED_POINTS and predicted == 4 and (f0, d) == (2, 2)
+    ok_diamond = ok and fps == refdata.FIXED_POINTS and predicted == 4 and (f0, d) == (2, 2)
 
     triangles = []
     shared = None
@@ -272,14 +256,14 @@ def check_fixed_points():
         edges = tuple((u, v, s) for (u, v), s in zip(((1, 2), (1, 3), (2, 3)), signs))
         tri = reduced_laplacians(SignedGraph(n=3, edges=edges, sink=3), shared_m=shared)
         shared = tri.m
-        count, _, ok = _fixed_point_invariants(tri)
-        triangles.append(ok and count == refdata.TRIANGLE_FIXED_POINT_COUNTS[signs[0]])
+        fps, _, _, ok = fixed_point_invariants(tri)
+        triangles.append(ok and len(fps) == refdata.TRIANGLE_FIXED_POINT_COUNTS[signs[0]])
 
     cycles = []
     for pattern, cyc in sweep("cycle", 6):
-        count, _, ok = _fixed_point_invariants(cyc)
+        fps, _, _, ok = fixed_point_invariants(cyc)
         expected = refdata.C6_FIXED_POINT_COUNTS.get(pattern, refdata.C6_FIXED_POINT_DEFAULT)
-        cycles.append(ok and count == expected)
+        cycles.append(ok and len(fps) == expected)
 
     return verdict([
         (ok_diamond, "diamond fixture: fixed points = {(0,0,0),(0,0,2),(0,1,0),(2,0,0)}, count 4 = 2*2"),

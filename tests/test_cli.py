@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import time
@@ -64,6 +65,19 @@ def test_fixed_points_predict(capsys):
     code, out, _ = run(capsys, "fixed-points", "--fixture", "diamond", "--predict")
     assert code == 0
     assert out.splitlines()[0] == "actual=4 predicted=4"
+
+
+def test_fixed_points_predict_fails_on_a_contradicted_order_criterion(
+        monkeypatch, capsys, diamond):
+    # [c_max] has order 1 in K(M) / F0_M on the diamond, so the odd-order
+    # guarantee rules out an empty fixed-point set, though a count of 0
+    # alone would pass the count check
+    duality = importlib.import_module("chipfire.duality")
+    assert duality.nonzero_criteria(diamond)["cmax_order"] == 1
+    monkeypatch.setattr(duality, "fixed_points", lambda pair: ())
+    code, out, _ = run(capsys, "fixed-points", "--fixture", "diamond", "--predict")
+    assert code == 1
+    assert out.splitlines()[0] == "actual=0 predicted=4"
 
 
 def test_frackets_verify(capsys):

@@ -6,19 +6,19 @@ from sympy.matrices.normalforms import smith_normal_form
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chipfire import lattices
 from chipfire.lattices import (
     AbelianGroup,
     EnumerationCapExceeded,
     class_id,
     count_order_le2,
     element_order,
-    enumerate_class_reps,
     lattice_basis_from_columns,
-    lattice_intersect_with_Zn,
     lattice_intersection,
     quotient_group,
     snf,
     subgroup_invariant_factors,
+    walk_class_reps,
 )
 from chipfire.linalg import (
     adjugate,
@@ -92,14 +92,16 @@ def test_class_id_invariant_under_lattice_shift(a, w):
 @given(small_invertible(2, det_cap=24))
 def test_enumerate_class_reps(a):
     dec = _snf(a)
-    reps = enumerate_class_reps(dec)
+    reps = list(walk_class_reps(dec))
     assert len(reps) == abs(mat_det(a))
     ids = {class_id(dec, r) for r in reps}
     assert len(ids) == len(reps)
     # the odometer walk gives U r over the residue box in lexicographic order
     box = product(*(range(dec.D[i][i]) for i in range(2)))
     assert reps == [mat_vec(dec.U, r) for r in box]
-    assert enumerate_class_reps(dec, image=a) == [mat_vec(a, r) for r in reps]
+    images = [mat_vec(a, r) for r in reps]
+    assert list(walk_class_reps(dec, image=a)) == images
+    assert list(walk_class_reps(dec, image=a, with_rep=True)) == list(zip(reps, images))
 
 
 @pytest.mark.parametrize("diag", [(1, 1, 1), (1, 2, 6), (2, 2, 4), (1, 1, 12)])
@@ -111,13 +113,15 @@ def test_enumerate_class_reps_odometer_in_three_dims(diag):
     a = mat_mul(mat_mul(u, d), v)
     dec = _snf(a)
     box = product(*(range(dec.D[i][i]) for i in range(3)))
-    assert enumerate_class_reps(dec) == [mat_vec(dec.U, r) for r in box]
+    assert list(walk_class_reps(dec)) == [mat_vec(dec.U, r) for r in box]
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    # the walk reads the one budget when it is called, before any class
+    monkeypatch.setattr(lattices, "DEFAULT_ENUMERATION_CAP", 10)
     a = ((1000, 0), (0, 1000))
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_class_reps(_snf(a), cap=10)
+    with pytest.raises(EnumerationCapExceeded, match="^1000000 classes exceeds cap 10$"):
+        walk_class_reps(_snf(a))
 
 
 @settings(max_examples=25, deadline=None)
@@ -131,9 +135,9 @@ def test_lattice_intersect_membership(a):
     det, adj = adjugate(a)
     sign = 1 if det > 0 else -1
     num = mat_scale(2 * sign, adj)
-    w, det_w = lattice_intersect_with_Zn(num, abs(det), mat_det(num))
+    w, quotient = lattice_intersection(num, abs(det), mat_det(num))
     w_det, w_adj = adjugate(w)
-    assert det_w == abs(w_det)
+    assert quotient.order == abs(w_det)
 
     def in_b(v):
         return not any(q % 2 for q in mat_vec(a, v))
@@ -159,7 +163,7 @@ def test_lattice_intersection_quotient_equals_the_smith_form_of_w(num, den):
     w, quotient = lattice_intersection(num, den, det)
     det_w = mat_det(w)
     assert quotient == quotient_group(snf(w, det_w))
-    assert lattice_intersect_with_Zn(num, den, det) == (w, abs(det_w))
+    assert quotient.order == abs(det_w)
 
 
 def test_count_order_le2():

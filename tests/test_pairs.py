@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from chipfire import refdata
+from chipfire import lattices, refdata
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
+from chipfire.frackets import fracket_partition, zero_fracket
 from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import identity, mat_over, mat_vec, vec_add
 from chipfire.mmatrix import MMatrix
@@ -62,13 +63,25 @@ def test_row_counts_match_det(diamond):
     assert diamond.det_m == 8
 
 
-def test_enumeration_cap_applies_after_cached_call():
+def test_one_budget_reaches_every_class_walk(monkeypatch):
+    # the diamond has |det L| = 12 and |det M| = 8: a budget of 3 stops every
+    # class walk of a fresh pair, and a budget of 12 lets the L walk through
+    monkeypatch.setattr(lattices, "DEFAULT_ENUMERATION_CAP", 3)
+    walks = [
+        (12, lambda pair: pair.enumerate_pair_superstables()),
+        (12, lambda pair: pair.enumerate_pair_criticals()),
+        (8, lambda pair: pair.m.superstables()),
+    ]
+    for side, det in (("L", 12), ("M", 8)):
+        walks.append((det, lambda pair, side=side: fracket_partition(pair, side)))
+        walks.append((det, lambda pair, side=side: zero_fracket(pair, side)))
+    for det, walk in walks:
+        with pytest.raises(EnumerationCapExceeded, match=f"^{det} classes exceeds cap 3$"):
+            walk(diamond_pair())
+    monkeypatch.setattr(lattices, "DEFAULT_ENUMERATION_CAP", 12)
     pair = diamond_pair()
     assert len(pair.enumerate_pair_superstables()) == 12
-    for enumerate_rows in (pair.enumerate_pair_superstables, pair.enumerate_pair_criticals):
-        with pytest.raises(EnumerationCapExceeded):
-            enumerate_rows(cap=3)
-    assert len(pair.enumerate_pair_criticals(cap=12)) == 12
+    assert len(pair.enumerate_pair_criticals()) == 12
 
 
 def test_transfer_roundtrip(diamond):
