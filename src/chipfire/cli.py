@@ -23,7 +23,7 @@ from itertools import repeat
 from math import gcd
 
 from .fixtures import FIXTURES
-from .lattices import AbelianGroup, class_id
+from .lattices import AbelianGroup
 from .linalg import mat_from_json, mat_to_json, over_json, vec_to_json
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair, PairRow
@@ -309,11 +309,10 @@ def cmd_frackets(args):
         payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}
         rows = [(text, flag) for flag, text in facts]
         return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)
-    part = fracket_partition(pair, args.side)
-    _, quotient = zero_fracket_lattice(pair, args.side)
-    dec = pair.l_snf if args.side == "L" else pair.m.snf
     # canonical class ids, independent of which representative the sweep produced
-    labels = {k: [class_id(dec, v) for v in part.by_key[k]] for k in part.keys}
+    part = fracket_partition(pair, args.side, class_ids=True)
+    _, quotient = zero_fracket_lattice(pair, args.side)
+    labels = part.by_key
     if args.format == "json":
         payload = {
             "side": args.side,

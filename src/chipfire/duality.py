@@ -19,9 +19,14 @@ D sends superstable preimages to critical preimages bijectively; on
 configurations it maps the superstables of (L, M) onto the criticals.
 When L = M the transfer L M^-1 is the identity, so {2s} and {c_max} are
 both zero: every s is an identity case and D(x) = c_max - x, the
-classical complement.
+classical complement.  In the dual case D(x) = crit_M(floor(x)) + {x},
+the critical of x's own class of L, so duality_rows pairs the rows of
+each class of L and looks up only the identity rows' duals.
 
-Fixed points of mu are the s with {L M^-1 (2s)} = {L M^-1 c_max}.  Their
+Fixed points of mu are the s with {L M^-1 (2s)} = {L M^-1 c_max}.  The
+test depends only on the class of s in K(M), so fixed_points walks K(M)
+once, tests each class with vector arithmetic and stabilizes only the
+classes that pass; it never enumerates the superstables of M.  Their
 count is either 0 or |F0_M| * d where F0_M is the zero fracket of M for
 the pair and d counts the elements of order <= 2 in K(M) / F0_M.  If the
 class of c_max has odd order in that quotient the count is never zero;
@@ -31,25 +36,46 @@ count is nonzero iff |quotient| / ord is even.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from . import lattices
 from .frackets import zero_fracket_lattice
 from .linalg import mat_vec, over, vec_sub
 from .pairs import ChipFiringPair
 
 
+def _identity_test(pair: ChipFiringPair):
+    """mu's identity test as a predicate on v = n_lm s, built once per
+    pair.  The identity case {L M^-1 (2s)} = {L M^-1 c_max} holds iff
+    L M^-1 (2s - c_max) is integral, i.e. iff 2v - n_lm c_max = 0 mod
+    det M.  It depends only on the class of s in K(M), since
+    n_lm M z = det M L z."""
+    test = pair._mu_identity
+    if test is None:
+        det = pair.det_m
+        target = mat_vec(pair.n_lm, pair.m.c_max)
+
+        def test(v):
+            for q, t in zip(v, target):
+                if (q + q - t) % det:
+                    return False
+            return True
+
+        pair._mu_identity = test
+    return test
+
+
 def _mu(pair: ChipFiringPair, s):
     """(case, mu(s)) for a z-superstable s of M, computed on first ask and
-    kept per pair.  The identity case {L M^-1 (2s)} = {L M^-1 c_max} holds
-    iff L M^-1 (2s - c_max) is integral, i.e. L adj(M) (2s - c_max) = 0
-    mod det M: one transfer per floor."""
+    kept per pair: one transfer per floor, and a critical lookup in the
+    dual case."""
     entry = pair._mu.get(s)
     if entry is None:
         m = pair.m
-        shift = tuple(2 * q - c for q, c in zip(s, m.c_max))
-        if any(q % pair.det_m for q in mat_vec(pair.n_lm, shift)):
-            entry = ("dual", vec_sub(m.c_max, m.crit_of_class(s)))
-        else:
+        if _identity_test(pair)(mat_vec(pair.n_lm, s)):
             entry = ("identity", s)
+        else:
+            entry = ("dual", vec_sub(m.c_max, m.crit_of_class(s)))
         pair._mu[s] = entry
     return entry
 
@@ -110,21 +136,33 @@ def duality_rows(pair: ChipFiringPair):
     """(superstable row, mu case, dual critical row) per superstable
     configuration, ascending lex, on integer rows.
 
-    D(x) = c_max - mu(floor(x)) + {x} needs mu only at the floors of the
-    superstable rows, and each dual is looked up among the critical rows
-    by its (floor, fractional numerators), the tuples the rows hold.
+    D(x) = c_max - mu(floor(x)) + {x} needs mu's case only at the floors
+    of the superstable rows, and the two rows of each class of L are
+    paired in class-walk order and sorted once.  In the dual case
+    mu(s) = c_max - crit(s), so D(x) = crit(floor(x)) + {x}: the critical
+    row of x's own class, with no lookup.  An identity row's dual
+    (c_max - floor(x), {x}) is looked up among the critical rows.
     Raises RuntimeError when a dual is not a critical preimage or the
     duals miss a critical: D must be a bijection onto the criticals."""
+    crits = pair._walk_rows("critical")
+    identity = _identity_test(pair)
+    n_lm = pair.n_lm
     c_max = pair.m.c_max
-    criticals = {(r.floor, r.frac_num): r for r in pair.enumerate_pair_criticals()}
+    criticals = None
     rows = []
-    for r in pair.enumerate_pair_superstables():
-        case, image = _mu(pair, r.floor)
-        dual = criticals.get((vec_sub(c_max, image), r.frac_num))
-        if dual is None:
-            raise RuntimeError(f"the dual of the superstable {r.config} is not a critical preimage")
-        rows.append((r, case, dual))
-    if len({dual.config for _, _, dual in rows}) != len(criticals):
+    for r, crit in zip(pair._walk_rows("superstable"), crits):
+        if identity(mat_vec(n_lm, r.floor)):
+            if criticals is None:
+                criticals = {(c.floor, c.frac_num): c for c in crits}
+            dual = criticals.get((vec_sub(c_max, r.floor), r.frac_num))
+            if dual is None:
+                raise RuntimeError(f"the dual of the superstable {r.config} is not a "
+                                   f"critical preimage")
+            rows.append((r, "identity", dual))
+        else:
+            rows.append((r, "dual", crit))
+    rows.sort(key=itemgetter(0))
+    if len({dual.config for _, _, dual in rows}) != len(crits):
         raise RuntimeError("the duals are not the critical configurations")
     return rows
 
@@ -147,9 +185,26 @@ def duality_table(pair: ChipFiringPair):
 
 
 def fixed_points(pair: ChipFiringPair):
-    """The z-superstables of M fixed by mu, in lex order: mu at every
-    superstable of M, capped like M's class walk."""
-    return tuple(s for s in pair.m.superstables() if _mu(pair, s)[0] == "identity")
+    """The z-superstables of M fixed by mu, in lex order.
+
+    mu's identity test depends only on the class of s in K(M), so one
+    class walk of K(M) tests each class on n_lm U r, which the walk
+    steps by vector additions, and only the classes that pass are
+    stabilized.  The fixed point of class r is c_max minus the critical
+    of c_max - U r, whose class id is (id(c_max) - r) mod D, so no class
+    takes a class-id product.  The walk visits all |det M| classes under
+    the enumeration budget."""
+    m = pair.m
+    dec = m.snf
+    walk = lattices.walk_class_reps(dec, image=pair.n_lm, with_rep=True)
+    identity = _identity_test(pair)
+    top = tuple(zip(m.class_id(m.c_max), (dec.D[i][i] for i in range(m.n))))
+    fixed = []
+    for r, (rep, v) in zip(lattices.walk_class_ids(dec), walk):
+        if identity(v):
+            key = tuple((t - x) % d for (t, d), x in zip(top, r))
+            fixed.append(vec_sub(m.c_max, m._crit(key, vec_sub(m.c_max, rep))))
+    return tuple(sorted(fixed))
 
 
 def predicted_fixed_point_count(pair: ChipFiringPair):

@@ -85,11 +85,16 @@ def _residues(num, den, v):
     return tuple(q % den for q in mat_vec(num, v))
 
 
-def _classes_with_residues(num, den, dec):
+def _classes_with_residues(num, den, dec, class_ids=False):
     """(representative, residues of num rep over den) per class of the
     side, in class-walk order: one walk steps U r and num U r together,
-    so no class takes a matrix-vector product and no list holds them."""
-    walk = lattices.walk_class_reps(dec, image=num, with_rep=True)
+    so no class takes a matrix-vector product and no list holds them.
+    With class_ids each class is named by its class id r
+    (lattices.walk_class_ids) instead of its representative U r."""
+    if class_ids:
+        walk = zip(lattices.walk_class_ids(dec), lattices.walk_class_reps(dec, image=num))
+    else:
+        walk = lattices.walk_class_reps(dec, image=num, with_rep=True)
     return ((rep, tuple(q % den for q in v)) for rep, v in walk)
 
 
@@ -98,17 +103,19 @@ def fracket_key(pair: ChipFiringPair, side, v):
     return over(_residues(num, den, v), den)
 
 
-def fracket_partition(pair: ChipFiringPair, side):
+def fracket_partition(pair: ChipFiringPair, side, class_ids=False):
     """Partition the classes of K(side) by key, keys in ascending lex order.
 
     by_key maps each key to the tuple of class representatives carrying
-    it, each as lattices.walk_class_reps yields it.  The
+    it, each as lattices.walk_class_reps yields it, or with class_ids to
+    their canonical class ids (lattices.class_id), read off the walk's
+    residues without a product.  The
     classes are grouped by residue vectors, which over one positive
     denominator sort as the keys do; each key becomes a rational once.
     """
     num, den, det, dec = _side_data(pair, side)
     groups = {}
-    for rep, residues in _classes_with_residues(num, den, dec):
+    for rep, residues in _classes_with_residues(num, den, dec, class_ids):
         groups.setdefault(residues, []).append(rep)
     residues = sorted(groups)
     keys = tuple(over(r, den) for r in residues)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import product
 from operator import add
 
 from .linalg import (
@@ -227,6 +228,18 @@ def walk_class_reps(dec, image=None, with_rep=False):
               for i, d in enumerate(dims) if d > 1]
     walk = _odometer(wheels, len(basis), total)
     return ((v[:n], v[n:]) for v in walk) if with_rep else walk
+
+
+def walk_class_ids(dec):
+    """The class ids of walk_class_reps(dec)'s classes, in its order.
+
+    The walk yields U*r for r in lexicographic residue order, and
+    class_id(dec, U*r) = Uinv*U*r mod diag(D) = r, so zipped with a walk
+    this names every class without a matrix-vector product.  It reads no
+    budget itself, and builds nothing before its first step: the walk it
+    is zipped with checks the budget when it is called.
+    """
+    yield from product(*(range(dec.D[i][i]) for i in range(len(dec.D))))
 
 
 def _odometer(wheels, size, total):

@@ -27,7 +27,6 @@ enumeration |det M| of them; nothing scans the stable box prod [0, M_ii).
 
 from __future__ import annotations
 
-from itertools import product
 from operator import mul, sub
 
 from . import lattices
@@ -224,9 +223,8 @@ class MMatrix:
         minus the critical of each class.  The work is |det M|
         stabilizations, and the enumeration cap bounds it."""
         if self._superstables is None:
-            # the walk yields U r in residue order, and the class id of U r is r
-            box = product(*(range(self.snf.D[i][i]) for i in range(self.n)))
-            for key, rep in zip(box, lattices.walk_class_reps(self.snf)):
+            walk = lattices.walk_class_reps(self.snf)
+            for key, rep in zip(lattices.walk_class_ids(self.snf), walk):
                 self._crit(key, rep)
             if len(self._crit_by_class) != abs(self.det):
                 raise RuntimeError(f"found {len(self._crit_by_class)} criticals, expected "

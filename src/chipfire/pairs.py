@@ -31,7 +31,11 @@ frac properties are derived only when a caller reads them, as are the
 rational views lm_inv and ml_inv.  The class walk steps
 the preimage numerators through the residue box one column of n_ml U at
 a time (lattices.walk_class_reps), and both sweeps share its split
-into (floor, fractional numerators), walked once per pair.
+into (floor, fractional numerators), walked once per pair and released
+once both kinds of rows are cached.  The rows of each kind are kept in
+class-walk order and sorted when first asked for, so duality pairs the
+superstable and the critical of each class of L in walk order, without
+a lookup.
 """
 
 from __future__ import annotations
@@ -103,8 +107,10 @@ class ChipFiringPair:
         self.l_snf = lattices.snf(self.l, self.det_l)
         self.l_group = lattices.quotient_group(self.l_snf)
         self._classes = None    # ((floor, frac numerators), ...) per class of L
-        self._rows = {}         # kind -> sorted PairRows
-        self._mu = {}       # {s: (mu case, mu(s))}, filled floor by floor in duality
+        self._rows = {}         # kind -> PairRows in class-walk order
+        self._sorted_rows = {}  # kind -> the same rows, ascending lex
+        self._mu = {}           # {s: (mu case, mu(s))}, filled by duality's mu lookups
+        self._mu_identity = None    # mu's identity test on n_lm s, built by duality
         self._zero_lattices = {}    # side -> (Lambda, quotient), filled by frackets
 
     @property
@@ -244,13 +250,16 @@ class ChipFiringPair:
     def _split_classes(self):
         """(floor, fractional numerators) of the preimage of one
         representative per class of Z^n / L Z^n, in class-walk order,
-        walked once and shared by both sweeps."""
+        walked once and shared by both sweeps until both are cached."""
         if self._classes is None:
             walk = lattices.walk_class_reps(self.l_snf, image=self.n_ml)
             self._classes = tuple(map(self.split, walk))
         return self._classes
 
-    def _enumerate(self, kind):
+    def _walk_rows(self, kind):
+        """The kind's rows in class-walk order: the superstable and the
+        critical at one index lie in the same class of L.  The split is
+        released once both kinds are cached."""
         if kind not in self._rows:
             lookup = self.m.sstab_of_class if kind == "superstable" else self.m.crit_of_class
             d = self.den_l
@@ -263,11 +272,18 @@ class ChipFiringPair:
                     raise RuntimeError(f"the class with preimage floor {fl} gave no valid "
                                        f"{kind} preimage")
                 rows.append(PairRow(config, base, fr, d))
-            rows.sort()
             if len({r.config for r in rows}) != self.den_l:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
             self._rows[kind] = tuple(rows)
+            if len(self._rows) == 2:
+                self._classes = None
         return self._rows[kind]
+
+    def _enumerate(self, kind):
+        """The kind's rows ascending lex, sorted from the walk on first ask."""
+        if kind not in self._sorted_rows:
+            self._sorted_rows[kind] = tuple(sorted(self._walk_rows(kind)))
+        return self._sorted_rows[kind]
 
     def enumerate_pair_superstables(self):
         """The |det L| superstable rows, ascending lexicographic by

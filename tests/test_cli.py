@@ -112,9 +112,10 @@ def test_large_m_with_one_l_class(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out == ("superstable,superstable_preimage,critical,critical_preimage\n"
                    '"(0, 0)","(0, 0)","(1, 1)","(2999, 2999)"\n')
-    code, out, err = run(capsys, "fixed-points", "--pair", str(path))
-    assert code == 2 and out == ""
-    assert err == "error: 8999999 classes exceeds cap 1000000\n"
+    for predict in ((), ("--predict",)):
+        code, out, err = run(capsys, "fixed-points", "--pair", str(path), *predict)
+        assert code == 2 and out == ""
+        assert err == "error: 8999999 classes exceeds cap 1000000\n"
 
 
 def test_frackets_requires_mode(capsys):

@@ -1,9 +1,14 @@
-import pytest
+import random
 
-from chipfire import refdata
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chipfire import refdata, verification
 from chipfire.duality import (
     duality,
     duality_inverse,
+    duality_rows,
     duality_table,
     fixed_points,
     involution_mu,
@@ -11,8 +16,8 @@ from chipfire.duality import (
     nonzero_criteria,
     predicted_fixed_point_count,
 )
-from chipfire.fixtures import DIAMOND_M
-from chipfire.linalg import vec_sub
+from chipfire.fixtures import DIAMOND_L, DIAMOND_M
+from chipfire.linalg import mat_vec, vec_sub
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
 
@@ -103,3 +108,70 @@ def test_naive_complement_really_fails(diamond):
     # the difference is critical on its own, the subtraction just leaves the class
     assert diamond.classify(gap).is_critical
     assert diamond.class_id(gap) != diamond.class_id(refdata.NAIVE_MAP_CRITICAL)
+
+
+def _random_pair(seed, equal):
+    """A pair from the acceptance suite's generators, or (M, M) when equal."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    m = verification._random_m_matrix(rng, n)
+    return ChipFiringPair(m.m, m) if equal else verification._random_pair(rng, n, m)
+
+
+def _fixed_points_oracle(pair):
+    """The fixed points as mu's identity case at every superstable of M."""
+    return tuple(s for s in pair.m.superstables() if mu_case(pair, s) == "identity")
+
+
+def _duality_rows_oracle(pair):
+    """duality_rows from mu at every floor and a lookup for every row."""
+    c_max = pair.m.c_max
+    criticals = {(r.floor, r.frac_num): r for r in pair.enumerate_pair_criticals()}
+    return [(r, mu_case(pair, r.floor),
+             criticals[(vec_sub(c_max, involution_mu(pair, r.floor)), r.frac_num)])
+            for r in pair.enumerate_pair_superstables()]
+
+
+# seeds 5 and 20 give pairs with no fixed point (20 with no order criterion
+# deciding it), and seed 5 with equal=True gives an all-fixed (M, M) pair
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), equal=st.booleans())
+@example(seed=5, equal=False)
+@example(seed=20, equal=False)
+@example(seed=5, equal=True)
+def test_fixed_points_match_mu_at_every_superstable(seed, equal):
+    pair = _random_pair(seed, equal)
+    fps = fixed_points(pair)
+    assert fps == _fixed_points_oracle(_random_pair(seed, equal))
+    # the walk caches each critical it stabilized under its own class id
+    m = pair.m
+    assert len(m._crit_by_class) == len(fps)
+    assert all(m.class_id(c) == key for key, c in m._crit_by_class.items())
+    if equal:
+        assert fps == pair.m.superstables()
+    # mu's identity case is the integrality of L M^-1 (2s - c_max)
+    for s in pair.m.superstables():
+        shift = [2 * q - c for q, c in zip(s, pair.m.c_max)]
+        integral = all(x.denominator == 1 for x in mat_vec(pair.lm_inv, shift))
+        assert (s in fps) == integral
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), equal=st.booleans())
+@example(seed=5, equal=False)
+@example(seed=5, equal=True)
+def test_duality_rows_match_mu_at_every_floor(seed, equal):
+    assert duality_rows(_random_pair(seed, equal)) == _duality_rows_oracle(
+        _random_pair(seed, equal))
+
+
+def test_duality_rows_after_the_class_split_is_released():
+    pair = ChipFiringPair(DIAMOND_L, DIAMOND_M)
+    first = duality_rows(pair)
+    # both kinds of rows are cached, so the split of L's classes is gone
+    assert pair._classes is None
+    assert duality_rows(pair) == first
+    # with the rows dropped too, a later call walks the classes again
+    pair._rows.clear()
+    assert duality_rows(pair) == first
+    assert first == _duality_rows_oracle(ChipFiringPair(DIAMOND_L, DIAMOND_M))

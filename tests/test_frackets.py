@@ -4,6 +4,7 @@ import pytest
 
 from chipfire import linalg, refdata
 from chipfire.fixtures import diamond_pair
+from chipfire.lattices import class_id
 from chipfire.frackets import (
     cyclic_shortcut,
     fracket_key,
@@ -39,6 +40,17 @@ def test_keys_are_transfer_fracs(diamond):
         for rep in part.by_key[key]:
             assert frac_part(mat_vec(diamond.ml_inv, rep)) == key
             assert fracket_key(diamond, "L", rep) == key
+
+
+@pytest.mark.parametrize("side", ["L", "M"])
+def test_partition_by_class_ids(diamond, c6_negative, side):
+    for pair in (diamond, c6_negative):
+        dec = pair.l_snf if side == "L" else pair.m.snf
+        part = fracket_partition(pair, side)
+        ids = fracket_partition(pair, side, class_ids=True)
+        assert ids.keys == part.keys
+        assert ids.by_key == {k: tuple(class_id(dec, v) for v in part.by_key[k])
+                              for k in part.keys}
 
 
 def test_zero_fracket(diamond):

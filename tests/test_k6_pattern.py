@@ -18,6 +18,7 @@ import pytest
 import chipfire.cli
 import chipfire.linalg
 from chipfire.cli import main
+from chipfire.duality import fixed_points, mu_case
 from chipfire.sgraph import family, format_edge_list, reduced_laplacians
 
 PATTERN = 691
@@ -109,3 +110,14 @@ def test_table_and_csv_rows_skip_the_json_builders(graph_path, capsys, monkeypat
         monkeypatch.setattr(chipfire.cli, name, refuse)
     assert main([*argv, "--graph", graph_path]) == 0
     assert capsys.readouterr().out.count("\n") == 2048 + (1 if "csv" in argv else 2)
+
+
+def test_fixed_points_stabilize_only_the_fixed_classes():
+    # a fresh pair with its own M: the class walk of K(M) stabilizes only
+    # the 16 of its 1296 classes where mu is the identity
+    pair = reduced_laplacians(family("complete", 6, PATTERN))
+    fps = fixed_points(pair)
+    assert len(fps) == 16
+    assert len(pair.m._crit_by_class) == len(fps)
+    assert all(pair.m.class_id(c) == key for key, c in pair.m._crit_by_class.items())
+    assert fps == tuple(s for s in pair.m.superstables() if mu_case(pair, s) == "identity")

@@ -18,6 +18,7 @@ from chipfire.lattices import (
     quotient_group,
     snf,
     subgroup_invariant_factors,
+    walk_class_ids,
     walk_class_reps,
 )
 from chipfire.linalg import (
@@ -102,6 +103,8 @@ def test_enumerate_class_reps(a):
     images = [mat_vec(a, r) for r in reps]
     assert list(walk_class_reps(dec, image=a)) == images
     assert list(walk_class_reps(dec, image=a, with_rep=True)) == list(zip(reps, images))
+    # the k-th class id of walk_class_ids is the class id of the k-th representative
+    assert list(walk_class_ids(dec)) == [class_id(dec, r) for r in reps]
 
 
 @pytest.mark.parametrize("diag", [(1, 1, 1), (1, 2, 6), (2, 2, 4), (1, 1, 12)])
@@ -113,7 +116,9 @@ def test_enumerate_class_reps_odometer_in_three_dims(diag):
     a = mat_mul(mat_mul(u, d), v)
     dec = _snf(a)
     box = product(*(range(dec.D[i][i]) for i in range(3)))
-    assert list(walk_class_reps(dec)) == [mat_vec(dec.U, r) for r in box]
+    reps = list(walk_class_reps(dec))
+    assert reps == [mat_vec(dec.U, r) for r in box]
+    assert list(walk_class_ids(dec)) == [class_id(dec, r) for r in reps]
 
 
 def test_enumeration_cap(monkeypatch):
