@@ -4,7 +4,6 @@ import pytest
 
 from chipfire import linalg, refdata
 from chipfire.fixtures import diamond_pair
-from chipfire.lattices import class_id
 from chipfire.frackets import (
     cyclic_shortcut,
     fracket_key,
@@ -14,6 +13,7 @@ from chipfire.frackets import (
     zero_fracket_lattice,
     zero_fracket_size_formula,
 )
+from chipfire.lattices import class_id
 from chipfire.linalg import mat_vec
 
 

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from chipfire import lattices, refdata
+from chipfire.duality import fixed_points
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
 from chipfire.frackets import fracket_partition, zero_fracket
 from chipfire.lattices import EnumerationCapExceeded
@@ -71,9 +72,12 @@ def test_one_budget_reaches_every_class_walk(monkeypatch):
         (12, lambda pair: pair.enumerate_pair_superstables()),
         (12, lambda pair: pair.enumerate_pair_criticals()),
         (8, lambda pair: pair.m.superstables()),
+        (8, fixed_points),
     ]
     for side, det in (("L", 12), ("M", 8)):
         walks.append((det, lambda pair, side=side: fracket_partition(pair, side)))
+        walks.append((det, lambda pair, side=side: fracket_partition(pair, side,
+                                                                     class_ids=True)))
         walks.append((det, lambda pair, side=side: zero_fracket(pair, side)))
     for det, walk in walks:
         with pytest.raises(EnumerationCapExceeded, match=f"^{det} classes exceeds cap 3$"):
