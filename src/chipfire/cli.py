@@ -309,8 +309,8 @@ def cmd_frackets(args):
         payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}
         rows = [(text, flag) for flag, text in facts]
         return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)
-    # canonical class ids, independent of which representative the sweep produced
-    part = fracket_partition(pair, args.side, class_ids=True)
+    # by_key holds canonical class ids, independent of the walk's representatives
+    part = fracket_partition(pair, args.side)
     _, quotient = zero_fracket_lattice(pair, args.side)
     labels = part.by_key
     if args.format == "json":

@@ -190,21 +190,12 @@ def fixed_points(pair: ChipFiringPair):
     mu's identity test depends only on the class of s in K(M), so one
     class walk of K(M) tests each class on n_lm U r, which the walk
     steps by vector additions, and only the classes that pass are
-    stabilized.  The fixed point of class r is c_max minus the critical
-    of c_max - U r, whose class id is (id(c_max) - r) mod D, so no class
-    takes a class-id product.  The walk visits all |det M| classes under
-    the enumeration budget."""
+    stabilized.  The walk visits all |det M| classes under the
+    enumeration budget."""
     m = pair.m
-    dec = m.snf
-    walk = lattices.walk_class_reps(dec, image=pair.n_lm, with_rep=True)
     identity = _identity_test(pair)
-    top = tuple(zip(m.class_id(m.c_max), (dec.D[i][i] for i in range(m.n))))
-    fixed = []
-    for r, (rep, v) in zip(lattices.walk_class_ids(dec), walk):
-        if identity(v):
-            key = tuple((t - x) % d for (t, d), x in zip(top, r))
-            fixed.append(vec_sub(m.c_max, m._crit(key, vec_sub(m.c_max, rep))))
-    return tuple(sorted(fixed))
+    walk = lattices.walk_class_reps(m.snf, image=pair.n_lm, with_rep=True)
+    return tuple(sorted(m.sstab_of_class(rep) for rep, v in walk if identity(v)))
 
 
 def predicted_fixed_point_count(pair: ChipFiringPair):

@@ -85,38 +85,27 @@ def _residues(num, den, v):
     return tuple(q % den for q in mat_vec(num, v))
 
 
-def _classes_with_residues(num, den, dec, class_ids=False):
-    """(representative, residues of num rep over den) per class of the
-    side, in class-walk order: one walk steps U r and num U r together,
-    so no class takes a matrix-vector product and no list holds them.
-    With class_ids each class is named by its class id r
-    (lattices.walk_class_ids) instead of its representative U r."""
-    if class_ids:
-        walk = zip(lattices.walk_class_ids(dec), lattices.walk_class_reps(dec, image=num))
-    else:
-        walk = lattices.walk_class_reps(dec, image=num, with_rep=True)
-    return ((rep, tuple(q % den for q in v)) for rep, v in walk)
-
-
 def fracket_key(pair: ChipFiringPair, side, v):
     num, den, _, _ = _side_data(pair, side)
     return over(_residues(num, den, v), den)
 
 
-def fracket_partition(pair: ChipFiringPair, side, class_ids=False):
+def fracket_partition(pair: ChipFiringPair, side):
     """Partition the classes of K(side) by key, keys in ascending lex order.
 
-    by_key maps each key to the tuple of class representatives carrying
-    it, each as lattices.walk_class_reps yields it, or with class_ids to
-    their canonical class ids (lattices.class_id), read off the walk's
-    residues without a product.  The
-    classes are grouped by residue vectors, which over one positive
-    denominator sort as the keys do; each key becomes a rational once.
+    by_key maps each key to the tuple of the canonical class ids
+    (lattices.class_id) of the classes carrying it.  The walk steps
+    num U r by vector additions and the class id of U r is its residue r
+    (lattices.walk_class_ids), so no class takes a matrix-vector
+    product.  The classes are grouped by residue vectors, which over one
+    positive denominator sort as the keys do; each key becomes a
+    rational once.
     """
     num, den, det, dec = _side_data(pair, side)
     groups = {}
-    for rep, residues in _classes_with_residues(num, den, dec, class_ids):
-        groups.setdefault(residues, []).append(rep)
+    walk = lattices.walk_class_reps(dec, image=num)
+    for r, v in zip(lattices.walk_class_ids(dec), walk):
+        groups.setdefault(tuple(q % den for q in v), []).append(r)
     residues = sorted(groups)
     keys = tuple(over(r, den) for r in residues)
     part = FracketPartition(
@@ -134,8 +123,8 @@ def zero_fracket(pair: ChipFiringPair, side):
     """F0 for the given side, with Lambda_S and K(side)/F0 ~= Z^n/Lambda_S."""
     num, den, det, dec = _side_data(pair, side)
     lam, quotient = zero_fracket_lattice(pair, side)
-    zero = tuple(rep for rep, residues in _classes_with_residues(num, den, dec)
-                 if not any(residues))
+    walk = lattices.walk_class_reps(dec, image=num, with_rep=True)
+    zero = tuple(rep for rep, v in walk if not any(q % den for q in v))
     ensure(len(zero) * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
     return ZeroFracket(side=side, members=zero, lattice=lam, quotient=quotient)
 

@@ -143,10 +143,8 @@ def test_fixed_points_match_mu_at_every_superstable(seed, equal):
     pair = _random_pair(seed, equal)
     fps = fixed_points(pair)
     assert fps == _fixed_points_oracle(_random_pair(seed, equal))
-    # the walk caches each critical it stabilized under its own class id
-    m = pair.m
-    assert len(m._crit_by_class) == len(fps)
-    assert all(m.class_id(c) == key for key, c in m._crit_by_class.items())
+    # the walk stabilizes the fixed classes only
+    assert len(pair.m._crit_by_class) == len(fps)
     if equal:
         assert fps == pair.m.superstables()
     # mu's identity case is the integrality of L M^-1 (2s - c_max)

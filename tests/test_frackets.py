@@ -37,20 +37,27 @@ def test_partition_keys(diamond):
 def test_keys_are_transfer_fracs(diamond):
     part = fracket_partition(diamond, "L")
     for key in part.keys:
-        for rep in part.by_key[key]:
+        for r in part.by_key[key]:
+            rep = mat_vec(diamond.l_snf.U, r)
             assert frac_part(mat_vec(diamond.ml_inv, rep)) == key
             assert fracket_key(diamond, "L", rep) == key
 
 
 @pytest.mark.parametrize("side", ["L", "M"])
 def test_partition_by_class_ids(diamond, c6_negative, side):
+    # by_key names every class once by its canonical class id, and the
+    # representative U r of id r carries the key it is filed under
     for pair in (diamond, c6_negative):
         dec = pair.l_snf if side == "L" else pair.m.snf
+        det = pair.det_l if side == "L" else pair.det_m
         part = fracket_partition(pair, side)
-        ids = fracket_partition(pair, side, class_ids=True)
-        assert ids.keys == part.keys
-        assert ids.by_key == {k: tuple(class_id(dec, v) for v in part.by_key[k])
-                              for k in part.keys}
+        ids = [r for k in part.keys for r in part.by_key[k]]
+        assert len(set(ids)) == len(ids) == abs(det)
+        for key in part.keys:
+            for r in part.by_key[key]:
+                rep = mat_vec(dec.U, r)
+                assert class_id(dec, rep) == r
+                assert fracket_key(pair, side, rep) == key
 
 
 def test_zero_fracket(diamond):

@@ -76,8 +76,6 @@ def test_one_budget_reaches_every_class_walk(monkeypatch):
     ]
     for side, det in (("L", 12), ("M", 8)):
         walks.append((det, lambda pair, side=side: fracket_partition(pair, side)))
-        walks.append((det, lambda pair, side=side: fracket_partition(pair, side,
-                                                                     class_ids=True)))
         walks.append((det, lambda pair, side=side: zero_fracket(pair, side)))
     for det, walk in walks:
         with pytest.raises(EnumerationCapExceeded, match=f"^{det} classes exceeds cap 3$"):
