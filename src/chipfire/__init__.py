@@ -26,7 +26,6 @@ from .lattices import (
     element_order,
     quotient_group,
     snf,
-    subgroup_invariant_factors,
 )
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair, Classification, PairRow
@@ -40,7 +39,6 @@ from .sgraph import (
     reduced_laplacians,
     scan_critical_groups,
     sweep,
-    switching_representatives,
     verify_half_n_integrality,
 )
 
@@ -85,9 +83,7 @@ __all__ = [
     "run_criterion",
     "scan_critical_groups",
     "snf",
-    "subgroup_invariant_factors",
     "sweep",
-    "switching_representatives",
     "verify_half_n_integrality",
     "verify_largest_invariant_factor",
     "zero_fracket",

@@ -28,12 +28,10 @@ from .linalg import (
     flcm,
     identity,
     mat,
-    mat_det,
     mat_is_integral,
     mat_mul,
     mat_vec,
     mat_shape,
-    xgcd,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -314,60 +312,3 @@ def element_order(lattice_basis, v):
     if det == 0:
         raise ValueError("singular lattice basis")
     return flcm(mat_vec(adj, v), det)
-
-
-def lattice_basis_from_columns(cols):
-    """Basis of the full-rank lattice spanned by the given integer columns.
-
-    Column-style gcd elimination: for each row a single pivot column is
-    produced by repeated extended-gcd combinations (each combination is a
-    unimodular move on the pair, so the span never changes).  The result
-    is lower triangular with positive diagonal.
-    """
-    cols = [list(c) for c in cols]
-    n = len(cols[0])
-    if not all(len(c) == n for c in cols):
-        raise ValueError("columns differ in length")
-    basis = []
-    work = cols
-    for i in range(n):
-        pivot = None
-        rest = []
-        for c in work:
-            ensure(all(c[r] == 0 for r in range(i)), "rows above the pivot are eliminated")
-            if c[i] == 0:
-                rest.append(c)
-            elif pivot is None:
-                pivot = c
-            else:
-                g, x, y = xgcd(pivot[i], c[i])
-                pa, ca = pivot[i] // g, c[i] // g
-                new_pivot = [x * p + y * q for p, q in zip(pivot, c)]
-                new_rest = [ca * p - pa * q for p, q in zip(pivot, c)]
-                ensure(new_pivot[i] == g and new_rest[i] == 0, "the gcd step clears the row")
-                pivot = new_pivot
-                rest.append(new_rest)
-        if pivot is None:
-            raise ValueError("columns do not span a full-rank lattice")
-        if pivot[i] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        work = rest
-    return mat(tuple(basis[j][r] for j in range(n)) for r in range(n))
-
-
-def subgroup_invariant_factors(generators, a):
-    """Invariant factors of the subgroup of Z^n / A Z^n generated by the
-    classes of the given integer vectors.
-
-    With B a basis of the lattice spanned by the generators together with
-    the columns of A, the subgroup is isomorphic to Z^n / (B^-1 A) Z^n, and
-    B^-1 A = adj(B) A / det B.
-    """
-    n = len(a)
-    cols = [list(g) for g in generators] + [[a[r][j] for r in range(n)] for j in range(n)]
-    det, adj = adjugate(lattice_basis_from_columns(cols))
-    x = mat_mul(adj, a)
-    ensure(not any(q % det for row in x for q in row), "A Z^n sits inside the generated lattice")
-    x = tuple(tuple(q // det for q in row) for row in x)
-    return quotient_group(snf(x, mat_det(x)))

@@ -238,19 +238,6 @@ def gcd_entries(a):
     return g
 
 
-def xgcd(a, b):
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g = gcd(a,b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def rational_str(x):
     x = _norm(x)
     if isinstance(x, int):

@@ -65,29 +65,6 @@ def is_m_matrix(grid):
     return _m_matrix_adjugate(grid) is not None
 
 
-def burning_script(grid):
-    """The least integer z >= 0 with (grid z)_i >= 1 for every i.
-
-    Least-action iteration: raise each deficient z_i by the units it needs.
-    Raising z_i only lowers the other entries of grid z, so every z' >= 0
-    with grid z' >= 1 stays above the iterate, which therefore stops at
-    the least such vector.  An M-matrix has one (adj(M) 1 is such a z), so
-    the loop ends; on the reduced Laplacian of K_n it returns all ones.
-    """
-    n = len(grid)
-    z = [0] * n
-    b = [0] * n
-    while True:
-        short = [i for i in range(n) if b[i] < 1]
-        if not short:
-            return tuple(z)
-        i = short[0]
-        step = -((b[i] - 1) // grid[i][i])     # ceil((1 - b_i) / M_ii)
-        z[i] += step
-        for r in range(n):
-            b[r] += grid[r][i] * step
-
-
 class MMatrix:
     """An M-matrix with its adjugate, Smith data, c_max and a table of
     the criticals found so far, keyed by class id.
@@ -123,9 +100,6 @@ class MMatrix:
         if not 0 <= i < self.n:
             raise IndexError("site index out of range")
         return tuple(c[r] - self.m[r][i] for r in range(self.n))
-
-    def is_stable(self, c):
-        return all(c[i] < self.m[i][i] for i in range(self.n))
 
     def stabilize(self, c):
         """Fire ready sites until none is ready.
@@ -165,9 +139,10 @@ class MMatrix:
 
         Accepts arbitrary integer vectors, negatives included.  The
         critical is stabilize(a) for a = v + k b, where b = M z_b for
-        z_b = burning_script(M) and k >= 0 is the least integer with
-        a >= c_max, and it is computed as stabilize(c0) for c0 = v - M z
-        with z = ceil(M^-1 (v - c_max)), which needs no k.
+        z_b the least z >= 0 with Mz >= 1 (adj(M) 1 is one such z, since
+        adj(M) >= 0) and k >= 0 is the least integer with a >= c_max,
+        and it is computed as stabilize(c0) for c0 = v - M z with
+        z = ceil(M^-1 (v - c_max)), which needs no k.
 
         Proof that stabilize(a) is the critical.  b lies in M Z^n, so a
         and c = stabilize(a) lie in v's class, and c is stable.  c is

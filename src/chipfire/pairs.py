@@ -8,9 +8,10 @@ preimages:
     R+ = { x >= 0 : L M^-1 x is integral }
 
 to_preimage(c) = M L^-1 c and to_config(x) = L M^-1 x are mutually
-inverse bijections between S+ and R+.  Site i fires in preimage space by
-subtracting column i of M; only nonnegativity can break, because the
-image of M e_i under L M^-1 is L e_i, which is always integral.
+inverse bijections between S+ and R+.  Firing site i of the pair
+subtracts L e_i from c, that is column i of M from its preimage x: the
+fractional part {x} is kept, and site i is ready iff floor(x)_i >= M_ii,
+so the pair stabilizes c by M.stabilize on floor(x) plus {x}.
 
 A configuration c in S+ is superstable (critical) for the pair iff
 floor(M L^-1 c) is z-superstable (critical) for M.  Enumeration sweeps
@@ -183,9 +184,6 @@ class ChipFiringPair:
 
     # -- membership and transfer -------------------------------------------
 
-    def rplus_member(self, x):
-        return self.rplus_numerators(x) is not None
-
     def splus_member(self, c):
         return vec_is_integral(c) and all(q >= 0 for q in self.preimage_numerators(c))
 
@@ -200,39 +198,6 @@ class ChipFiringPair:
 
     def class_id(self, c):
         return lattices.class_id(self.l_snf, c)
-
-    # -- dynamics in preimage space ------------------------------------------
-
-    def ready_to_fire(self, x, i):
-        p = self.rplus_numerators(x)
-        if p is None:
-            raise ValueError("not a member of R+")
-        # firing subtracts column i of M, whose transfer L e_i is integral
-        return all(q >= self.den_l * m for q, m in zip(p, self.m_column(i)))
-
-    def m_column(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError("site index out of range")
-        return tuple(self.m.m[r][i] for r in range(self.n))
-
-    def stabilize_rplus(self, x):
-        """Fire ready sites until none is ready.
-
-        Site i is ready iff x_i >= M_ii iff floor(x_i) >= M_ii, and firing
-        keeps {x}, so this is M's stabilization of floor(x) plus {x}.
-        """
-        p = self.rplus_numerators(x)
-        if p is None:
-            raise ValueError("not a member of R+")
-        fl, fr = self.split(p)
-        return over(self.join(self.m.stabilize(fl), fr), self.den_l)
-
-    def stabilize_splus(self, c):
-        # configuration-side stabilization by transfer through R+
-        if not self.splus_member(c):
-            raise ValueError("not a member of S+")
-        fl, fr = self.split(self.preimage_numerators(c))
-        return self.config_of_numerators(self.join(self.m.stabilize(fl), fr))
 
     # -- classification and enumeration ---------------------------------------
 

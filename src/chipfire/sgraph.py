@@ -56,6 +56,9 @@ of an index is the XOR of its bytes' entries.  A finite orbit is closed
 under a permutation's inverse once it is closed under the permutation,
 so the classes reached from an index by the generators alone are its
 whole orbit.
+
+kn_z2_subgroup reads the Z_2^(n-2) subgroup of K(L) for even n off the
+Smith coordinates of L that the pair already holds.
 """
 
 from __future__ import annotations
@@ -125,12 +128,6 @@ def parse_edge_list(text):
             raise ValueError(f"loop at vertex {u} is not allowed")
         edges.append((min(u, v), max(u, v), 1 if parts[2] == "+" else -1))
     return SignedGraph(n=n, edges=tuple(sorted(edges)), sink=sink)
-
-
-def format_edge_list(g: SignedGraph):
-    out = [f"n {g.n} sink {g.sink}"]
-    out.extend(f"{u} {v} {'+' if s > 0 else '-'}" for u, v, s in g.edges)
-    return "\n".join(out) + "\n"
 
 
 def laplacian_grids(g: SignedGraph):
@@ -236,17 +233,6 @@ def _pattern_of(free, index):
     return sum(1 << i for b, i in enumerate(free) if index >> b & 1)
 
 
-def switching_representatives(kind, n):
-    """One sign pattern per switching class of the family, ascending, as
-    (pattern, weight): the patterns that are + on the spanning tree the
-    breadth-first search from vertex 1 takes through the non-sink edges,
-    each weighted by its class size 2^(n-2).  The weights sum to
-    pattern_count(kind, n); the module docstring has the argument."""
-    _, _, free = _switching_tree(kind, n)
-    for index in range(1 << len(free)):
-        yield _pattern_of(free, index), 1 << n - 2
-
-
 def _relabelings(kind, n):
     """Generators of the family's relabelings that fix the sink, each a
     list taking a non-sink vertex to its image (entry 0 unused)."""
@@ -288,13 +274,20 @@ def orbit_representatives(kind, n):
 
     The walk visits every switching class once, 2^C(n-2, 2) of them for
     K_n and one for C_n, and raises EnumerationCapExceeded before any work
-    when they exceed lattices.DEFAULT_ENUMERATION_CAP.
+    when they exceed lattices.DEFAULT_ENUMERATION_CAP, or when (n - 1)^3,
+    the cost of one orbit's (n - 1) x (n - 1) pair, does: the single C_n
+    orbit is cheap to find but not to build past n = 101.
     """
     count = pattern_count(kind, n)
     classes = count >> n - 2
     if classes > lattices.DEFAULT_ENUMERATION_CAP:
         raise lattices.EnumerationCapExceeded(
             f"{count_text(count)} sign patterns in {count_text(classes)} switching classes "
+            f"exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
+    k = n - 1
+    if k**3 > lattices.DEFAULT_ENUMERATION_CAP:
+        raise lattices.EnumerationCapExceeded(
+            f"a {k} x {k} pair per orbit takes {k}^3 = {k**3} steps, "
             f"exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     edges, paths, free = _switching_tree(kind, n)
     ensure(1 << len(free) == classes, "2^(n-2) patterns per switching class")
@@ -390,6 +383,13 @@ def kn_z2_subgroup(pair: ChipFiringPair, n):
     so [c_i] has order dividing 2 and lies in the zero fracket of K(L).
     Subset sums of the s_i stay z-superstable up to size (n-2)/2, and the
     c_i together generate a subgroup with invariant factors (2,)*(n-2).
+
+    The subgroup is read off the Smith coordinates of L that the pair
+    already holds: class_id maps K(L) onto the sum of the Z / d_j Z, and
+    2 [c_i] = 0 leaves each coordinate of [c_i] at 0 or d_j / 2.  Sending
+    d_j / 2 to 1 maps the elements of order at most 2 isomorphically onto
+    a GF(2) vector space, so the c_i generate Z_2^r, where r is the GF(2)
+    rank of their supports, found with an XOR basis.
     Raises RuntimeError if any of these fails, and EnumerationCapExceeded,
     before any check, when the subset sums exceed
     lattices.DEFAULT_ENUMERATION_CAP.
@@ -421,9 +421,17 @@ def kn_z2_subgroup(pair: ChipFiringPair, n):
     for subset in _subsets_up_to(range(k), (n - 2) // 2):
         total = tuple(q if j in subset else 0 for j in range(k))
         ensure(pair.m.is_z_superstable(total), f"{total} is z-superstable")
-    group = lattices.subgroup_invariant_factors(configs, pair.l)
-    ensure(group.invariant_factors == (2,) * (n - 2), f"the c_i generate Z_2^{n - 2}")
-    return {"n": n, "generators": tuple(configs), "subgroup": group}
+    # an XOR basis of the supports of the [c_i] in Smith coordinates
+    basis = []
+    for c_i in configs:
+        bits = sum(1 << j for j, x in enumerate(lattices.class_id(pair.l_snf, c_i)) if x)
+        for b in basis:
+            bits = min(bits, bits ^ b)      # clears b's leading bit from bits
+        if bits:
+            basis.append(bits)
+    ensure(len(basis) == n - 2, f"the c_i generate Z_2^{n - 2}")
+    return {"n": n, "generators": tuple(configs),
+            "subgroup": lattices.AbelianGroup((2,) * len(basis))}
 
 
 def count_even_invariant_factors(group: lattices.AbelianGroup):

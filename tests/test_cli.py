@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chipfire import cli, linalg, sgraph, verification
 from chipfire.cli import main
+from chipfire.lattices import AbelianGroup
 
 
 def run(capsys, *argv):
@@ -294,6 +296,23 @@ def test_family_scan_over_the_pattern_cap_builds_nothing(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err == "error: 268435456 sign patterns in 2097152 switching classes exceeds cap 1000000\n"
     assert built == []
+
+
+def test_family_scan_cycle_pair_over_the_cap_builds_nothing(monkeypatch, capsys):
+    # C_n is one orbit, but its (n-1) x (n-1) pair costs (n-1)^3 steps:
+    # C_2000 stops before any work, C_101 (100^3 = the cap) still builds
+    built = []
+
+    def record(g, *args, **kwargs):
+        built.append(g.n)
+        return types.SimpleNamespace(m=None, l_group=AbelianGroup((g.n,)))
+
+    monkeypatch.setattr(sgraph, "reduced_laplacians", record)
+    code, out, err = run(capsys, "family-scan", "--kind", "cycle", "--n", "2000", "--verify", "critical-groups")
+    assert code == 2 and out == "" and built == []
+    assert err.startswith("error: ") and err.endswith(" exceeds cap 1000000\n") and err.count("\n") == 1
+    code, _, err = run(capsys, "family-scan", "--kind", "cycle", "--n", "101", "--verify", "critical-groups")
+    assert code == 0 and err == "" and built == [101]
 
 
 def test_family_scan_critical_groups_on_k8(capsys):

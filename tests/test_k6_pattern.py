@@ -19,7 +19,7 @@ import chipfire.cli
 import chipfire.linalg
 from chipfire.cli import main
 from chipfire.duality import fixed_points, mu_case
-from chipfire.sgraph import family, format_edge_list, reduced_laplacians
+from chipfire.sgraph import family, reduced_laplacians
 
 PATTERN = 691
 EDGE_LIST = """n 6 sink 6
@@ -64,7 +64,7 @@ FORMAT_SHA256 = {
 JSON_BUILDERS = ("over_json", "vec_to_json")
 
 
-def test_pattern_is_the_benchmark_input():
+def test_pattern_is_the_benchmark_input(format_edge_list):
     graph = family("complete", 6, PATTERN)
     assert format_edge_list(graph) == EDGE_LIST
     assert reduced_laplacians(graph).det_l == 2048

@@ -13,11 +13,9 @@ from chipfire.lattices import (
     class_id,
     count_order_le2,
     element_order,
-    lattice_basis_from_columns,
     lattice_intersection,
     quotient_group,
     snf,
-    subgroup_invariant_factors,
     walk_class_ids,
     walk_class_reps,
 )
@@ -182,27 +180,6 @@ def test_element_order():
     assert element_order(lat, (0, 1)) == 3
     assert element_order(lat, (1, 1)) == 6
     assert element_order(lat, (2, 3)) == 1
-
-
-def test_lattice_basis_from_columns():
-    cols = ((2, 0), (0, 2), (1, 1))
-    basis = lattice_basis_from_columns(cols)
-    # c lies in the lattice iff basis^-1 c = adj(basis) c / det is integral
-    det, adj = adjugate(basis)
-    for c in cols:
-        assert all(q % det == 0 for q in mat_vec(adj, c))
-    # (1, 0) has half-integral coordinates: it is outside the lattice
-    assert any(q % det for q in mat_vec(adj, (1, 0)))
-    assert abs(det) == 2
-
-
-def test_subgroup_invariant_factors():
-    # inside Z^2 / diag(4, 4), the pair (2, 0), (0, 2) generates Z_2 x Z_2
-    a = ((4, 0), (0, 4))
-    sub = subgroup_invariant_factors(((2, 0), (0, 2)), a)
-    assert sub.invariant_factors == (2, 2)
-    sub_single = subgroup_invariant_factors(((1, 0),), a)
-    assert sub_single.invariant_factors == (4,)
 
 
 def test_abelian_group_str():

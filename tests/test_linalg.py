@@ -26,7 +26,6 @@ from chipfire.linalg import (
     vec_scale,
     vec_sub,
     vec_to_json,
-    xgcd,
 )
 from chipfire.pairs import ChipFiringPair
 
@@ -37,15 +36,6 @@ def square(n, elems=ints):
     return st.lists(st.lists(elems, min_size=n, max_size=n), min_size=n, max_size=n).map(
         lambda rows: tuple(tuple(r) for r in rows)
     )
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_xgcd_bezout(a, b):
-    g, x, y = xgcd(a, b)
-    assert g == a * x + b * y
-    assert g >= 0
-    if a or b:
-        assert a % g == 0 and b % g == 0
 
 
 def test_flcm_on_matrix_and_vector():

@@ -10,7 +10,7 @@ from chipfire.duality import fixed_points
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
 from chipfire.frackets import fracket_partition, zero_fracket
 from chipfire.lattices import EnumerationCapExceeded
-from chipfire.linalg import identity, mat_over, mat_vec, vec_add
+from chipfire.linalg import identity, mat_over, mat_vec, over, vec_add
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
 from chipfire.sgraph import orbit_sweep, scan_critical_groups, sweep
@@ -97,8 +97,8 @@ def test_membership_predicates(diamond):
     rows = diamond.enumerate_pair_superstables()
     for r in rows:
         assert diamond.splus_member(r.config)
-        assert diamond.rplus_member(r.preimage)
-    assert not diamond.rplus_member((Fraction(1, 2), 0, 0))
+        assert diamond.rplus_numerators(r.preimage) is not None
+    assert diamond.rplus_numerators((Fraction(1, 2), 0, 0)) is None
     with pytest.raises(ValueError):
         diamond.to_config((Fraction(1, 2), 0, 0))
 
@@ -114,26 +114,37 @@ def test_classify(diamond):
     assert diamond.classify(refdata.NAIVE_MAP_DIFFERENCE).is_critical
 
 
+def _stabilize_numerators(pair, p):
+    """Stabilize the preimage numerators p: M's stabilizer on the floor,
+    with the fractional part kept."""
+    fl, fr = pair.split(p)
+    return pair.join(pair.m.stabilize(fl), fr)
+
+
 def test_stabilize_rplus(diamond):
     # M (1,1,1) = (1,0,1) keeps the bumped point inside R+
     bump = mat_vec(diamond.m.m, (1, 1, 1))
+    d = diamond.den_l
     for r in diamond.enumerate_pair_superstables()[:4]:
-        bumped = vec_add(r.preimage, bump)
-        settled = diamond.stabilize_rplus(bumped)
-        assert diamond.rplus_member(settled)
-        assert all(not diamond.ready_to_fire(settled, i) for i in range(diamond.n))
-        assert diamond.class_id(diamond.to_config(settled)) == diamond.class_id(r.config)
+        settled = _stabilize_numerators(diamond, diamond.rplus_numerators(vec_add(r.preimage, bump)))
+        assert diamond.rplus_numerators(over(settled, d)) == settled
+        # site i is ready iff subtracting column i of M keeps x >= 0
+        assert all(any(q < d * m for q, m in zip(settled, col)) for col in zip(*diamond.m.m))
+        assert diamond.class_id(diamond.config_of_numerators(settled)) == diamond.class_id(r.config)
 
 
 def test_rplus_rejects_negative(diamond):
+    column = tuple(row[0] for row in diamond.m.m)
+    assert diamond.rplus_numerators(column) is None
     with pytest.raises(ValueError):
-        diamond.stabilize_rplus(vec_add(diamond.m_column(0), (0, 0, 0)))
+        diamond.m.stabilize(column)
 
 
 def test_stabilize_splus(diamond):
     rows = diamond.enumerate_pair_superstables()
     cfg = vec_add(rows[0].config, mat_vec(diamond.l, (1, 1, 1)))
-    settled = diamond.stabilize_splus(cfg)
+    assert diamond.splus_member(cfg)
+    settled = diamond.config_of_numerators(_stabilize_numerators(diamond, diamond.preimage_numerators(cfg)))
     assert diamond.class_id(settled) == diamond.class_id(rows[0].config)
 
 

@@ -1,16 +1,15 @@
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from chipfire import refdata, sgraph
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_graph
-from chipfire.lattices import EnumerationCapExceeded
+from chipfire.lattices import AbelianGroup, EnumerationCapExceeded
 from chipfire.sgraph import (
     SignedGraph,
     count_even_invariant_factors,
     family,
-    format_edge_list,
     kn_z2_subgroup,
     orbit_representatives,
     orbit_sweep,
@@ -19,12 +18,11 @@ from chipfire.sgraph import (
     reduced_laplacians,
     scan_critical_groups,
     sweep,
-    switching_representatives,
     verify_half_n_integrality,
 )
 
 
-def test_parse_format_roundtrip():
+def test_parse_format_roundtrip(format_edge_list):
     text = "n 4 sink 4\n1 2 -\n1 3 +\n2 3 +\n2 4 +\n3 4 -\n"
     g = parse_edge_list(text)
     assert g.n == 4 and g.sink == 4
@@ -148,6 +146,22 @@ def test_kn_z2_subgroup_on_k4():
     assert res["subgroup"].invariant_factors == (2, 2)
 
 
+@pytest.mark.parametrize("n, pattern", [(4, p) for p in range(8)] + [(6, p) for p in range(0, 1024, 32)])
+def test_kn_z2_subgroup_against_subset_sums(n, pattern):
+    # the generated subgroup has one element per distinct class among the
+    # 2^(n-1) subset sums of the c_i, all of order <= 2, so it is Z_2^r
+    pair = reduced_laplacians(family("complete", n, pattern))
+    res = kn_z2_subgroup(pair, n)
+    gens = res["generators"]
+    classes = {
+        pair.class_id(tuple(sum(col) for col in zip((0,) * pair.n, *chosen)))
+        for r in range(len(gens) + 1) for chosen in combinations(gens, r)
+    }
+    r = len(classes).bit_length() - 1
+    assert len(classes) == 1 << r
+    assert res["subgroup"] == AbelianGroup((2,) * r)
+
+
 def test_kn_z2_subgroup_budget_stops_before_any_check():
     # K22: sum of C(21, r) for r <= 10 is 2^20 = 1,048,576 subset sums
     pair = reduced_laplacians(family("complete", 22, 0))
@@ -174,7 +188,7 @@ def _switched(l, d):
 
 
 @pytest.mark.parametrize("kind, n", [("complete", 5), ("cycle", 6)])
-def test_every_pattern_switches_to_exactly_one_representative(kind, n):
+def test_every_pattern_switches_to_exactly_one_representative(switching_representatives, kind, n):
     # L_p = D L_rep D for one representative and some D = diag(+-1), tried
     # over all D with d_0 = +1 (D and -D switch alike)
     reps = dict(switching_representatives(kind, n))
@@ -190,7 +204,7 @@ def test_every_pattern_switches_to_exactly_one_representative(kind, n):
 
 
 @pytest.mark.parametrize("kind, n", [(k, n) for k in ("complete", "cycle") for n in range(3, 9)] + [("cycle", 21)])
-def test_representative_weights_sum_to_the_pattern_count(kind, n):
+def test_representative_weights_sum_to_the_pattern_count(switching_representatives, kind, n):
     reps = list(switching_representatives(kind, n))
     assert [p for p, _ in reps] == sorted({p for p, _ in reps})
     assert {w for _, w in reps} == {1 << (n - 2)}
@@ -237,7 +251,7 @@ ORBITS = {("complete", 4): 2, ("complete", 5): 3, ("complete", 6): 7, ("complete
 
 
 @pytest.mark.parametrize("kind, n", sorted(ORBITS))
-def test_orbit_weights_sum_to_the_pattern_count(kind, n):
+def test_orbit_weights_sum_to_the_pattern_count(switching_representatives, kind, n):
     # the K_n orbits are the two-graphs on n - 1 vertices (Mallows-Sloane 1975)
     reps = list(orbit_representatives(kind, n))
     assert len(reps) == ORBITS[kind, n]
