@@ -21,18 +21,20 @@ import sys
 from collections import namedtuple
 from itertools import repeat
 from math import gcd
+from operator import itemgetter
 
 from .fixtures import FIXTURES
 from .lattices import AbelianGroup
 from .linalg import mat_from_json, mat_to_json, over_json, vec_to_json
 from .mmatrix import MMatrix, is_m_matrix
-from .pairs import ChipFiringPair, PairRow
+from .pairs import ChipFiringPair
 from .sgraph import (
-    count_text,
     kn_structure,
     orbit_sweep,
     parse_edge_list,
+    pattern_bits,
     pattern_count,
+    pow2_text,
     reduced_laplacians,
     scan_critical_groups,
     sweep,
@@ -221,26 +223,19 @@ def cmd_enumerate(args):
 
 
 def cmd_duality(args):
-    from .duality import _dual_numerators, duality_rows
+    from .duality import duality_rows
 
     pair = _load_pair(args)
+    records = duality_rows(pair)
     if args.inverse:
-        # D^-1 computed afresh on each critical row, not read off duality_rows
-        records = []
-        for r in pair.enumerate_pair_criticals():
-            p = _dual_numerators(pair, r.num, inverse=True)
-            config = None if p is None else pair.config_of_numerators(p)
-            if config is None:
-                raise RuntimeError(f"the inverse dual of the critical {r.config} is not a "
-                                   f"superstable preimage")
-            records.append((r, PairRow(config, *pair.split(p), pair.den_l)))
-        columns = (("critical", 0, "config"), ("critical_preimage", 0, "preimage"),
-                   ("superstable", 1, "config"), ("superstable_preimage", 1, "preimage"))
-        return _rows_report(args, records, columns, 4)
+        # D^-1's table is D's, read by critical
+        columns = (("critical", 2, "config"), ("critical_preimage", 2, "preimage"),
+                   ("superstable", 0, "config"), ("superstable_preimage", 0, "preimage"))
+        return _rows_report(args, sorted(records, key=itemgetter(2)), columns, 4)
     columns = (("superstable", 0, "config"), ("superstable_preimage", 0, "preimage"),
                ("critical", 2, "config"), ("critical_preimage", 2, "preimage"),
                ("mu_case", 1, None))
-    return _rows_report(args, duality_rows(pair), columns, 5 if args.show_mu_cases else 4)
+    return _rows_report(args, records, columns, 5 if args.show_mu_cases else 4)
 
 
 def cmd_fixed_points(args):
@@ -350,15 +345,16 @@ def cmd_family_scan(args):
     if args.verify == "z2-subgroup" and (args.kind != "complete" or n % 2):
         raise ValueError("z2-subgroup verification needs the complete family with even n")
     if args.verify is None:
-        count = pattern_count(args.kind, n)
-        text = f"{count_text(count)} sign patterns of the {args.kind} family on {n} vertices"
+        bits = pattern_bits(args.kind, n)
+        text = f"{pow2_text(bits)} sign patterns of the {args.kind} family on {n} vertices"
         if "^" in text:
             raise ValueError(f"{text}: too many digits to print")
-        payload = {"kind": args.kind, "n": n, "patterns": count}
+        payload = {"kind": args.kind, "n": n, "patterns": 1 << bits}
         return Report(payload, ("field", "value"), sorted(payload.items()), [text])
     if args.verify == "critical-groups":
+        rows = orbit_sweep(args.kind, n)    # raises over the cap, before 2^k is built
         patterns = pattern_count(args.kind, n)
-        histogram = scan_critical_groups(orbit_sweep(args.kind, n), patterns)
+        histogram = scan_critical_groups(rows, patterns)
         payload = {
             "verify": "critical-groups",
             "patterns": patterns,

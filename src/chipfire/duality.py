@@ -21,7 +21,10 @@ When L = M the transfer L M^-1 is the identity, so {2s} and {c_max} are
 both zero: every s is an identity case and D(x) = c_max - x, the
 classical complement.  In the dual case D(x) = crit_M(floor(x)) + {x},
 the critical of x's own class of L, so duality_rows pairs the rows of
-each class of L and looks up only the identity rows' duals.
+each class of L and looks up only the identity rows' duals.  Its rows
+are the one table of D: read by critical they are the table of D^-1 as
+well.  duality and duality_inverse evaluate the formulas above at one
+point, recomputing mu there, as a check independent of that table.
 
 Fixed points of mu are the s with {L M^-1 (2s)} = {L M^-1 c_max}.  The
 test depends only on the class of s in K(M), so fixed_points walks K(M)
@@ -45,39 +48,29 @@ from .pairs import ChipFiringPair
 
 
 def _identity_test(pair: ChipFiringPair):
-    """mu's identity test as a predicate on v = n_lm s, built once per
-    pair.  The identity case {L M^-1 (2s)} = {L M^-1 c_max} holds iff
-    L M^-1 (2s - c_max) is integral, i.e. iff 2v - n_lm c_max = 0 mod
-    det M.  It depends only on the class of s in K(M), since
-    n_lm M z = det M L z."""
-    test = pair._mu_identity
-    if test is None:
-        det = pair.det_m
-        target = mat_vec(pair.n_lm, pair.m.c_max)
+    """mu's identity test as a predicate on v = n_lm s.  The identity
+    case {L M^-1 (2s)} = {L M^-1 c_max} holds iff L M^-1 (2s - c_max)
+    is integral, i.e. iff 2v - n_lm c_max = 0 mod det M.  It depends only
+    on the class of s in K(M), since n_lm M z = det M L z."""
+    det = pair.det_m
+    target = mat_vec(pair.n_lm, pair.m.c_max)
 
-        def test(v):
-            for q, t in zip(v, target):
-                if (q + q - t) % det:
-                    return False
-            return True
+    def test(v):
+        for q, t in zip(v, target):
+            if (q + q - t) % det:
+                return False
+        return True
 
-        pair._mu_identity = test
     return test
 
 
 def _mu(pair: ChipFiringPair, s):
-    """(case, mu(s)) for a z-superstable s of M, computed on first ask and
-    kept per pair: one transfer per floor, and a critical lookup in the
-    dual case."""
-    entry = pair._mu.get(s)
-    if entry is None:
-        m = pair.m
-        if _identity_test(pair)(mat_vec(pair.n_lm, s)):
-            entry = ("identity", s)
-        else:
-            entry = ("dual", vec_sub(m.c_max, m.crit_of_class(s)))
-        pair._mu[s] = entry
-    return entry
+    """(case, mu(s)) for a z-superstable s of M: one transfer, and a
+    critical lookup in the dual case."""
+    if _identity_test(pair)(mat_vec(pair.n_lm, s)):
+        return "identity", s
+    m = pair.m
+    return "dual", vec_sub(m.c_max, m.crit_of_class(s))
 
 
 def _is_z_superstable(pair: ChipFiringPair, s):
@@ -100,26 +93,18 @@ def involution_mu(pair: ChipFiringPair, s):
     return _mu_entry(pair, s)[1]
 
 
-def _dual_numerators(pair: ChipFiringPair, p, inverse):
-    """Preimage numerators of D(x) (or D^-1(x) when inverse) for the
-    numerators p of x, or None when x is not a superstable (critical)
-    preimage."""
-    c_max = pair.m.c_max
-    fl, fr = pair.split(p)
-    # fl is critical iff c_max - fl is superstable
-    key = vec_sub(c_max, fl) if inverse else fl
-    if not _is_z_superstable(pair, key):
-        return None
-    image = _mu(pair, key)[1]
-    return pair.join(image if inverse else vec_sub(c_max, image), fr)
-
-
 def _apply(pair: ChipFiringPair, x, inverse, what):
+    """D(x), or D^-1(x) when inverse, from the point formulas."""
     p = pair.rplus_numerators(x)
-    q = None if p is None else _dual_numerators(pair, p, inverse)
-    if q is None:
-        raise ValueError(f"not a {what} preimage")
-    return over(q, pair.den_l)
+    if p is not None:
+        c_max = pair.m.c_max
+        fl, fr = pair.split(p)
+        # fl is critical iff c_max - fl is superstable
+        key = vec_sub(c_max, fl) if inverse else fl
+        if _is_z_superstable(pair, key):
+            image = _mu(pair, key)[1]
+            return over(pair.join(image if inverse else vec_sub(c_max, image), fr), pair.den_l)
+    raise ValueError(f"not a {what} preimage")
 
 
 def duality(pair: ChipFiringPair, x):

@@ -33,10 +33,10 @@ rational views lm_inv and ml_inv.  The class walk steps
 the preimage numerators through the residue box one column of n_ml U at
 a time (lattices.walk_class_reps), and both sweeps share its split
 into (floor, fractional numerators), walked once per pair and released
-once both kinds of rows are cached.  The rows of each kind are kept in
-class-walk order and sorted when first asked for, so duality pairs the
-superstable and the critical of each class of L in walk order, without
-a lookup.
+once both kinds of rows are cached.  The rows of each kind are cached
+in class-walk order, the pair's one row cache, and sorted on each ask,
+so duality pairs the superstable and the critical of each class of L in
+walk order, without a lookup.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ class ChipFiringPair:
         self.l_group = lattices.quotient_group(self.l_snf)
         self._classes = None    # ((floor, frac numerators), ...) per class of L
         self._rows = {}         # kind -> PairRows in class-walk order
-        self._sorted_rows = {}  # kind -> the same rows, ascending lex
-        self._mu = {}           # {s: (mu case, mu(s))}, filled by duality's mu lookups
-        self._mu_identity = None    # mu's identity test on n_lm s, built by duality
         self._zero_lattices = {}    # side -> (Lambda, quotient), filled by frackets
 
     @property
@@ -244,16 +241,10 @@ class ChipFiringPair:
                 self._classes = None
         return self._rows[kind]
 
-    def _enumerate(self, kind):
-        """The kind's rows ascending lex, sorted from the walk on first ask."""
-        if kind not in self._sorted_rows:
-            self._sorted_rows[kind] = tuple(sorted(self._walk_rows(kind)))
-        return self._sorted_rows[kind]
-
     def enumerate_pair_superstables(self):
         """The |det L| superstable rows, ascending lexicographic by
         configuration.  Each row is a PairRow."""
-        return self._enumerate("superstable")
+        return tuple(sorted(self._walk_rows("superstable")))
 
     def enumerate_pair_criticals(self):
-        return self._enumerate("critical")
+        return tuple(sorted(self._walk_rows("critical")))

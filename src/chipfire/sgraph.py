@@ -64,6 +64,7 @@ Smith coordinates of L that the pair already holds.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from . import lattices
@@ -176,11 +177,11 @@ def family(kind, n, sign_pattern=0):
     in lex order by endpoints, least significant bit first).  Edges at
     the sink keep sign +.
     """
-    count = pattern_count(kind, n)      # checks n and kind
+    bits = pattern_bits(kind, n)        # checks n and kind
     base = _family_edges(kind, n)
     non_sink = [e for e in base if n not in e]
-    if not 0 <= sign_pattern < count:
-        raise ValueError(f"sign pattern needs {len(non_sink)} bits")
+    if sign_pattern < 0 or sign_pattern >> bits:
+        raise ValueError(f"sign pattern needs {bits} bits")
     signs = {}
     for i, e in enumerate(non_sink):
         signs[e] = -1 if sign_pattern >> i & 1 else 1
@@ -188,23 +189,39 @@ def family(kind, n, sign_pattern=0):
     return SignedGraph(n=n, edges=edges, sink=n)
 
 
-def pattern_count(kind, n):
-    """2^k sign patterns, k = C(n-1, 2) non-sink edges for K_n, n - 2 for C_n."""
+def pattern_bits(kind, n):
+    """k for the 2^k sign patterns: C(n-1, 2) non-sink edges for K_n,
+    n - 2 for C_n.  The scans decide from k, since 2^k takes k bits."""
     if n < 3:
         raise ValueError("need n >= 3")
     if kind == "complete":
-        return 1 << math.comb(n - 1, 2)
+        return math.comb(n - 1, 2)
     if kind == "cycle":
-        return 1 << n - 2
+        return n - 2
     raise ValueError("kind must be 'complete' or 'cycle'")
 
 
-def count_text(count):
-    """A pattern count in decimal, or as 2^k past sys.get_int_max_str_digits()."""
-    try:
-        return str(count)
-    except ValueError:
-        return f"2^{count.bit_length() - 1}"
+def pattern_count(kind, n):
+    """The 2^k sign patterns of the family, for a k known to be small."""
+    return 1 << pattern_bits(kind, n)
+
+
+def pow2_text(k):
+    """2^k in decimal, or as "2^k" past sys.get_int_max_str_digits().
+    2^k has more digits than that limit once k is 4 times it, so 2^k is
+    never built for such k."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or k < 4 * limit:
+        try:
+            return str(1 << k)
+        except ValueError:
+            pass
+    return f"2^{k}"
+
+
+def _over_cap(k):
+    """Whether 2^k exceeds lattices.DEFAULT_ENUMERATION_CAP."""
+    return k >= lattices.DEFAULT_ENUMERATION_CAP.bit_length()
 
 
 def _switching_tree(kind, n):
@@ -278,11 +295,11 @@ def orbit_representatives(kind, n):
     the cost of one orbit's (n - 1) x (n - 1) pair, does: the single C_n
     orbit is cheap to find but not to build past n = 101.
     """
-    count = pattern_count(kind, n)
-    classes = count >> n - 2
-    if classes > lattices.DEFAULT_ENUMERATION_CAP:
+    bits = pattern_bits(kind, n)
+    class_bits = bits - (n - 2)
+    if _over_cap(class_bits):
         raise lattices.EnumerationCapExceeded(
-            f"{count_text(count)} sign patterns in {count_text(classes)} switching classes "
+            f"{pow2_text(bits)} sign patterns in {pow2_text(class_bits)} switching classes "
             f"exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     k = n - 1
     if k**3 > lattices.DEFAULT_ENUMERATION_CAP:
@@ -290,8 +307,9 @@ def orbit_representatives(kind, n):
             f"a {k} x {k} pair per orbit takes {k}^3 = {k**3} steps, "
             f"exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     edges, paths, free = _switching_tree(kind, n)
-    ensure(1 << len(free) == classes, "2^(n-2) patterns per switching class")
+    ensure(len(free) == class_bits, "2^(n-2) patterns per switching class")
     generators = [_byte_tables(perm, edges, paths, free) for perm in _relabelings(kind, n)]
+    classes = 1 << class_bits
     seen = bytearray(classes)
     for start in range(classes):
         if seen[start]:
@@ -328,12 +346,12 @@ def sweep(kind, n):
     pattern, for claims that must hold pattern by pattern.  Raises
     EnumerationCapExceeded, before any pair is built, when the patterns
     exceed lattices.DEFAULT_ENUMERATION_CAP."""
-    count = pattern_count(kind, n)
-    if count > lattices.DEFAULT_ENUMERATION_CAP:
+    bits = pattern_bits(kind, n)
+    if _over_cap(bits):
         raise lattices.EnumerationCapExceeded(
-            f"{count_text(count)} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
+            f"{pow2_text(bits)} sign patterns exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     build = _pair_builder(kind, n)
-    return [(pattern, build(pattern)) for pattern in range(count)]
+    return [(pattern, build(pattern)) for pattern in range(1 << bits)]
 
 
 def orbit_sweep(kind, n):
@@ -356,10 +374,16 @@ def verify_half_n_integrality(n):
     Both follow from the integer identity M (I + J) = n I on M alone,
     checked column by column as M (1 + e_i) = n e_i: it shows that M is
     invertible with M^-1 = (I + J) / n, so no determinant, adjugate or
-    Smith form of M is needed.
+    Smith form of M is needed.  Raises EnumerationCapExceeded, before
+    the graph is built, when the (n - 1)^2 grid exceeds
+    lattices.DEFAULT_ENUMERATION_CAP.
     """
+    k = n - 1
+    if k * k > lattices.DEFAULT_ENUMERATION_CAP and n >= 3:     # n < 3: family's error
+        raise lattices.EnumerationCapExceeded(
+            f"a {k} x {k} grid takes {k}^2 = {k * k} steps, "
+            f"exceeds cap {lattices.DEFAULT_ENUMERATION_CAP}")
     _, m = laplacian_grids(family("complete", n))
-    k = len(m)
     row_sums = [sum(row) for row in m]      # M 1
     for i in range(k):
         ensure(all(m[r][i] + row_sums[r] == (n if r == i else 0) for r in range(k)),

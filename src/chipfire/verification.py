@@ -20,7 +20,7 @@ from . import lattices, refdata
 from .duality import (
     duality,
     duality_inverse,
-    duality_table,
+    duality_rows,
     fixed_point_invariants,
     involution_mu,
     mu_case,
@@ -89,10 +89,10 @@ def check_pair_enumeration():
 
 # -- 3: duality map, with the reference's duality-table errata ------------------
 
-def _unmasked_dual_config(pair, x):
-    """Dual configuration of preimage x when mu's identity branch is dropped:
-    c_max - sstab(c_max - floor(x)) + {x}, moved to the configuration side."""
-    fl, fr = pair.split(pair.rplus_numerators(x))
+def _unmasked_dual_config(pair, fl, fr):
+    """Dual configuration of the preimage fl + fr / |det L| when mu's
+    identity branch is dropped: c_max - sstab(c_max - fl) + fr / |det L|,
+    moved to the configuration side."""
     cmax = pair.m.c_max
     return pair.config_of_numerators(pair.join(vec_sub(cmax, pair.m.sstab_of_class(vec_sub(cmax, fl))), fr))
 
@@ -103,32 +103,32 @@ def check_duality_map():
     cfgs = (pair.to_config(refdata.WORKED_DUALITY_INPUT), pair.to_config(worked))
     ok_worked = worked == refdata.WORKED_DUALITY_OUTPUT and cfgs == refdata.WORKED_DUALITY_CONFIGS
 
-    table = duality_table(pair)
-    computed = {row["config"]: row["dual_config"] for row in table}
+    rows = duality_rows(pair)
+    computed = {r.config: dual.config for r, _, dual in rows}
     ok_masked = computed == refdata.MASKED_DUALITY
     ok_duals = sorted(computed.values()) == sorted(cfg for cfg, _, _ in refdata.PAIR_CRITICAL_ROWS)
-    ok_inverse = all(duality_inverse(pair, row["dual_preimage"]) == row["preimage"] for row in table)
+    ok_inverse = all(duality_inverse(pair, dual.preimage) == r.preimage for r, _, dual in rows)
 
     # the reference prints the unmasked map; it parts from the masked one
     # exactly where a floor takes the identity branch although its
     # complement c_max - floor lies in another M-class
     printed = refdata.PRINTED_DUALITY
     ok_printed = {
-        row["config"]: _unmasked_dual_config(pair, row["preimage"]) for row in table
+        r.config: _unmasked_dual_config(pair, r.floor, r.frac_num) for r, _, _ in rows
     } == printed
     mismatches = [cfg for cfg in computed if computed[cfg] != printed.get(cfg)]
-    expected = []
-    for row in table:
-        fl, _ = pair.split(pair.rplus_numerators(row["preimage"]))
-        if row["mu_case"] == "identity" and pair.m.sstab_of_class(vec_sub(pair.m.c_max, fl)) != fl:
-            expected.append(row["config"])
+    expected = [
+        r.config for r, case, _ in rows
+        if case == "identity" and pair.m.sstab_of_class(vec_sub(pair.m.c_max, r.floor)) != r.floor
+    ]
     ok_rows = bool(mismatches) and mismatches == expected
 
     # the unmasked map is no duality: on (M, M) it is not x -> c_max - x
     mm = ChipFiringPair(DIAMOND_M, DIAMOND_M)
     mm_rows = mm.enumerate_pair_superstables()
     mm_broken = sum(
-        _unmasked_dual_config(mm, r.preimage) != vec_sub(mm.m.c_max, r.config) for r in mm_rows
+        _unmasked_dual_config(mm, r.floor, r.frac_num) != vec_sub(mm.m.c_max, r.config)
+        for r in mm_rows
     )
     ok_mm = mm_broken > 0
 

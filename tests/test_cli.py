@@ -2,16 +2,23 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import cli, linalg, sgraph, verification
+import chipfire
+from chipfire import cli, lattices, linalg, sgraph, verification
 from chipfire.cli import main
 from chipfire.lattices import AbelianGroup
+
+SRC = str(Path(chipfire.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -313,6 +320,36 @@ def test_family_scan_cycle_pair_over_the_cap_builds_nothing(monkeypatch, capsys)
     assert err.startswith("error: ") and err.endswith(" exceeds cap 1000000\n") and err.count("\n") == 1
     code, _, err = run(capsys, "family-scan", "--kind", "cycle", "--n", "101", "--verify", "critical-groups")
     assert code == 0 and err == "" and built == [101]
+
+
+def test_family_scan_half_n_over_the_cap_builds_nothing(monkeypatch, capsys):
+    # the identity is checked on the (n-1) x (n-1) grid of K_n: with the
+    # budget at 100, K_11 (10^2 = the cap) still runs and K_12 stops first
+    built = []
+    real = sgraph.family
+    monkeypatch.setattr(sgraph, "family", lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(lattices, "DEFAULT_ENUMERATION_CAP", 100)
+    code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "12", "--verify", "half-n")
+    assert code == 2 and out == "" and built == []
+    assert err == "error: a 11 x 11 grid takes 11^2 = 121 steps, exceeds cap 100\n"
+    code, _, err = run(capsys, "family-scan", "--kind", "complete", "--n", "11", "--verify", "half-n")
+    assert code == 0 and err == "" and built == [("complete", 11)]
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify", "critical-groups"], ["--verify", "z2-subgroup"],
+                                    ["--verify", "half-n"]])
+def test_family_scan_on_k1000000_never_builds_the_pattern_count(verify):
+    # 2^C(999999, 2) takes 62.5 GB; under a 512 MB address-space limit
+    # each request still exits 2 with one error line
+    limit = 512 * 2**20
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+            "from chipfire.cli import main; sys.exit(main(sys.argv[1:]))" % (limit, limit))
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = ["family-scan", "--kind", "complete", "--n", "1000000", *verify]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_family_scan_critical_groups_on_k8(capsys):

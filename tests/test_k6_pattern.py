@@ -18,7 +18,7 @@ import pytest
 import chipfire.cli
 import chipfire.linalg
 from chipfire.cli import main
-from chipfire.duality import fixed_points, mu_case
+from chipfire.duality import duality, duality_inverse, duality_rows, fixed_points, mu_case
 from chipfire.sgraph import family, reduced_laplacians
 
 PATTERN = 691
@@ -121,3 +121,14 @@ def test_fixed_points_stabilize_only_the_fixed_classes():
     assert len(pair.m._crit_by_class) == len(fps)
     assert all(pair.m.class_id(c) == key for key, c in pair.m._crit_by_class.items())
     assert fps == tuple(s for s in pair.m.superstables() if mu_case(pair, s) == "identity")
+
+
+def test_point_formulas_agree_with_every_row_of_the_table():
+    # duality --inverse prints duality_rows by critical; the point formulas
+    # of D and D^-1 recompute mu on each of the 2048 rows independently
+    pair = reduced_laplacians(family("complete", 6, PATTERN))
+    rows = duality_rows(pair)
+    assert len(rows) == 2048
+    for s, _, c in rows:
+        assert duality(pair, s.preimage) == c.preimage
+        assert duality_inverse(pair, c.preimage) == s.preimage
