@@ -19,7 +19,6 @@ import io
 import json
 import sys
 from collections import namedtuple
-from itertools import repeat
 from math import gcd
 from operator import itemgetter
 
@@ -81,32 +80,47 @@ class Report(namedtuple("Report", "payload headers rows lines code", defaults=(N
         return "\n".join(lines) + "\n"
 
 
-def _over_cell(floor, frac_num, den):
-    """Cell text of the vector floor + frac_num / den, 0 <= frac_num < den:
-    each entry an integer, or "a/b" reduced by gcd(frac_num, den), as
-    over_json renders it."""
-    parts = []
-    for f, r in zip(floor, frac_num):
-        if r:
-            g = gcd(r, den)
-            d = den // g
-            parts.append(f"{f * d + r // g}/{d}")
-        else:
-            parts.append(str(f))
-    return "(" + ", ".join(parts) + ")"
-
-
-# what a column shows of a PairRow field, or (None) of a plain value,
-# as (JSON value, cell text)
-_ROW_FIELDS = {
-    None: (lambda x: x, lambda x: x),
-    "config": (lambda r: vec_to_json(r.config), lambda r: _fmt_vec(r.config)),
-    "preimage": (lambda r: over_json(r.num, r.den),
-                 lambda r: _over_cell(r.floor, r.frac_num, r.den)),
-    "floor": (lambda r: vec_to_json(r.floor), lambda r: _fmt_vec(r.floor)),
-    "frac": (lambda r: over_json(r.frac_num, r.den),
-             lambda r: _over_cell(repeat(0), r.frac_num, r.den)),
+# what a column shows of a PairRow field, or (None) of a plain value, in JSON
+_ROW_JSON = {
+    None: lambda x: x,
+    "config": lambda r: vec_to_json(r.config),
+    "preimage": lambda r: over_json(r.num, r.den),
+    "floor": lambda r: vec_to_json(r.floor),
+    "frac": lambda r: over_json(r.frac_num, r.den),
 }
+
+
+def _row_cells():
+    """The cell text of each PairRow field (None: a plain value), for one
+    report.  A preimage or fractional part renders each entry as an
+    integer or "a/b" reduced by gcd(frac_num, den), as over_json renders
+    it; the reduction is done once per distinct (frac_num, den) of the
+    report and the frac cell is kept whole."""
+    reduced = {}    # (frac_num, den) -> (per entry (r/g, den/g), frac cell)
+
+    def reduce(r):
+        key = (r.frac_num, r.den)
+        found = reduced.get(key)
+        if found is None:
+            den, parts = r.den, []
+            for q in r.frac_num:
+                g = gcd(q, den)
+                parts.append((q // g, den // g))
+            cell = "(" + ", ".join(f"{a}/{b}" if b > 1 else "0" for a, b in parts) + ")"
+            found = reduced[key] = (parts, cell)
+        return found
+
+    def preimage(r):
+        return "(" + ", ".join(f"{f * b + a}/{b}" if b > 1 else str(f)
+                               for f, (a, b) in zip(r.floor, reduce(r)[0])) + ")"
+
+    return {
+        None: lambda x: x,
+        "config": lambda r: _fmt_vec(r.config),
+        "preimage": preimage,
+        "floor": lambda r: _fmt_vec(r.floor),
+        "frac": lambda r: reduce(r)[1],
+    }
 
 
 def _rows_report(args, records, columns, shown):
@@ -118,10 +132,11 @@ def _rows_report(args, records, columns, shown):
     JSON renderers and table and csv from the cell texts.
     """
     if args.format == "json":
-        getters = [(name, i, _ROW_FIELDS[field][0]) for name, i, field in columns]
+        getters = [(name, i, _ROW_JSON[field]) for name, i, field in columns]
         payload = [{name: get(rec[i]) for name, i, get in getters} for rec in records]
         return Report(payload, (), None)
-    getters = [(i, _ROW_FIELDS[field][1]) for _, i, field in columns[:shown]]
+    cells = _row_cells()
+    getters = [(i, cells[field]) for _, i, field in columns[:shown]]
     rows = [[get(rec[i]) for i, get in getters] for rec in records]
     return Report(None, tuple(name for name, _, _ in columns[:shown]), rows)
 

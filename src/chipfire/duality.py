@@ -43,7 +43,7 @@ from operator import itemgetter
 
 from . import lattices
 from .frackets import zero_fracket_lattice
-from .linalg import mat_vec, over, vec_sub
+from .linalg import ensure, mat_vec, over, vec_sub
 from .pairs import ChipFiringPair
 
 
@@ -122,8 +122,12 @@ def duality_rows(pair: ChipFiringPair):
     configuration, ascending lex, on integer rows.
 
     D(x) = c_max - mu(floor(x)) + {x} needs mu's case only at the floors
-    of the superstable rows, and the two rows of each class of L are
-    paired in class-walk order and sorted once.  In the dual case
+    of the superstable rows, and the case is decided once per fractional
+    part: a row's configuration n_lm (|det L| floor + fr) / (det M |det L|)
+    is integral, so n_lm fr = 0 mod |det L| and
+    n_lm floor = -(n_lm fr) / |det L| mod det M, which is all the
+    identity test reads.  The two rows of each class of L are paired in
+    class-walk order and sorted once.  In the dual case
     mu(s) = c_max - crit(s), so D(x) = crit(floor(x)) + {x}: the critical
     row of x's own class, with no lookup.  An identity row's dual
     (c_max - floor(x), {x}) is looked up among the critical rows.
@@ -131,21 +135,27 @@ def duality_rows(pair: ChipFiringPair):
     duals miss a critical: D must be a bijection onto the criticals."""
     crits = pair._walk_rows("critical")
     identity = _identity_test(pair)
-    n_lm = pair.n_lm
+    n_lm, d = pair.n_lm, pair.den_l
     c_max = pair.m.c_max
+    cases = {}      # fractional numerators -> mu's case
     criticals = None
     rows = []
     for r, crit in zip(pair._walk_rows("superstable"), crits):
-        if identity(mat_vec(n_lm, r.floor)):
+        case = cases.get(r.frac_num)
+        if case is None:
+            v = mat_vec(n_lm, r.frac_num)
+            ensure(not any(q % d for q in v), "n_lm {x} = 0 mod |det L| at an integral row")
+            case = cases[r.frac_num] = "identity" if identity([-q // d for q in v]) else "dual"
+        if case == "identity":
             if criticals is None:
                 criticals = {(c.floor, c.frac_num): c for c in crits}
             dual = criticals.get((vec_sub(c_max, r.floor), r.frac_num))
             if dual is None:
                 raise RuntimeError(f"the dual of the superstable {r.config} is not a "
                                    f"critical preimage")
-            rows.append((r, "identity", dual))
+            rows.append((r, case, dual))
         else:
-            rows.append((r, "dual", crit))
+            rows.append((r, case, crit))
     rows.sort(key=itemgetter(0))
     if len({dual.config for _, _, dual in rows}) != len(crits):
         raise RuntimeError("the duals are not the critical configurations")

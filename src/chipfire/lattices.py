@@ -27,7 +27,6 @@ from .linalg import (
     ensure,
     flcm,
     identity,
-    mat,
     mat_is_integral,
     mat_mul,
     mat_vec,
@@ -99,10 +98,11 @@ def snf(a, det):
     if det == 0:
         raise ValueError("snf of a singular matrix")
 
+    eye = identity(n)
     d = [list(row) for row in a]
-    u = [list(row) for row in identity(n)]      # U = Uinv^-1 throughout
-    uinv = [list(row) for row in identity(n)]
-    vinv = [list(row) for row in identity(n)]
+    u = [list(row) for row in eye]      # U = Uinv^-1 throughout
+    uinv = [list(row) for row in eye]
+    vinv = [list(row) for row in eye]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -171,8 +171,8 @@ def snf(a, det):
         if d[i][i] < 0:
             negate_row(i)
 
-    dec = SnfDecomposition(mat(u), mat(d), mat(uinv), mat(vinv))
-    ensure(mat_mul(dec.U, dec.Uinv) == identity(n), "U Uinv = I")
+    dec = SnfDecomposition(*(tuple(map(tuple, x)) for x in (u, d, uinv, vinv)))
+    ensure(mat_mul(dec.U, dec.Uinv) == eye, "U Uinv = I")
     ensure(mat_mul(mat_mul(dec.Uinv, a), dec.Vinv) == dec.D, "Uinv A Vinv = D")
     diag = [dec.D[i][i] for i in range(n)]
     ensure(all(x >= 1 for x in diag), "positive invariant factors")

@@ -19,7 +19,8 @@ starts instead from c0 = v - M ceil(M^-1 (v - c_max)): c0 is in the
 class, equals c_max - M e for some 0 <= e < 1, and lies on the way from
 v + k b to the critical, so a far-off v costs no more sweeps than one
 near c_max (the proofs are in crit_of_class).  crit_of_class caches
-each critical by class id the first time it is asked for;
+each critical by class id the first time it is asked for, and
+crit_of_class_id reads the same table by class id alone;
 sstab_of_class, superstables, criticals and is_z_superstable are read
 off it.  A lookup costs at most one stabilization and the full
 enumeration |det M| of them; nothing scans the stable box prod [0, M_ii).
@@ -36,6 +37,7 @@ from .linalg import (
     mat_is_integral,
     mat_over,
     mat_shape,
+    mat_vec,
     vec_sub,
 )
 
@@ -85,6 +87,7 @@ class MMatrix:
         self.snf = lattices.snf(m, self.det)
         self.group = lattices.quotient_group(self.snf)
         self.c_max = tuple(m[i][i] - 1 for i in range(self.n))
+        self._columns = tuple(enumerate(zip(*m)))
         self._superstables = None
         self._crit_by_class = {}
 
@@ -113,12 +116,11 @@ class MMatrix:
         c = list(c)
         if any(x < 0 for x in c):
             raise ValueError("stabilize needs an effective configuration")
-        cols = tuple(enumerate(zip(*self.m)))
         sites = range(self.n)
         fired = True
         while fired:
             fired = False
-            for i, col in cols:
+            for i, col in self._columns:
                 k = c[i] // col[i]
                 if k:
                     fired = True
@@ -173,6 +175,16 @@ class MMatrix:
         stabilize(c0) = stabilize(a).
         """
         return self._crit(self.class_id(v), v)
+
+    def crit_of_class_id(self, key):
+        """The critical of the class whose class id is key.
+
+        U key lies in that class, since class_id(U r) = r.  The
+        stabilization starts from c0 = c_max - M e, and e depends only on
+        the class, so a miss costs the one stabilization crit_of_class
+        pays, whichever representative it starts from."""
+        crit = self._crit_by_class.get(key)
+        return crit if crit is not None else self._crit(key, mat_vec(self.snf.U, key))
 
     def _crit(self, key, v):
         """crit_of_class(v) for a v whose class id is key."""

@@ -29,13 +29,22 @@ floor(x) = p // |det L| and the numerators of {x} are p % |det L|.  An
 enumerated row keeps the split: PairRow holds the configuration, the
 floor, the fractional numerators and |det L|, and its num, preimage and
 frac properties are derived only when a caller reads them, as are the
-rational views lm_inv and ml_inv.  The class walk steps
-the preimage numerators through the residue box one column of n_ml U at
-a time (lattices.walk_class_reps), and both sweeps share its split
-into (floor, fractional numerators), walked once per pair and released
-once both kinds of rows are cached.  The rows of each kind are cached
-in class-walk order, the pair's one row cache, and sorted on each ask,
-so duality pairs the superstable and the critical of each class of L in
+rational views lm_inv and ml_inv.
+
+The class walk steps the preimage numerators p, stacked over Uinv_M p,
+through the residue box one column at a time (lattices.walk_class_reps).
+A class keeps its fractional numerators fr = p mod |det L| and the
+M-class id of its floor, (Uinv_M p - Uinv_M fr) / |det L| mod diag(D_M),
+with Uinv_M fr computed once per distinct fr.  The rows are read off two
+tables: per M-class id the critical crit and |det L| n_lm crit (one
+stabilization each), and per distinct fr the product n_lm fr.  A
+critical row's configuration is their sum over det M |det L|, and a
+superstable row reads the class of c_max - floor, whose id is
+id(c_max) - id(floor), so no row takes a matrix-vector product.  Both
+sweeps share the walk and the tables, which are released once both
+kinds of rows are cached.  The rows of each kind are cached in
+class-walk order, the pair's one row cache, and sorted on each ask, so
+duality pairs the superstable and the critical of each class of L in
 walk order, without a lookup.
 """
 
@@ -43,6 +52,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import repeat
+from operator import add, floordiv, mod, sub
 
 from . import lattices
 from .linalg import (
@@ -107,7 +118,7 @@ class ChipFiringPair:
         self.den_l = abs(self.det_l)
         self.l_snf = lattices.snf(self.l, self.det_l)
         self.l_group = lattices.quotient_group(self.l_snf)
-        self._classes = None    # ((floor, frac numerators), ...) per class of L
+        self._classes = None    # the class tables of L, while a kind is uncached
         self._rows = {}         # kind -> PairRows in class-walk order
         self._zero_lattices = {}    # side -> (Lambda, quotient), filled by frackets
 
@@ -209,32 +220,84 @@ class ChipFiringPair:
             is_critical=self.m.crit_of_class(fl) == fl,
         )
 
-    def _split_classes(self):
-        """(floor, fractional numerators) of the preimage of one
-        representative per class of Z^n / L Z^n, in class-walk order,
-        walked once and shared by both sweeps until both are cached."""
+    def _class_tables(self):
+        """(keys, frs, crits, fracs), shared by both sweeps until both
+        kinds of rows are cached: per class of L in walk order the M-class
+        id of its preimage floor and its fractional numerators fr; per
+        M-class id (crit, |det L| n_lm crit), filled by the sweeps; per
+        distinct fr, n_lm fr."""
         if self._classes is None:
-            walk = lattices.walk_class_reps(self.l_snf, image=self.n_ml)
-            self._classes = tuple(map(self.split, walk))
+            d, n, dec = self.den_l, self.n, self.m.snf
+            dims = tuple(dec.D[i][i] for i in range(n))
+            uinv_fr = {}
+            keys, frs = [], []
+            image = self.n_ml + mat_mul(dec.Uinv, self.n_ml)
+            for v in lattices.walk_class_reps(self.l_snf, image=image):
+                fr = tuple(map(d.__rmod__, v[:n]))
+                found = uinv_fr.get(fr)
+                if found is None:
+                    found = uinv_fr[fr] = (fr, mat_vec(dec.Uinv, fr))
+                fr, u = found       # the rows of one fractional part share its tuple
+                fl_id = map(floordiv, map(sub, v[n:], u), repeat(d))     # Uinv_M floor
+                keys.append(tuple(map(mod, fl_id, dims)))
+                frs.append(fr)
+            fracs = {fr: mat_vec(self.n_lm, fr) for fr in uinv_fr}
+            self._classes = (keys, frs, {}, fracs)
         return self._classes
 
     def _walk_rows(self, kind):
         """The kind's rows in class-walk order: the superstable and the
-        critical at one index lie in the same class of L.  The split is
-        released once both kinds are cached."""
+        critical at one index lie in the same class of L.
+
+        Each row is a few maps over the tables of _class_tables.  For a
+        floor of M-class id key, the critical row has base crit(key) and
+        configuration (|det L| n_lm crit + n_lm fr) / (det M |det L|); the
+        superstable row has base c_max - crit(key') and numerators
+        |det L| n_lm (c_max - crit(key')) + n_lm fr, where
+        key' = id(c_max) - key mod diag(D_M) is the class of
+        c_max - floor; the superstable sweep keeps these per key, so the
+        rows of one class of M share their base.  A table miss costs one
+        stabilization.  A row whose configuration is not integral or whose
+        base is negative, or a kind without |det L| distinct
+        configurations, raises RuntimeError.  The tables are released once
+        both kinds are cached.
+        """
         if kind not in self._rows:
-            lookup = self.m.sstab_of_class if kind == "superstable" else self.m.crit_of_class
-            d = self.den_l
+            keys, frs, crits, fracs = self._class_tables()
+            m, d, n_lm = self.m, self.den_l, self.n_lm
+            den = self.det_m * d
+
+            def critical(key):
+                entry = crits.get(key)
+                if entry is None:
+                    crit = m.crit_of_class_id(key)
+                    entry = crits[key] = (crit, tuple(d * q for q in mat_vec(n_lm, crit)))
+                return entry
+
+            table, miss = crits, critical
+            if kind == "superstable":
+                c_max = m.c_max
+                top = tuple(d * q for q in mat_vec(n_lm, c_max))
+                id_max = m.class_id(c_max)
+                dims = tuple(m.snf.D[i][i] for i in range(self.n))
+
+                def miss(key):
+                    crit, num = critical(tuple(map(mod, map(sub, id_max, key), dims)))
+                    return tuple(map(sub, c_max, crit)), tuple(map(sub, top, num))
+
+                table = {}      # floor's M-class id -> (superstable, its numerators)
             rows = []
-            for fl, fr in self._split_classes():
-                base = lookup(fl)
-                p = self.join(base, fr)
-                config = self.config_of_numerators(p)
-                if config is None or any(q < 0 for q in base):
-                    raise RuntimeError(f"the class with preimage floor {fl} gave no valid "
-                                       f"{kind} preimage")
-                rows.append(PairRow(config, base, fr, d))
-            if len({r.config for r in rows}) != self.den_l:
+            for key, fr in zip(keys, frs):
+                entry = table.get(key)
+                if entry is None:
+                    entry = table[key] = miss(key)
+                base, num = entry
+                num = tuple(map(add, num, fracs[fr]))
+                if any(map(den.__rmod__, num)) or min(base) < 0:
+                    raise RuntimeError(f"the class of L with fractional numerators {fr} gave "
+                                       f"no valid {kind} preimage")
+                rows.append(PairRow(tuple(map(den.__rfloordiv__, num)), base, fr, d))
+            if len({r.config for r in rows}) != d:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
             self._rows[kind] = tuple(rows)
             if len(self._rows) == 2:

@@ -173,6 +173,8 @@ def test_superstable_count_and_classes(m, draw):
     crit = m.crit_of_class(v)
     assert crit in m.criticals()
     assert m.class_id(crit) == m.class_id(v)
+    # a fresh matrix finds the same critical from the class id alone
+    assert MMatrix(m.m).crit_of_class_id(m.class_id(v)) == crit
     sstab = m.sstab_of_class(v)
     assert sstab in ss
     assert m.class_id(sstab) == m.class_id(v)

@@ -1,19 +1,22 @@
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chipfire import lattices, refdata
+from chipfire import lattices, refdata, verification
 from chipfire.duality import fixed_points
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
 from chipfire.frackets import fracket_partition, zero_fracket
 from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import identity, mat_over, mat_vec, over, vec_add
 from chipfire.mmatrix import MMatrix
-from chipfire.pairs import ChipFiringPair
-from chipfire.sgraph import orbit_sweep, scan_critical_groups, sweep
+from chipfire.pairs import ChipFiringPair, PairRow
+from chipfire.sgraph import family, orbit_sweep, reduced_laplacians, scan_critical_groups, sweep
 
 
 def frac_part(v):
@@ -84,6 +87,93 @@ def test_one_budget_reaches_every_class_walk(monkeypatch):
     pair = diamond_pair()
     assert len(pair.enumerate_pair_superstables()) == 12
     assert len(pair.enumerate_pair_criticals()) == 12
+
+
+def _random_pair(seed, equal, flip):
+    """A pair from the acceptance suite's generators, or (M, M) when
+    equal; flip negates the first row of L, and with it det L."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    m = verification._random_m_matrix(rng, n)
+    grid = m.m if equal else verification._random_pair(rng, n, m).l
+    if flip:
+        grid = (tuple(-x for x in grid[0]),) + tuple(grid[1:])
+    return ChipFiringPair(grid, m)
+
+
+def _rows_oracle(pair, kind):
+    """The kind's rows in class-walk order, from Fractions: for each class
+    representative c = U_L r of L, x = M L^-1 c, M's superstable or
+    critical of floor(x)'s class plus {x}, and L M^-1 of that."""
+    lookup = pair.m.sstab_of_class if kind == "superstable" else pair.m.crit_of_class
+    d = pair.den_l
+    rows = []
+    for c in lattices.walk_class_reps(pair.l_snf):
+        x = mat_vec(pair.ml_inv, c)
+        fl = tuple(math.floor(q) for q in x)
+        fr = frac_part(x)
+        base = lookup(fl)
+        config = mat_vec(pair.lm_inv, vec_add(base, fr))
+        assert all(q.denominator == 1 for q in config)
+        rows.append(PairRow(tuple(map(int, config)), base, tuple(int(q * d) for q in fr), d))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), equal=st.booleans(), flip=st.booleans())
+@example(seed=5, equal=False, flip=False)
+@example(seed=5, equal=False, flip=True)
+@example(seed=5, equal=True, flip=False)
+@example(seed=5, equal=True, flip=True)
+def test_walk_rows_match_a_fraction_oracle(seed, equal, flip):
+    # the rows from the class tables equal, in walk order, the rows built
+    # from rational preimages on a fresh pair with its own M
+    pair = _random_pair(seed, equal, flip)
+    for kind in ("superstable", "critical"):
+        assert list(pair._walk_rows(kind)) == _rows_oracle(_random_pair(seed, equal, flip), kind)
+    assert pair._classes is None
+
+
+def test_superstable_rows_build_no_critical_row():
+    # K6 pattern 691: 2048 rows, and the superstables of the floors reach
+    # 1104 of the 1296 classes of M, one stabilization each
+    pair = reduced_laplacians(family("complete", 6, 691))
+    assert len(pair.enumerate_pair_superstables()) == 2048
+    assert "critical" not in pair._rows
+    assert len(pair.m._crit_by_class) == 1104
+
+
+def _shift_criticals(shift):
+    """Tamper: crit_of_class_id moved by the vector shift."""
+    def tamper(monkeypatch, pair):
+        lookup = pair.m.crit_of_class_id
+        monkeypatch.setattr(pair.m, "crit_of_class_id", lambda key: vec_add(lookup(key), shift))
+    return tamper
+
+
+def _repeat_first_class(monkeypatch, pair):
+    """Tamper: the class walk visits its first class twice and skips its last."""
+    walk = lattices.walk_class_reps
+
+    def repeated(*args, **kwargs):
+        reps = list(walk(*args, **kwargs))
+        return iter(reps[:1] + reps[:-1])
+
+    monkeypatch.setattr(lattices, "walk_class_reps", repeated)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # L M^-1 e_0 is not integral, so neither is a configuration
+    (_shift_criticals((1, 0, 0)), "gave no valid critical preimage"),
+    # minus column 0 of M keeps the class and integrality, not the sign
+    (_shift_criticals(tuple(-row[0] for row in DIAMOND_M)), "gave no valid critical preimage"),
+    (_repeat_first_class, "critical rows are not |det L| distinct configurations"),
+], ids=["integral", "nonnegative", "distinct"])
+def test_row_checks_raise(monkeypatch, tamper, message):
+    pair = diamond_pair()
+    tamper(monkeypatch, pair)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        pair.enumerate_pair_criticals()
 
 
 def test_transfer_roundtrip(diamond):
