@@ -90,24 +90,30 @@ _ROW_JSON = {
 }
 
 
+def _reduced(frac_num, den):
+    """(per entry (q/g, den/g), cell text) for fractional numerators
+    0 <= q < den, with g = gcd(q, den): the cell renders each entry as
+    "0" or "a/b" reduced by g, as over_json renders it."""
+    parts = []
+    for q in frac_num:
+        g = gcd(q, den)
+        parts.append((q // g, den // g))
+    return parts, "(" + ", ".join(f"{a}/{b}" if b > 1 else "0" for a, b in parts) + ")"
+
+
 def _row_cells():
     """The cell text of each PairRow field (None: a plain value), for one
     report.  A preimage or fractional part renders each entry as an
     integer or "a/b" reduced by gcd(frac_num, den), as over_json renders
     it; the reduction is done once per distinct (frac_num, den) of the
     report and the frac cell is kept whole."""
-    reduced = {}    # (frac_num, den) -> (per entry (r/g, den/g), frac cell)
+    reduced = {}    # (frac_num, den) -> _reduced(frac_num, den)
 
     def reduce(r):
         key = (r.frac_num, r.den)
         found = reduced.get(key)
         if found is None:
-            den, parts = r.den, []
-            for q in r.frac_num:
-                g = gcd(q, den)
-                parts.append((q // g, den // g))
-            cell = "(" + ", ".join(f"{a}/{b}" if b > 1 else "0" for a, b in parts) + ")"
-            found = reduced[key] = (parts, cell)
+            found = reduced[key] = _reduced(*key)
         return found
 
     def preimage(r):
@@ -319,20 +325,20 @@ def cmd_frackets(args):
         payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}
         rows = [(text, flag) for flag, text in facts]
         return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)
-    # by_key holds canonical class ids, independent of the walk's representatives
+    # the groups hold canonical class ids, independent of the walk's representatives
     part = fracket_partition(pair, args.side)
     _, quotient = zero_fracket_lattice(pair, args.side)
-    labels = part.by_key
+    keyed = zip(part.residues, part.groups)
     if args.format == "json":
         payload = {
             "side": args.side,
             "fracket_size": part.fracket_size,
             "quotient": quotient.to_json(),
-            "frackets": [{"key": vec_to_json(k), "classes": list(map(vec_to_json, labels[k]))}
-                         for k in part.keys],
+            "frackets": [{"key": over_json(r, part.den), "classes": list(map(list, ids))}
+                         for r, ids in keyed],
         }
         return Report(payload, (), None)
-    rows = [[_fmt_vec(k), len(labels[k]), " ".join(map(_fmt_vec, labels[k]))] for k in part.keys]
+    rows = [[_reduced(r, part.den)[1], len(ids), " ".join(map(_fmt_vec, ids))] for r, ids in keyed]
     return Report(None, ("key", "size", "classes"), rows)
 
 

@@ -165,17 +165,23 @@ def duality_rows(pair: ChipFiringPair):
 def duality_table(pair: ChipFiringPair):
     """One row per superstable configuration, ascending lex, giving the
     dual critical on both the configuration and preimage sides, with
-    rational preimages.  Raises RuntimeError if the rows are not a
-    bijection onto the criticals."""
+    rational preimages equal to the rows' PairRow.preimage.  Each entry
+    is built once per distinct preimage numerator of the table and
+    shared by every row that carries it.  Raises RuntimeError if the
+    rows are not a bijection onto the criticals."""
+    rows = duality_rows(pair)
+    nums = [(r.num, dual.num) for r, _, dual in rows]
+    distinct = tuple({q for both in nums for num in both for q in num})
+    rational = dict(zip(distinct, over(distinct, pair.den_l))).__getitem__
     return [
         {
             "config": r.config,
-            "preimage": r.preimage,
+            "preimage": tuple(map(rational, num)),
             "mu_case": case,
             "dual_config": dual.config,
-            "dual_preimage": dual.preimage,
+            "dual_preimage": tuple(map(rational, dual_num)),
         }
-        for r, case, dual in duality_rows(pair)
+        for (r, case, dual), (num, dual_num) in zip(rows, nums)
     ]
 
 

@@ -20,6 +20,13 @@ non-largest invariant factors of K(S)/F0_S,
 and in particular |F0_L| = |F0_M|.  When K(M)/F0_M is cyclic this
 collapses to |F0| = gcd-of-entries of |M| L M^-1 (swap the roles for a
 cyclic K(L)/F0_L).
+
+The keymap T S^-1 is carried as integer numerators over one positive
+denominator den (|det L| for side L, det M for side M), so a key is its
+residue vector, the numerators of {T S^-1 v} mod den.  A FracketPartition
+holds the side, den, the residue vectors in ascending order and the class
+ids of each fracket; its keys and by_key are the rational view, built
+only when read.
 """
 
 from __future__ import annotations
@@ -58,16 +65,29 @@ def zero_fracket_lattice(pair: ChipFiringPair, side):
     return pair._zero_lattices[side]
 
 
-class FracketPartition(namedtuple("FracketPartition", "side keys by_key")):
+class FracketPartition(namedtuple("FracketPartition", "side den residues groups")):
+    """The frackets of K(side) on integers: residues holds each key's
+    numerators over the positive denominator den, ascending, and groups
+    the tuple of canonical class ids of each key's classes, in the same
+    order.  keys and by_key are the rational view, built when read."""
+
     __slots__ = ()
 
     @property
+    def keys(self):
+        return tuple(over(r, self.den) for r in self.residues)
+
+    @property
+    def by_key(self):
+        return dict(zip(self.keys, self.groups))
+
+    @property
     def fracket_count(self):
-        return len(self.keys)
+        return len(self.groups)
 
     @property
     def fracket_size(self):
-        sizes = {len(self.by_key[k]) for k in self.keys}
+        sizes = set(map(len, self.groups))
         ensure(len(sizes) == 1, "frackets are cosets of F0 and share one size")
         return sizes.pop()
 
@@ -93,13 +113,12 @@ def fracket_key(pair: ChipFiringPair, side, v):
 def fracket_partition(pair: ChipFiringPair, side):
     """Partition the classes of K(side) by key, keys in ascending lex order.
 
-    by_key maps each key to the tuple of the canonical class ids
-    (lattices.class_id) of the classes carrying it.  The walk steps
-    num U r by vector additions and the class id of U r is its residue r
-    (lattices.walk_class_ids), so no class takes a matrix-vector
-    product.  The classes are grouped by residue vectors, which over one
-    positive denominator sort as the keys do; each key becomes a
-    rational once.
+    Each class is named by its canonical class id (lattices.class_id).
+    The walk steps num U r by vector additions and the class id of U r
+    is its residue r (lattices.walk_class_ids), so no class takes a
+    matrix-vector product.  The classes are grouped by the residue
+    vectors of their keys, which over one positive denominator sort as
+    the keys do, and no rational is built.
     """
     num, den, det, dec = _side_data(pair, side)
     groups = {}
@@ -107,11 +126,8 @@ def fracket_partition(pair: ChipFiringPair, side):
     for r, v in zip(lattices.walk_class_ids(dec), walk):
         groups.setdefault(tuple(q % den for q in v), []).append(r)
     residues = sorted(groups)
-    keys = tuple(over(r, den) for r in residues)
-    part = FracketPartition(
-        side=side, keys=keys, by_key={k: tuple(groups[r]) for k, r in zip(keys, residues)}
-    )
-    ensure(sum(len(v) for v in groups.values()) == abs(det), "the frackets cover K(side)")
+    part = FracketPartition(side, den, tuple(residues), tuple(tuple(groups[r]) for r in residues))
+    ensure(sum(map(len, part.groups)) == abs(det), "the frackets cover K(side)")
     # cross-check the coset picture against the lattice quotient
     _, quotient = zero_fracket_lattice(pair, side)
     ensure(part.fracket_count == quotient.order, "one fracket per class of Z^n / Lambda")

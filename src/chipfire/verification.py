@@ -191,7 +191,12 @@ def check_frackets():
     pair = diamond_pair()
     part_l = fracket_partition(pair, "L")
     part_m = fracket_partition(pair, "M")
-    ok_keys = part_l.keys == refdata.L_FRACKET_KEYS and part_m.keys == refdata.M_FRACKET_KEYS
+    # every class is filed under the key that its representative U r carries
+    filed = all(fracket_key(pair, part.side, mat_vec(dec.U, r)) == key
+                for part, dec in ((part_l, pair.l_snf), (part_m, pair.m.snf))
+                for key, ids in part.by_key.items() for r in ids)
+    ok_keys = (filed and part_l.keys == refdata.L_FRACKET_KEYS
+               and part_m.keys == refdata.M_FRACKET_KEYS)
     ok_sizes = part_l.fracket_size == refdata.FRACKET_SIZE == part_m.fracket_size
 
     zl = zero_fracket(pair, "L")

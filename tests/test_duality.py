@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from chipfire.duality import (
     predicted_fixed_point_count,
 )
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M
+from chipfire.frackets import fracket_key, fracket_partition
 from chipfire.linalg import mat_vec, vec_sub
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
@@ -161,6 +163,37 @@ def test_fixed_points_match_mu_at_every_superstable(seed, equal):
 def test_duality_rows_match_mu_at_every_floor(seed, equal):
     assert duality_rows(_random_pair(seed, equal)) == _duality_rows_oracle(
         _random_pair(seed, equal))
+
+
+def _fracket_oracle(pair, side):
+    """{key: class ids} from fracket_key at the representative U r of
+    every class id r, the ids in lex order."""
+    dec = pair.l_snf if side == "L" else pair.m.snf
+    by_key = {}
+    for r in product(*(range(dec.D[i][i]) for i in range(pair.n))):
+        by_key.setdefault(fracket_key(pair, side, mat_vec(dec.U, r)), []).append(r)
+    return {key: tuple(ids) for key, ids in by_key.items()}
+
+
+# seed 5 gives det L = -11, and equal=True the pair (M, M)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), equal=st.booleans())
+@example(seed=5, equal=False)
+@example(seed=5, equal=True)
+def test_integer_tables_match_their_rational_oracles(seed, equal):
+    pair = _random_pair(seed, equal)
+    for side, det in (("L", pair.det_l), ("M", pair.det_m)):
+        part = fracket_partition(pair, side)
+        oracle = _fracket_oracle(pair, side)
+        assert part.keys == tuple(sorted(oracle))
+        assert part.by_key == oracle and tuple(part.by_key) == part.keys
+        assert part.fracket_count * part.fracket_size == abs(det)
+    table = duality_table(pair)
+    rows = duality_rows(pair)
+    assert len(table) == len(rows)
+    for record, (s, case, c) in zip(table, rows):
+        assert record == {"config": s.config, "preimage": s.preimage, "mu_case": case,
+                          "dual_config": c.config, "dual_preimage": c.preimage}
 
 
 def test_duality_rows_after_the_class_split_is_released():

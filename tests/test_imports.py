@@ -6,8 +6,9 @@ acceptance suite (`verification`, `refdata`), the duality and fracket
 modules, and `dataclasses`, which pulls in `inspect` and its parsers.
 The package still names the entry points of those modules and loads
 them on first use.  `fractions`, and the `decimal` module it imports,
-load only when a rational is parsed or built: `enumerate`, `duality` and
-`duality --inverse` render their rows from integer numerators.
+load only when a rational is parsed or built: `enumerate`, `duality`,
+`duality --inverse` and `frackets --side` render their rows and keys from
+integer numerators, in every format.
 """
 
 import os
@@ -83,16 +84,20 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
                                 "--fixture", "diamond"]),
              chipfire.cli.main(["duality", "--fixture", "diamond"]),
              chipfire.cli.main(["duality", "--inverse", "--fixture", "diamond"])]
+    codes += [chipfire.cli.main(["frackets", "--side", side, "--format", fmt,
+                                 "--fixture", "diamond"])
+              for side in "LM" for fmt in ("table", "csv", "json")]
 print(codes, "/" in out.getvalue(), loaded())
 """
 
 
 def test_enumerate_and_duality_load_no_fractions():
-    # the diamond rows have denominator 6, so every command prints rationals
+    # the diamond rows and keys have denominators 6 and 4, so every
+    # command prints rationals
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", RATIONAL_FREE], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n[0, 0, 0] True []\n"
+    assert out == "[]\n" + str([0] * 9) + " True []\n"
 
 
 def test_unknown_package_attribute_raises():

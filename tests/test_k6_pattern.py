@@ -1,13 +1,13 @@
 """A K6 pair with a large denominator, pinned byte for byte.
 
 The golden cases use fixtures whose preimage denominators are at most
-12.  Sign pattern 691 of K6 has det L = 2048, so its rows carry
-numerators over 2048 that reduce to many different denominators.  The
-STDOUT_SHA256 digests are the benchmark's frozen ones for this pattern
-(the `k6_pairs["691"]` entry of bench/reference.json, frozen by
-bench/freeze.py); FORMAT_SHA256 pins the remaining formats of
-`enumerate` and `duality`, so that no change to the renderer moves a
-byte.  The edge list is the one the benchmark's input generator writes
+12.  Sign pattern 691 of K6 has det L = 2048 and det M = 1296, so its
+rows and fracket keys carry numerators over 2048 or 1296 that reduce to
+many different denominators.  The STDOUT_SHA256 digests are the
+benchmark's frozen ones for this pattern (the `k6_pairs["691"]` entry of
+bench/reference.json, frozen by bench/freeze.py); FORMAT_SHA256 pins the
+remaining formats of `enumerate` and `duality` and both sides of
+`frackets`, so that no change to the renderer moves a byte.  The edge list is the one the benchmark's input generator writes
 for the pattern (bench/gen.py, `k6_input(691)`).
 """
 
@@ -44,6 +44,8 @@ STDOUT_SHA256 = {
         "8b3ee2349979e6e26a589b143e2168fef85ad247eab0e54dd65fd651af506ccb",
     ("duality", "--show-mu-cases"):
         "a5cb8a70d38761329532ef9a12523ff515f81107b43b81f7eb5a8dfdb583db2b",
+    ("frackets", "--side", "L"):
+        "717d799fbd2b903d1f03f60781e3075a791c2cb94460abd4dde4a299f91cb0dd",
 }
 FORMAT_SHA256 = {
     ("enumerate", "--kind", "superstable", "--preimages"):
@@ -60,6 +62,16 @@ FORMAT_SHA256 = {
         "2610d0ca42e2d348f94e99c9af3df63d7680cc7c5a4dad3918559e4dae21c540",
     ("duality", "--inverse"):
         "74a67fcde1d1d48803371b6490991259372dec636fe122e1d69f113c99c11897",
+    ("frackets", "--side", "L", "--format", "csv"):
+        "b5beadd95ae67a4ec1dabea072110de125f3d5944ce00c482710489b153d13f9",
+    ("frackets", "--side", "L", "--format", "json"):
+        "9e1278f6d62fd662d33d4a4b603cc4b8c3917bf72aada9d4cd2eba541360fe50",
+    ("frackets", "--side", "M"):
+        "ecefb1c1e54a472bf72b71b5ca9a4409353f8cf8d896ae27df50d4aa9b46fd5b",
+    ("frackets", "--side", "M", "--format", "csv"):
+        "7f61b2ff5803bd3664986ce46ad4de1ffb02b3f3e8427d50769f254cc7421648",
+    ("frackets", "--side", "M", "--format", "json"):
+        "876569744d46517f92c8c784e0fb30a456cd2c37609b596eba5d5ba0258fdf95",
 }
 JSON_BUILDERS = ("over_json", "vec_to_json")
 
