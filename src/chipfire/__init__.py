@@ -23,7 +23,6 @@ from .lattices import (
     SnfDecomposition,
     class_id,
     count_order_le2,
-    element_order,
     quotient_group,
     snf,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "duality",
     "duality_inverse",
     "duality_table",
-    "element_order",
     "family",
     "fixed_point_invariants",
     "fixed_points",

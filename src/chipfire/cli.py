@@ -299,7 +299,7 @@ def cmd_frackets(args):
         cyclic_shortcut,
         fracket_partition,
         verify_largest_invariant_factor,
-        zero_fracket_lattice,
+        zero_fracket_quotient,
         zero_fracket_size_formula,
     )
 
@@ -327,7 +327,7 @@ def cmd_frackets(args):
         return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)
     # the groups hold canonical class ids, independent of the walk's representatives
     part = fracket_partition(pair, args.side)
-    _, quotient = zero_fracket_lattice(pair, args.side)
+    quotient = zero_fracket_quotient(pair, args.side)
     keyed = zip(part.residues, part.groups)
     if args.format == "json":
         payload = {

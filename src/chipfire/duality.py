@@ -31,19 +31,20 @@ test depends only on the class of s in K(M), so fixed_points walks K(M)
 once, tests each class with vector arithmetic and stabilizes only the
 classes that pass; it never enumerates the superstables of M.  Their
 count is either 0 or |F0_M| * d where F0_M is the zero fracket of M for
-the pair and d counts the elements of order <= 2 in K(M) / F0_M.  If the
-class of c_max has odd order in that quotient the count is never zero;
-if the quotient is cyclic and the order of c_max's class is even, the
-count is nonzero iff |quotient| / ord is even.
+the pair and d counts the elements of order <= 2 in K(M) / F0_M.  That
+quotient is the group of keys {L M^-1 v}, so the order of [c_max] there
+is the order of its key, ord [c_max] = flcm(L M^-1 c_max).  If it is odd
+the count is never zero; if the quotient is cyclic and the order is
+even, the count is nonzero iff |quotient| / ord is even.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, mod, sub
 
 from . import lattices
-from .frackets import zero_fracket_lattice
-from .linalg import ensure, mat_vec, over, vec_sub
+from .frackets import zero_fracket_quotient
+from .linalg import ensure, flcm, mat_vec, over, vec_sub
 from .pairs import ChipFiringPair
 
 
@@ -191,17 +192,23 @@ def fixed_points(pair: ChipFiringPair):
     mu's identity test depends only on the class of s in K(M), so one
     class walk of K(M) tests each class on n_lm U r, which the walk
     steps by vector additions, and only the classes that pass are
-    stabilized.  The walk visits all |det M| classes under the
+    stabilized.  The superstable of class id r is c_max minus the
+    critical of class id(c_max) - r mod diag(D_M), the class of
+    c_max - U r.  The walk visits all |det M| classes under the
     enumeration budget."""
     m = pair.m
     identity = _identity_test(pair)
-    walk = lattices.walk_class_reps(m.snf, image=pair.n_lm, with_rep=True)
-    return tuple(sorted(m.sstab_of_class(rep) for rep, v in walk if identity(v)))
+    dims = tuple(m.snf.D[i][i] for i in range(m.n))
+    id_max = m.class_id(m.c_max)
+    walk = lattices.walk_class_reps(m.snf, image=pair.n_lm)
+    return tuple(sorted(
+        vec_sub(m.c_max, m.crit_of_class_id(tuple(map(mod, map(sub, id_max, r), dims))))
+        for r, v in zip(lattices.walk_class_ids(m.snf), walk) if identity(v)))
 
 
 def predicted_fixed_point_count(pair: ChipFiringPair):
     """|F0_M| * #{order <= 2 in K(M)/F0_M}; the true count is this or 0."""
-    _, quotient = zero_fracket_lattice(pair, "M")
+    quotient = zero_fracket_quotient(pair, "M")
     f0_size, rest = divmod(abs(pair.det_m), quotient.order)
     if rest:
         raise RuntimeError(f"|K(M) / F0_M| = {quotient.order} does not divide "
@@ -231,9 +238,11 @@ def nonzero_criteria(pair: ChipFiringPair):
     forcing at least one fixed point.  cyclic_even_criterion: when that
     quotient is cyclic and the order is even, nonemptiness is equivalent
     to |quotient| / ord being even; None when the test does not apply.
+    The order is that of c_max's key, flcm(L M^-1 c_max), and dividing
+    |quotient| cross-checks it against the Smith form.
     """
-    lam, quotient = zero_fracket_lattice(pair, "M")
-    ord_cmax = lattices.element_order(lam, pair.m.c_max)
+    quotient = zero_fracket_quotient(pair, "M")
+    ord_cmax = flcm(mat_vec(pair.n_lm, pair.m.c_max), pair.det_m)
     if quotient.order % ord_cmax:
         raise RuntimeError(f"the order {ord_cmax} of c_max does not divide "
                            f"|K(M) / F0_M| = {quotient.order}")

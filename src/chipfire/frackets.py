@@ -6,9 +6,14 @@ keyed by the fractional vector f = {T S^-1 v}.  The key is well defined
 because T S^-1 (v + S z) = T S^-1 v + T z shifts by an integer vector.
 
 The zero fracket F0_S (key 0) is a subgroup and the frackets are its
-cosets, so all frackets share one size and
+cosets, so all frackets share one size, and K(S) / F0_S is the group of
+keys: [v] -> {T S^-1 v} is a homomorphism with kernel F0_S, and the
+order of [v] there is the least common denominator of its key,
+flcm(T S^-1 v).  As an abstract group
 
-    K(S) / F0_S  ~=  Z^n / Lambda_S,   Lambda_S = Z^n  intersect  (S T^-1) Z^n.
+    K(S) / F0_S  ~=  Z^n / Lambda_S,   Lambda_S = Z^n  intersect  (S T^-1) Z^n,
+
+whose invariant factors one Smith form gives (zero_fracket_quotient).
 
 The largest invariant factor of K(M)/F0_M equals flcm(L M^-1), and that
 of K(L)/F0_L equals flcm(M L^-1).  Writing p_S for the product of the
@@ -49,10 +54,10 @@ def _side_data(pair: ChipFiringPair, side):
     raise ValueError("side must be 'L' or 'M'")
 
 
-def zero_fracket_lattice(pair: ChipFiringPair, side):
-    """(Lambda_S, Z^n / Lambda_S) for the side, computed once per pair
-    from one Smith decomposition (lattices.lattice_intersection)."""
-    if side not in pair._zero_lattices:
+def zero_fracket_quotient(pair: ChipFiringPair, side):
+    """K(S)/F0_S ~= Z^n / Lambda_S as an AbelianGroup, computed once per
+    pair from one Smith decomposition (lattices.lattice_intersection)."""
+    if side not in pair._zero_quotients:
         # Lambda_S comes from the OTHER side's keymap: its members v are the
         # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
         # num = +-S adj(T), so |det num| = |det S| |det T|^(n-1) with no
@@ -60,9 +65,9 @@ def zero_fracket_lattice(pair: ChipFiringPair, side):
         other = "M" if side == "L" else "L"
         num, den, det_t, _ = _side_data(pair, other)
         det_s = pair.det_l if side == "L" else pair.det_m
-        pair._zero_lattices[side] = lattices.lattice_intersection(
+        _, pair._zero_quotients[side] = lattices.lattice_intersection(
             num, den, det_s * det_t ** (pair.n - 1))
-    return pair._zero_lattices[side]
+    return pair._zero_quotients[side]
 
 
 class FracketPartition(namedtuple("FracketPartition", "side den residues groups")):
@@ -92,7 +97,7 @@ class FracketPartition(namedtuple("FracketPartition", "side den residues groups"
         return sizes.pop()
 
 
-class ZeroFracket(namedtuple("ZeroFracket", "side members lattice quotient")):
+class ZeroFracket(namedtuple("ZeroFracket", "side members quotient")):
     __slots__ = ()
 
     @property
@@ -129,36 +134,30 @@ def fracket_partition(pair: ChipFiringPair, side):
     part = FracketPartition(side, den, tuple(residues), tuple(tuple(groups[r]) for r in residues))
     ensure(sum(map(len, part.groups)) == abs(det), "the frackets cover K(side)")
     # cross-check the coset picture against the lattice quotient
-    _, quotient = zero_fracket_lattice(pair, side)
+    quotient = zero_fracket_quotient(pair, side)
     ensure(part.fracket_count == quotient.order, "one fracket per class of Z^n / Lambda")
     ensure(part.fracket_size * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
     return part
 
 
 def zero_fracket(pair: ChipFiringPair, side):
-    """F0 for the given side, with Lambda_S and K(side)/F0 ~= Z^n/Lambda_S."""
-    num, den, det, dec = _side_data(pair, side)
-    lam, quotient = zero_fracket_lattice(pair, side)
-    walk = lattices.walk_class_reps(dec, image=num, with_rep=True)
-    zero = tuple(rep for rep, v in walk if not any(q % den for q in v))
-    ensure(len(zero) * quotient.order == abs(det), "|F0| |Z^n / Lambda| = |det|")
-    return ZeroFracket(side=side, members=zero, lattice=lam, quotient=quotient)
+    """F0 for the given side, with K(side)/F0 ~= Z^n/Lambda_S.
+
+    The zero residue is the least key, so F0 is the partition's first
+    fracket, and the representative of class id r is U r."""
+    u = _side_data(pair, side)[3].U
+    part = fracket_partition(pair, side)
+    ensure(not any(part.residues[0]), "the least key is zero")
+    members = tuple(mat_vec(u, r) for r in part.groups[0])
+    return ZeroFracket(side=side, members=members, quotient=zero_fracket_quotient(pair, side))
 
 
 def verify_largest_invariant_factor(pair: ChipFiringPair, side):
     """Largest invariant factor of K(side)/F0 against the flcm of the
     side's keymap; the two always agree."""
     num, den, _, _ = _side_data(pair, side)
-    _, quotient = zero_fracket_lattice(pair, side)
     predicted = flcm(num, den)
-    largest = quotient.largest_factor
-    return {
-        "side": side,
-        "quotient": quotient,
-        "largest_invariant_factor": largest,
-        "flcm": predicted,
-        "ok": largest == predicted,
-    }
+    return {"flcm": predicted, "ok": zero_fracket_quotient(pair, side).largest_factor == predicted}
 
 
 def _nonlargest_product(group: lattices.AbelianGroup):
@@ -179,8 +178,8 @@ def zero_fracket_size_formula(pair: ChipFiringPair):
     """
     g_l = gcd_entries(pair.n_ml)
     g_m = gcd_entries(pair.n_lm)
-    _, quot_l = zero_fracket_lattice(pair, "L")
-    _, quot_m = zero_fracket_lattice(pair, "M")
+    quot_l = zero_fracket_quotient(pair, "L")
+    quot_m = zero_fracket_quotient(pair, "M")
     p_l = _nonlargest_product(quot_l)
     p_m = _nonlargest_product(quot_m)
     numerator = math.gcd(g_l, g_m)
@@ -209,7 +208,7 @@ def cyclic_shortcut(pair: ChipFiringPair, side):
     it gives 2 on side L and 3 on side M, but |F0| = 1.
     """
     num, _, det, _ = _side_data(pair, side)
-    _, quotient = zero_fracket_lattice(pair, side)
+    quotient = zero_fracket_quotient(pair, side)
     if not quotient.is_cyclic:
         return None
     return {"predicted": gcd_entries(num), "actual": abs(det) // quotient.order}

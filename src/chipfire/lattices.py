@@ -2,8 +2,7 @@
 
 Smith normal form with unimodular transforms, finite abelian quotient
 structure Z^n / A Z^n, canonical equivalence-class coordinates, the
-class walk, intersection of Z^n with a rational lattice B Z^n, and
-element orders in quotients.
+class walk, and intersection of Z^n with a rational lattice B Z^n.
 
 A nonsingular A has one Smith decomposition, snf(A, det A):
 Uinv * A * Vinv = D = diag(d_1, ..., d_n), d_1 | ... | d_n, d_i >= 1,
@@ -23,7 +22,6 @@ from itertools import product
 from operator import add
 
 from .linalg import (
-    adjugate,
     ensure,
     flcm,
     identity,
@@ -197,21 +195,18 @@ def class_id(dec, v):
     return tuple(w[i] % dec.D[i][i] for i in range(n))
 
 
-def walk_class_reps(dec, image=None, with_rep=False):
+def walk_class_reps(dec, image=None):
     """One representative per class of Z^n / A Z^n; dec = snf(A, det A).
 
     An iterator over U*r for r in the residue box 0 <= r_i < d_i, in
     lexicographic residue order, so the output is the same no matter how
     the caller partitions the work.  With an integer matrix image it
-    yields image*U*r in the same order instead, or (U*r, image*U*r)
-    pairs from one walk when with_rep.  DEFAULT_ENUMERATION_CAP, read at
-    each call, is checked before it returns.
+    yields image*U*r in the same order instead.  DEFAULT_ENUMERATION_CAP,
+    read at each call, is checked before it returns.
 
     The box is walked like an odometer: U*(r + e_i) = U*r + U e_i, and a
     digit that wraps from d_i - 1 to 0 takes (d_i - 1) U e_i off, so each
     class costs vector additions instead of a matrix-vector product.
-    With with_rep the odometer moves U*r and image*U*r as one stacked
-    vector.
     """
     n = len(dec.D)
     dims = [dec.D[i][i] for i in range(n)]
@@ -219,13 +214,10 @@ def walk_class_reps(dec, image=None, with_rep=False):
     if total > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{total} classes exceeds cap {DEFAULT_ENUMERATION_CAP}")
     basis = dec.U if image is None else mat_mul(image, dec.U)
-    if with_rep:
-        basis = dec.U + basis
     # only the digits with d_i > 1 move; the last one turns fastest
     wheels = [(d - 1, tuple(row[i] for row in basis), tuple((1 - d) * row[i] for row in basis))
               for i, d in enumerate(dims) if d > 1]
-    walk = _odometer(wheels, len(basis), total)
-    return ((v[:n], v[n:]) for v in walk) if with_rep else walk
+    return _odometer(wheels, len(basis), total)
 
 
 def walk_class_ids(dec):
@@ -300,15 +292,3 @@ def lattice_intersection(num, den, det):
 def count_order_le2(group):
     """Number of elements of order at most 2: product of gcd(2, d_i)."""
     return math.prod(math.gcd(2, d) for d in group.invariant_factors)
-
-
-def element_order(lattice_basis, v):
-    """Least k >= 1 with k*v in the lattice spanned by the basis columns.
-
-    k*v in W Z^n iff k * (W^-1 v) is integral, so k is the lcm of the
-    denominators of W^-1 v = adj(W) v / det W.
-    """
-    det, adj = adjugate(lattice_basis)
-    if det == 0:
-        raise ValueError("singular lattice basis")
-    return flcm(mat_vec(adj, v), det)

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,8 @@ from chipfire.duality import (
     predicted_fixed_point_count,
 )
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M
-from chipfire.frackets import fracket_key, fracket_partition
+from chipfire.frackets import fracket_key, fracket_partition, zero_fracket
+from chipfire.lattices import walk_class_reps
 from chipfire.linalg import mat_vec, vec_sub
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
@@ -194,6 +195,35 @@ def test_integer_tables_match_their_rational_oracles(seed, equal):
     for record, (s, case, c) in zip(table, rows):
         assert record == {"config": s.config, "preimage": s.preimage, "mu_case": case,
                           "dual_config": c.config, "dual_preimage": c.preimage}
+
+
+def _signed_pair(seed, equal, negate):
+    """_random_pair, with L's first row negated when negate (det L < 0
+    whenever det L > 0 before)."""
+    pair = _random_pair(seed, equal)
+    if not negate:
+        return pair
+    return ChipFiringPair((tuple(-x for x in pair.l[0]),) + pair.l[1:], pair.m.m)
+
+
+# seed 6 with negate=True gives det L = -15, seed 20 no fixed point, and
+# seed 5 with equal=True the pair (M, M)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), equal=st.booleans(), negate=st.booleans())
+@example(seed=6, equal=False, negate=True)
+@example(seed=20, equal=False, negate=False)
+@example(seed=5, equal=True, negate=False)
+def test_quotient_facts_match_brute_force(seed, equal, negate):
+    pair = _signed_pair(seed, equal, negate)
+    c_max = pair.m.c_max
+    # the order of [c_max] in K(M)/F0_M: the least k with n_lm (k c_max) = 0 mod det M
+    order = next(k for k in count(1)
+                 if not any(q % pair.det_m for q in mat_vec(pair.n_lm, [k * c for c in c_max])))
+    assert nonzero_criteria(pair)["cmax_order"] == order
+    assert fixed_points(pair) == _fixed_points_oracle(_signed_pair(seed, equal, negate))
+    for side, dec in (("L", pair.l_snf), ("M", pair.m.snf)):
+        zero = tuple(rep for rep in walk_class_reps(dec) if not any(fracket_key(pair, side, rep)))
+        assert zero_fracket(pair, side).members == zero
 
 
 def test_duality_rows_after_the_class_split_is_released():

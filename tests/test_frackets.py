@@ -10,7 +10,7 @@ from chipfire.frackets import (
     fracket_partition,
     verify_largest_invariant_factor,
     zero_fracket,
-    zero_fracket_lattice,
+    zero_fracket_quotient,
     zero_fracket_size_formula,
 )
 from chipfire.lattices import class_id
@@ -122,12 +122,13 @@ def test_bad_side_rejected(diamond):
         fracket_partition(diamond, "X")
 
 
-def test_zero_fracket_lattice_takes_one_determinant(monkeypatch):
+def test_zero_fracket_quotient_takes_one_determinant(monkeypatch):
     # the pair build takes det L; |det Lambda| comes from the intersection
     # and det n_lm from det L and det M, so no further elimination runs
     real = linalg._det_bareiss
     calls = []
     monkeypatch.setattr(linalg, "_det_bareiss", lambda a: calls.append(a) or real(a))
-    lam, quotient = zero_fracket_lattice(diamond_pair(), "L")
+    pair = diamond_pair()
+    quotient = zero_fracket_quotient(pair, "L")
     assert len(calls) <= 1
-    assert abs(real(lam)) == quotient.order
+    assert quotient.order == fracket_partition(pair, "L").fracket_count

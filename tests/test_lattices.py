@@ -12,7 +12,6 @@ from chipfire.lattices import (
     EnumerationCapExceeded,
     class_id,
     count_order_le2,
-    element_order,
     lattice_intersection,
     quotient_group,
     snf,
@@ -100,7 +99,6 @@ def test_enumerate_class_reps(a):
     assert reps == [mat_vec(dec.U, r) for r in box]
     images = [mat_vec(a, r) for r in reps]
     assert list(walk_class_reps(dec, image=a)) == images
-    assert list(walk_class_reps(dec, image=a, with_rep=True)) == list(zip(reps, images))
     # the k-th class id of walk_class_ids is the class id of the k-th representative
     assert list(walk_class_ids(dec)) == [class_id(dec, r) for r in reps]
 
@@ -172,14 +170,6 @@ def test_lattice_intersection_quotient_equals_the_smith_form_of_w(num, den):
 def test_count_order_le2():
     assert count_order_le2(quotient_group(_snf(((4, 0), (0, 6))))) == 4
     assert count_order_le2(quotient_group(_snf(((3, 0), (0, 5))))) == 1
-
-
-def test_element_order():
-    lat = ((2, 0), (0, 3))
-    assert element_order(lat, (1, 0)) == 2
-    assert element_order(lat, (0, 1)) == 3
-    assert element_order(lat, (1, 1)) == 6
-    assert element_order(lat, (2, 3)) == 1
 
 
 def test_abelian_group_str():

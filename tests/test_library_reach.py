@@ -7,6 +7,10 @@ definition itself.  Imports, strings, docstrings and the tests do not
 count, so a name that only the tests call is reported: move it into the
 tests or delete it.  The package's __init__ only re-exports, so its own
 definitions are not checked.
+
+Every field of a namedtuple value class of the package must be read as
+an attribute somewhere in the package, the benchmark scripts or the
+tests; a field that nothing reads is carried for nobody.
 """
 
 import ast
@@ -16,6 +20,7 @@ import chipfire
 
 PACKAGE = Path(chipfire.__file__).parent
 BENCH = PACKAGE.parent.parent / "bench"
+TESTS = Path(__file__).parent
 
 
 def _definitions(tree):
@@ -61,6 +66,27 @@ def unreached(package, extra=()):
     return sorted(missing)
 
 
+def _namedtuple_fields(tree):
+    """(class name, field) for each namedtuple("Name", "fields") call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple"
+                and len(node.args) == 2 and all(isinstance(a, ast.Constant) for a in node.args)):
+            for field in node.args[1].value.replace(",", " ").split():
+                yield node.args[0].value, field
+
+
+def unread_fields(package, extra=()):
+    """Sorted "module.Class.field" entries for the namedtuple fields
+    defined in package/*.py that no attribute load in package/*.py or
+    the extra files reads."""
+    trees = {path: ast.parse(path.read_text()) for path in [*sorted(package.glob("*.py")), *extra]}
+    loads = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return sorted(f"{path.stem}.{name}.{field}" for path, tree in trees.items()
+                  if path.parent == package
+                  for name, field in _namedtuple_fields(tree) if field not in loads)
+
+
 def test_every_definition_reaches_behaviour():
     bench = sorted(BENCH.glob("*.py"))
     assert bench, "the benchmark scripts are found"
@@ -83,3 +109,18 @@ def test_an_unused_function_is_reported(tmp_path):
     (tmp_path / "bench.py").write_text("import pkg\n\nprint(pkg.core.Box().read())\n")
     assert unreached(package, [tmp_path / "bench.py"]) == ["core.Box.spare", "core.unused"]
     assert unreached(package) == ["core.Box", "core.Box.read", "core.Box.spare", "core.unused"]
+
+
+def test_every_namedtuple_field_is_read():
+    extra = sorted(BENCH.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert unread_fields(PACKAGE, extra) == []
+
+
+def test_an_unread_field_is_reported(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "core.py").write_text(
+        "from collections import namedtuple\n\n"
+        'Box = namedtuple("Box", "used, spare")\n\n\n'
+        "def make():\n    box = Box(used=1, spare=2)\n    box.spare = 3\n    return box.used\n")
+    assert unread_fields(package) == ["core.Box.spare"]
