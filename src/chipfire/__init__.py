@@ -134,4 +134,7 @@ def __getattr__(name):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # stored in the module dict, past _Package.__setattr__, so a later read
+    # finds it without a call here
+    globals()[name] = value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value

@@ -13,7 +13,10 @@ flcm(T S^-1 v).  As an abstract group
 
     K(S) / F0_S  ~=  Z^n / Lambda_S,   Lambda_S = Z^n  intersect  (S T^-1) Z^n,
 
-whose invariant factors one Smith form gives (zero_fracket_quotient).
+whose invariant factors one Smith form gives for both sides at once
+(zero_fracket_quotient): Lambda_M is Z^n intersect B^-1 Z^n for the
+B = L M^-1 of Lambda_L, and the Smith form of the scaled B gives the
+invariant factors of both intersections.
 
 The largest invariant factor of K(M)/F0_M equals flcm(L M^-1), and that
 of K(L)/F0_L equals flcm(M L^-1).  Writing p_S for the product of the
@@ -55,18 +58,21 @@ def _side_data(pair: ChipFiringPair, side):
 
 
 def zero_fracket_quotient(pair: ChipFiringPair, side):
-    """K(S)/F0_S ~= Z^n / Lambda_S as an AbelianGroup, computed once per
-    pair from one Smith decomposition (lattices.lattice_intersection)."""
-    if side not in pair._zero_quotients:
-        # Lambda_S comes from the OTHER side's keymap: its members v are the
-        # integer vectors with S T^-1 w = v for integer w, i.e. key({T S^-1 v}) = 0
-        # num = +-S adj(T), so |det num| = |det S| |det T|^(n-1) with no
-        # further elimination
-        other = "M" if side == "L" else "L"
-        num, den, det_t, _ = _side_data(pair, other)
-        det_s = pair.det_l if side == "L" else pair.det_m
-        _, pair._zero_quotients[side] = lattices.lattice_intersection(
-            num, den, det_s * det_t ** (pair.n - 1))
+    """K(S)/F0_S ~= Z^n / Lambda_S as an AbelianGroup.  Both sides come
+    from one Smith decomposition (lattices.lattice_intersection), made on
+    the first call for either side and cached on the pair."""
+    if side not in ("L", "M"):
+        raise ValueError("side must be 'L' or 'M'")
+    if not pair._zero_quotients:
+        # Lambda_L = Z^n intersect B Z^n for B = L M^-1 = n_lm / det M, and
+        # Lambda_M = Z^n intersect B^-1 Z^n; num = L adj(M), so
+        # det num = det L det M^(n-1) with no further elimination
+        _, quot_l, quot_m = lattices.lattice_intersection(
+            pair.n_lm, pair.det_m, pair.det_l * pair.det_m ** (pair.n - 1))
+        # |F0_L| = |F0_M|, that is |det L| / |Q_L| = |det M| / |Q_M|
+        ensure(pair.den_l * quot_m.order == pair.det_m * quot_l.order,
+               "|det L| |Q_M| = |det M| |Q_L|")
+        pair._zero_quotients.update(L=quot_l, M=quot_m)
     return pair._zero_quotients[side]
 
 

@@ -2,7 +2,8 @@
 
 Smith normal form with unimodular transforms, finite abelian quotient
 structure Z^n / A Z^n, canonical equivalence-class coordinates, the
-class walk, and intersection of Z^n with a rational lattice B Z^n.
+class walk, and intersection of Z^n with a rational lattice B Z^n and
+with its inverse B^-1 Z^n.
 
 A nonsingular A has one Smith decomposition, snf(A, det A):
 Uinv * A * Vinv = D = diag(d_1, ..., d_n), d_1 | ... | d_n, d_i >= 1,
@@ -11,7 +12,8 @@ integer vectors v, w satisfy v == w (mod A Z^n) iff Uinv v and Uinv w
 agree modulo diag(D), which gives a canonical class id.
 
 Every class walk (pair, fracket side, M-matrix) goes through
-walk_class_reps, which checks the one budget DEFAULT_ENUMERATION_CAP.
+walk_class_reps or walk_class_ids, which check the one budget
+DEFAULT_ENUMERATION_CAP.
 """
 
 from __future__ import annotations
@@ -208,11 +210,7 @@ def walk_class_reps(dec, image=None):
     digit that wraps from d_i - 1 to 0 takes (d_i - 1) U e_i off, so each
     class costs vector additions instead of a matrix-vector product.
     """
-    n = len(dec.D)
-    dims = [dec.D[i][i] for i in range(n)]
-    total = math.prod(dims)
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"{total} classes exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    dims, total = _residue_box(dec)
     basis = dec.U if image is None else mat_mul(image, dec.U)
     # only the digits with d_i > 1 move; the last one turns fastest
     wheels = [(d - 1, tuple(row[i] for row in basis), tuple((1 - d) * row[i] for row in basis))
@@ -225,11 +223,20 @@ def walk_class_ids(dec):
 
     The walk yields U*r for r in lexicographic residue order, and
     class_id(dec, U*r) = Uinv*U*r mod diag(D) = r, so zipped with a walk
-    this names every class without a matrix-vector product.  It reads no
-    budget itself, and builds nothing before its first step: the walk it
-    is zipped with checks the budget when it is called.
+    this names every class without a matrix-vector product, and alone it
+    names every class without building one.  Like the walk, it checks
+    DEFAULT_ENUMERATION_CAP when it is called, before its first step.
     """
-    yield from product(*(range(dec.D[i][i]) for i in range(len(dec.D))))
+    return product(*map(range, _residue_box(dec)[0]))
+
+
+def _residue_box(dec):
+    # (d_1, ..., d_n) and their product, under the one budget
+    dims = [dec.D[i][i] for i in range(len(dec.D))]
+    total = math.prod(dims)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"{total} classes exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    return dims, total
 
 
 def _odometer(wheels, size, total):
@@ -248,10 +255,11 @@ def _odometer(wheels, size, total):
 
 
 def lattice_intersection(num, den, det):
-    """(W, Z^n / W Z^n as an AbelianGroup) for the lattice
-    Z^n intersect B Z^n = W Z^n, where B = num / den with an integer
+    """(W, Z^n / W Z^n, Z^n / W' Z^n) for the lattices
+    Z^n intersect B Z^n = W Z^n and Z^n intersect B^-1 Z^n = W' Z^n, the
+    quotients as AbelianGroups, where B = num / den with an integer
     matrix num of determinant det, which the caller already holds, and a
-    positive integer den.  One Smith decomposition gives both.
+    positive integer den.  One Smith decomposition gives all three.
 
     Proof.  k = flcm(B) = den / g with g = gcd(den, content of num), so
     C = kB = num / g is integral, and snf gives Uinv C Vinv = D, that is
@@ -265,6 +273,14 @@ def lattice_intersection(num, den, det):
     gives e_i | e_(i+1), so the e_i > 1 are the invariant factors.  The
     same W is B Vinv diag(s), so den W = num Vinv diag(s), and
     |det W| = prod(e) = |det num| prod(s) / den^n; both are checked.
+
+    The inverse lattice.  B^-1 = k V^-1 D^-1 U^-1, and U^-1 is
+    unimodular, so B^-1 Z^n = Vinv diag(k / d_i) Z^n.  With k / d_i =
+    s_i / e_i in lowest terms, Z intersect (s_i / e_i) Z = s_i Z, so
+    W' = Vinv diag(s) and Z^n / W' Z^n is the sum of the Z / s_i Z, again
+    because Vinv is unimodular.  gcd(d_i, k) divides gcd(d_(i+1), k), so
+    s_(i+1) | s_i: the s_i > 1 in reverse order are the invariant
+    factors.  prod(s) / prod(e) = k^n / prod(d) = den^n / |det num|.
     """
     n, m = mat_shape(num)
     if n != m:
@@ -286,7 +302,8 @@ def lattice_intersection(num, den, det):
            "den W = num Vinv diag(scale)")
     ensure(math.prod(e) * den**n == abs(det) * math.prod(scale),
            "prod(e) den^n = |det num| prod(scale)")
-    return w, AbelianGroup(tuple(x for x in e if x > 1))
+    return (w, AbelianGroup(tuple(x for x in e if x > 1)),
+            AbelianGroup(tuple(x for x in reversed(scale) if x > 1)))
 
 
 def count_order_le2(group):

@@ -18,23 +18,28 @@ and stabilizing c_max plus chips gives a critical.  The stabilizer
 starts instead from c0 = v - M ceil(M^-1 (v - c_max)): c0 is in the
 class, equals c_max - M e for some 0 <= e < 1, and lies on the way from
 v + k b to the critical, so a far-off v costs no more sweeps than one
-near c_max (the proofs are in crit_of_class).  crit_of_class caches
-each critical by class id the first time it is asked for, and
-crit_of_class_id reads the same table by class id alone;
-sstab_of_class, superstables, criticals and is_z_superstable are read
-off it.  A lookup costs at most one stabilization and the full
-enumeration |det M| of them; nothing scans the stable box prod [0, M_ii).
+near c_max (the proofs are in crit_of_class).  For the representative
+v = U key of class id key, c0 = c_max - M t / det with
+t = (adj c_max - adj U key) mod det, so crit_of_class_id starts from
+the class id alone, with adj U built once per matrix.  It caches each critical by class
+id the first time it is asked for, and crit_of_class reads the same
+table at class_id(v); sstab_of_class, superstables, criticals and
+is_z_superstable are read off it.  A lookup costs at most one
+stabilization and the full enumeration |det M| of them; nothing scans
+the stable box prod [0, M_ii).
 """
 
 from __future__ import annotations
 
-from operator import mul, sub
+from functools import cached_property
+from operator import mul
 
 from . import lattices
 from .linalg import (
     adjugate,
     mat,
     mat_is_integral,
+    mat_mul,
     mat_over,
     mat_shape,
     mat_vec,
@@ -139,12 +144,13 @@ class MMatrix:
     def crit_of_class(self, v):
         """The unique critical equivalent to v mod M Z^n.
 
-        Accepts arbitrary integer vectors, negatives included.  The
-        critical is stabilize(a) for a = v + k b, where b = M z_b for
-        z_b the least z >= 0 with Mz >= 1 (adj(M) 1 is one such z, since
-        adj(M) >= 0) and k >= 0 is the least integer with a >= c_max,
-        and it is computed as stabilize(c0) for c0 = v - M z with
-        z = ceil(M^-1 (v - c_max)), which needs no k.
+        Accepts arbitrary integer vectors, negatives included, and reads
+        crit_of_class_id at v's class id.  The critical is stabilize(a)
+        for a = v + k b, where b = M z_b for z_b the least z >= 0 with
+        Mz >= 1 (adj(M) 1 is one such z, since adj(M) >= 0) and k >= 0 is
+        the least integer with a >= c_max, and it is computed as
+        stabilize(c0) for c0 = v - M z with z = ceil(M^-1 (v - c_max)),
+        which needs no k.
 
         Proof that stabilize(a) is the critical.  b lies in M Z^n, so a
         and c = stabilize(a) lie in v's class, and c is stable.  c is
@@ -174,29 +180,40 @@ class MMatrix:
         the least-action odometer of a, and by the abelian property
         stabilize(c0) = stabilize(a).
         """
-        return self._crit(self.class_id(v), v)
+        return self.crit_of_class_id(self.class_id(v))
 
     def crit_of_class_id(self, key):
         """The critical of the class whose class id is key.
 
-        U key lies in that class, since class_id(U r) = r.  The
-        stabilization starts from c0 = c_max - M e, and e depends only on
-        the class, so a miss costs the one stabilization crit_of_class
-        pays, whichever representative it starts from."""
-        crit = self._crit_by_class.get(key)
-        return crit if crit is not None else self._crit(key, mat_vec(self.snf.U, key))
-
-    def _crit(self, key, v):
-        """crit_of_class(v) for a v whose class id is key."""
+        U key lies in that class, since class_id(U r) = r, and c0 is read
+        off key.  Write a = adj (c_max - U key) and t = a mod det.  Then
+        z = ceil(adj (U key - c_max) / det) = -(a - t) / det, and
+        M a = det (c_max - U key) since M adj = det I, so
+        c0 = U key - M z = c_max - M t / det, and e = t / det.  The digits
+        with d_i = 1 lead and are 0, so adj U key is the product of the
+        trailing columns of adj U with the trailing digits of key, and a
+        miss costs that product, M t and one stabilization.  adj c_max and
+        those columns are built on the first miss."""
         crit = self._crit_by_class.get(key)
         if crit is None:
             det = self.det
-            gap = tuple(map(sub, v, self.c_max))
-            # z = ceil(M^-1 (v - c_max)) as ceil(adj (v - c_max) / det)
-            z = [-(sum(map(mul, row, gap)) // -det) for row in self.adj]
-            crit = self.stabilize(x - sum(map(mul, row, z)) for x, row in zip(v, self.m))
+            top, first, rows = self._start
+            tail = key[first:]
+            t = [(x - sum(map(mul, row, tail))) % det for x, row in zip(top, rows)]
+            crit = self.stabilize(x - sum(map(mul, row, t)) // det
+                                  for x, row in zip(self.c_max, self.m))
             self._crit_by_class[key] = crit
         return crit
+
+    @cached_property
+    def _start(self):
+        """(adj c_max, the first digit with d_i > 1, the rows of adj U over
+        that digit and the ones after it), entries mod det, built on the
+        first miss, so a matrix that never misses skips it."""
+        det, d = self.det, self.snf.D
+        first = next((i for i in range(self.n) if d[i][i] > 1), self.n)
+        rows = tuple(tuple(x % det for x in row[first:]) for row in mat_mul(self.adj, self.snf.U))
+        return tuple(x % det for x in mat_vec(self.adj, self.c_max)), first, rows
 
     def sstab_of_class(self, v):
         """The unique superstable equivalent to v mod M Z^n: c_max minus
@@ -208,11 +225,11 @@ class MMatrix:
     def superstables(self):
         """All z-superstable configurations in lexicographic order: c_max
         minus the critical of each class.  The work is |det M|
-        stabilizations, and the enumeration cap bounds it."""
+        stabilizations, one per class id, and the enumeration cap bounds
+        it before the first."""
         if self._superstables is None:
-            walk = lattices.walk_class_reps(self.snf)
-            for key, rep in zip(lattices.walk_class_ids(self.snf), walk):
-                self._crit(key, rep)
+            for key in lattices.walk_class_ids(self.snf):
+                self.crit_of_class_id(key)
             if len(self._crit_by_class) != abs(self.det):
                 raise RuntimeError(f"found {len(self._crit_by_class)} criticals, expected "
                                    f"|det M| = {abs(self.det)}")

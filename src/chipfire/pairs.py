@@ -120,7 +120,7 @@ class ChipFiringPair:
         self.l_group = lattices.quotient_group(self.l_snf)
         self._classes = None    # the class tables of L, while a kind is uncached
         self._rows = {}         # kind -> PairRows in class-walk order
-        self._zero_quotients = {}   # side -> K(side)/F0 as an AbelianGroup, filled by frackets
+        self._zero_quotients = {}   # side -> K(side)/F0 as an AbelianGroup; frackets fills both at once
 
     @property
     def det_m(self):

@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chipfire import linalg, refdata
+from chipfire import lattices, linalg, refdata, verification
 from chipfire.fixtures import diamond_pair
 from chipfire.frackets import (
     cyclic_shortcut,
@@ -13,8 +16,9 @@ from chipfire.frackets import (
     zero_fracket_quotient,
     zero_fracket_size_formula,
 )
-from chipfire.lattices import class_id
-from chipfire.linalg import mat_vec
+from chipfire.lattices import class_id, lattice_intersection
+from chipfire.linalg import mat_det, mat_vec
+from chipfire.pairs import ChipFiringPair
 
 
 def frac_part(v):
@@ -120,6 +124,8 @@ def test_equal_pair_has_single_fracket():
 def test_bad_side_rejected(diamond):
     with pytest.raises((KeyError, ValueError)):
         fracket_partition(diamond, "X")
+    with pytest.raises(ValueError, match="^side must be 'L' or 'M'$"):
+        zero_fracket_quotient(diamond, "X")
 
 
 def test_zero_fracket_quotient_takes_one_determinant(monkeypatch):
@@ -132,3 +138,45 @@ def test_zero_fracket_quotient_takes_one_determinant(monkeypatch):
     quotient = zero_fracket_quotient(pair, "L")
     assert len(calls) <= 1
     assert quotient.order == fracket_partition(pair, "L").fracket_count
+
+
+def test_both_zero_fracket_quotients_take_one_smith_form(monkeypatch):
+    pair = diamond_pair()
+    real = lattices.snf
+    calls = []
+    monkeypatch.setattr(lattices, "snf", lambda a, det: calls.append(a) or real(a, det))
+    quot_l = zero_fracket_quotient(pair, "L")
+    quot_m = zero_fracket_quotient(pair, "M")
+    assert len(calls) == 1
+    assert quot_l.order == fracket_partition(pair, "L").fracket_count
+    assert quot_m.order == fracket_partition(pair, "M").fracket_count
+
+
+def _signed_random_pair(seed, equal, negate):
+    """A pair from the acceptance suite's generators, or (M, M) when equal;
+    negate flips the sign of L's first row, and with it det L."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    m = verification._random_m_matrix(rng, n)
+    grid = m.m if equal else verification._random_pair(rng, n, m).l
+    if negate:
+        grid = (tuple(-x for x in grid[0]),) + tuple(grid[1:])
+    return ChipFiringPair(grid, m)
+
+
+# seed 25 with negate=True gives det L = -9 (K(M)/F0_M = Z_2 x Z_194), seed 30
+# det L = -26 with |F0| = 2, and seed 5 with equal=True the pair (M, M)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), equal=st.booleans(), negate=st.booleans())
+@example(seed=25, equal=False, negate=True)
+@example(seed=30, equal=False, negate=True)
+@example(seed=5, equal=True, negate=False)
+@example(seed=5, equal=True, negate=True)
+def test_zero_fracket_quotients_match_one_intersection_per_side(seed, equal, negate):
+    # the two-call path: Lambda_L from the keymap L M^-1 = n_lm / det M and
+    # Lambda_M from M L^-1 = n_ml / |det L|, each with its own Smith form
+    pair = _signed_random_pair(seed, equal, negate)
+    _, quot_l, _ = lattice_intersection(pair.n_lm, pair.det_m, mat_det(pair.n_lm))
+    _, quot_m, _ = lattice_intersection(pair.n_ml, pair.den_l, mat_det(pair.n_ml))
+    assert zero_fracket_quotient(pair, "L") == quot_l
+    assert zero_fracket_quotient(pair, "M") == quot_m

@@ -11,6 +11,7 @@ load only when a rational is parsed or built: `enumerate`, `duality`,
 integer numerators, in every format.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -98,6 +99,21 @@ def test_enumerate_and_duality_load_no_fractions():
     out = subprocess.run([sys.executable, "-c", RATIONAL_FREE], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n" + str([0] * 9) + " True []\n"
+
+
+def test_a_lazy_name_is_imported_on_its_first_read_only(monkeypatch):
+    # the first read stores the name on the package, so the second one
+    # reaches neither __getattr__ nor import_module
+    monkeypatch.delattr(chipfire, "fixed_points", raising=False)
+    real = importlib.import_module
+    calls = []
+    monkeypatch.setattr(importlib, "import_module",
+                        lambda name, *args: calls.append(name) or real(name, *args))
+    first = chipfire.fixed_points
+    assert calls == ["chipfire.duality"]
+    assert chipfire.fixed_points is first
+    assert calls == ["chipfire.duality"]
+    assert callable(chipfire.duality) and vars(chipfire)["duality"] is chipfire.duality
 
 
 def test_unknown_package_attribute_raises():

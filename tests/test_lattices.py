@@ -118,11 +118,13 @@ def test_enumerate_class_reps_odometer_in_three_dims(diag):
 
 
 def test_enumeration_cap(monkeypatch):
-    # the walk reads the one budget when it is called, before any class
+    # both walks read the one budget when they are called, before any class
     monkeypatch.setattr(lattices, "DEFAULT_ENUMERATION_CAP", 10)
     a = ((1000, 0), (0, 1000))
     with pytest.raises(EnumerationCapExceeded, match="^1000000 classes exceeds cap 10$"):
         walk_class_reps(_snf(a))
+    with pytest.raises(EnumerationCapExceeded, match="^1000000 classes exceeds cap 10$"):
+        walk_class_ids(_snf(a))
 
 
 @settings(max_examples=25, deadline=None)
@@ -136,7 +138,7 @@ def test_lattice_intersect_membership(a):
     det, adj = adjugate(a)
     sign = 1 if det > 0 else -1
     num = mat_scale(2 * sign, adj)
-    w, quotient = lattice_intersection(num, abs(det), mat_det(num))
+    w, quotient, _ = lattice_intersection(num, abs(det), mat_det(num))
     w_det, w_adj = adjugate(w)
     assert quotient.order == abs(w_det)
 
@@ -161,10 +163,27 @@ def test_lattice_intersection_quotient_equals_the_smith_form_of_w(num, den):
     # the quotient read off the one Smith decomposition of k B is the
     # quotient of a second, independent Smith form of W
     det = mat_det(num)
-    w, quotient = lattice_intersection(num, den, det)
+    w, quotient, _ = lattice_intersection(num, den, det)
     det_w = mat_det(w)
     assert quotient == quotient_group(snf(w, det_w))
     assert quotient.order == abs(det_w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_invertible(3), st.integers(1, 12))
+@example(((2, 0, 0), (0, 4, 0), (0, 0, 6)), 4)
+@example(((0, 1, 0), (1, 0, 0), (0, 0, -3)), 1)
+def test_lattice_intersection_inverse_quotient(num, den):
+    # the third group is Z^n / (Z^n cap B^-1 Z^n), here recomputed from its
+    # own Smith form: B^-1 = den num^-1 = den sign(det num) adj(num) / |det num|
+    det, adj = adjugate(num)
+    sign = 1 if det > 0 else -1
+    inv_num = mat_scale(den * sign, adj)
+    _, quotient, inverse_quotient = lattice_intersection(num, den, det)
+    _, direct, back = lattice_intersection(inv_num, abs(det), mat_det(inv_num))
+    assert inverse_quotient == direct
+    assert back == quotient
+    assert inverse_quotient.order * abs(det) == quotient.order * den**3
 
 
 def test_count_order_le2():

@@ -1,11 +1,12 @@
 import math
+import random
 from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chipfire import refdata
+from chipfire import lattices, refdata, verification
 from chipfire.fixtures import DIAMOND_M
 from chipfire.linalg import mat_vec, vec_sub
 from chipfire.mmatrix import MMatrix, is_m_matrix
@@ -125,6 +126,21 @@ def test_stabilization_start_gives_the_burning_critical(grid, entries):
     v = tuple(entries[: m.n])
     k = max(0, *(-((x - top) // b) for x, top, b in zip(v, m.c_max, burning)))
     assert m.crit_of_class(v) == m.stabilize(x + k * b for x, b in zip(v, burning))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4))
+@example(0, 4)
+def test_crit_of_class_id_matches_the_burning_start_on_every_key(seed, n):
+    # the table starts each miss from c_max - M t / det; the oracle is Dhar's
+    # burning start: stabilize(U key + k b) for the least k >= 0 that puts
+    # U key + k b at or above c_max
+    m = verification._random_m_matrix(random.Random(seed), n)
+    burning = mat_vec(m.m, burning_script(m.m))
+    for key in lattices.walk_class_ids(m.snf):
+        v = mat_vec(m.snf.U, key)
+        k = max(0, *(-((x - top) // b) for x, top, b in zip(v, m.c_max, burning)))
+        assert m.crit_of_class_id(key) == m.stabilize(x + k * b for x, b in zip(v, burning))
 
 
 def test_burning_vector_of_complete_graph_is_all_ones():
