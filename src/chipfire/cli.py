@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 from collections import namedtuple
+from contextlib import nullcontext
+from functools import cache
 from math import gcd
-from operator import itemgetter
+from operator import add, attrgetter, itemgetter, mul
 
 from .fixtures import FIXTURES
 from .lattices import AbelianGroup
@@ -62,22 +64,26 @@ class Report(namedtuple("Report", "payload headers rows lines code", defaults=(N
 
     __slots__ = ()
 
-    def render(self, fmt):
+    def write(self, fmt, out):
+        """Write the report in format fmt to out, row by row as it formats it;
+        the table reads its rows (tuples of strings) twice, widths first."""
         if fmt == "json":
-            return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
-        if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
+            out.write(json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
+        elif fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
             writer.writerow(self.headers)
             writer.writerows(self.rows)
-            return buf.getvalue()
-        lines = self.lines
-        if lines is None:
-            cells = [list(self.headers)] + [[str(c) for c in row] for row in self.rows]
-            widths = [max(len(r[j]) for r in cells) for j in range(len(self.headers))]
-            lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
-            lines.insert(1, "  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
+        elif self.lines is not None:
+            out.write("\n".join(self.lines) + "\n")
+        else:
+            widths = list(map(len, self.headers))
+            for row in self.rows:
+                widths = list(map(max, widths, map(len, row)))
+            line = "".join(f"%-{w}s  " for w in widths[:-1]) + "%s\n"
+            out.write(line % self.headers)
+            out.write("  ".join("-" * w for w in widths) + "\n")
+            for row in self.rows:
+                out.write(line % row)
 
 
 # what a column shows of a PairRow field, or (None) of a plain value, in JSON
@@ -90,69 +96,59 @@ _ROW_JSON = {
 }
 
 
-def _reduced(frac_num, den):
-    """(per entry (q/g, den/g), cell text) for fractional numerators
-    0 <= q < den, with g = gcd(q, den): the cell renders each entry as
-    "0" or "a/b" reduced by g, as over_json renders it."""
-    parts = []
-    for q in frac_num:
-        g = gcd(q, den)
-        parts.append((q // g, den // g))
-    return parts, "(" + ", ".join(f"{a}/{b}" if b > 1 else "0" for a, b in parts) + ")"
+def _template(frac_num, den):
+    """(format, b, a, cell) of a fractional part q/den, 0 <= q < den, with
+    q/den = a/b reduced by gcd(q, den) as over_json renders it: a preimage
+    entry f + a/b is "%d/b" % (f*b + a), or "%d" % f when b == 1."""
+    b = tuple(den // gcd(q, den) for q in frac_num)
+    a = tuple(q * x // den for q, x in zip(frac_num, b))
+    fmt = "(" + ", ".join(f"%d/{x}" if x > 1 else "%d" for x in b) + ")"
+    return fmt, b, a, fmt % a
 
 
-def _row_cells():
-    """The cell text of each PairRow field (None: a plain value), for one
-    report.  A preimage or fractional part renders each entry as an
-    integer or "a/b" reduced by gcd(frac_num, den), as over_json renders
-    it; the reduction is done once per distinct (frac_num, den) of the
-    report and the frac cell is kept whole."""
-    reduced = {}    # (frac_num, den) -> _reduced(frac_num, den)
-
-    def reduce(r):
-        key = (r.frac_num, r.den)
-        found = reduced.get(key)
-        if found is None:
-            found = reduced[key] = _reduced(*key)
-        return found
+def _row_cells(n):
+    """Per PairRow field (None: a plain value), the map from a column of
+    values to its cells, for one report of n-vectors: one "%d" format for
+    every vector, one _template per (frac_num, den), built on first use."""
+    vec = "(" + ", ".join(["%d"] * n) + ")"
+    part = cache(_template)
 
     def preimage(r):
-        return "(" + ", ".join(f"{f * b + a}/{b}" if b > 1 else str(f)
-                               for f, (a, b) in zip(r.floor, reduce(r)[0])) + ")"
+        fmt, b, a, _ = part(r.frac_num, r.den)
+        return fmt % tuple(map(add, map(mul, r.floor, b), a))
 
     return {
-        None: lambda x: x,
-        "config": lambda r: _fmt_vec(r.config),
-        "preimage": preimage,
-        "floor": lambda r: _fmt_vec(r.floor),
-        "frac": lambda r: reduce(r)[1],
+        None: lambda col: col,
+        "config": lambda col: map(vec.__mod__, map(attrgetter("config"), col)),
+        "preimage": lambda col: map(preimage, col),
+        "floor": lambda col: map(vec.__mod__, map(attrgetter("floor"), col)),
+        "frac": lambda col: (part(r.frac_num, r.den)[3] for r in col),
     }
 
 
-def _rows_report(args, records, columns, shown):
-    """Report of records, each a tuple of PairRows and plain values.
+class _Cells:
+    """The table and CSV rows of records, zipped from their columns afresh on each pass."""
 
-    Each column is (name, index into the record, PairRow field, or None
-    for a plain value).  json prints every column and table and csv the
-    first shown ones; only the format printed is built, json from the
-    JSON renderers and table and csv from the cell texts.
-    """
+    def __init__(self, records, columns):
+        self.records, self.columns = records, columns
+
+    def __iter__(self):
+        recs = self.records
+        return zip(*[cells(recs if i is None else map(itemgetter(i), recs)) for i, cells in self.columns])
+
+
+def _rows_report(args, records, columns, shown, n):
+    """Report of records over n-vectors, each a PairRow or a tuple of
+    PairRows and plain values.  Each column is (name, index into the record
+    or None for the record itself, PairRow field or None for a plain value).
+    json prints every column, table and csv the first shown ones."""
     if args.format == "json":
         getters = [(name, i, _ROW_JSON[field]) for name, i, field in columns]
-        payload = [{name: get(rec[i]) for name, i, get in getters} for rec in records]
+        payload = [{name: get(rec if i is None else rec[i]) for name, i, get in getters} for rec in records]
         return Report(payload, (), None)
-    cells = _row_cells()
-    getters = [(i, cells[field]) for _, i, field in columns[:shown]]
-    rows = [[get(rec[i]) for i, get in getters] for rec in records]
-    return Report(None, tuple(name for name, _, _ in columns[:shown]), rows)
-
-
-def _emit(args, text):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    cells, columns = _row_cells(n), columns[:shown]
+    getters = [(i, cells[field]) for _, i, field in columns]
+    return Report(None, tuple(name for name, _, _ in columns), _Cells(records, getters))
 
 
 def _load_pair(args) -> ChipFiringPair:
@@ -239,8 +235,8 @@ def cmd_enumerate(args):
     pair = _load_pair(args)
     rows = (pair.enumerate_pair_superstables() if args.kind == "superstable"
             else pair.enumerate_pair_criticals())
-    columns = tuple((field, 0, field) for field in ("config", "preimage", "floor", "frac"))
-    return _rows_report(args, zip(rows), columns, 4 if args.preimages else 1)
+    columns = tuple((field, None, field) for field in ("config", "preimage", "floor", "frac"))
+    return _rows_report(args, rows, columns, 4 if args.preimages else 1, len(pair.l))
 
 
 def cmd_duality(args):
@@ -252,11 +248,11 @@ def cmd_duality(args):
         # D^-1's table is D's, read by critical
         columns = (("critical", 2, "config"), ("critical_preimage", 2, "preimage"),
                    ("superstable", 0, "config"), ("superstable_preimage", 0, "preimage"))
-        return _rows_report(args, sorted(records, key=itemgetter(2)), columns, 4)
+        return _rows_report(args, sorted(records, key=itemgetter(2)), columns, 4, len(pair.l))
     columns = (("superstable", 0, "config"), ("superstable_preimage", 0, "preimage"),
                ("critical", 2, "config"), ("critical_preimage", 2, "preimage"),
                ("mu_case", 1, None))
-    return _rows_report(args, records, columns, 5 if args.show_mu_cases else 4)
+    return _rows_report(args, records, columns, 5 if args.show_mu_cases else 4, len(pair.l))
 
 
 def cmd_fixed_points(args):
@@ -289,7 +285,7 @@ def cmd_fixed_points(args):
             f"quotient by the zero fracket: {crit['quotient']}",
             f"order of [c_max] there: {crit['cmax_order']}",
         ]
-    return Report(None, ("fixed_point",), [[c] for c in cells], lines, code)
+    return Report(None, ("fixed_point",), [(c,) for c in cells], lines, code)
 
 
 def cmd_frackets(args):
@@ -338,7 +334,7 @@ def cmd_frackets(args):
                          for r, ids in keyed],
         }
         return Report(payload, (), None)
-    rows = [[_reduced(r, part.den)[1], len(ids), " ".join(map(_fmt_vec, ids))] for r, ids in keyed]
+    rows = [(_template(r, part.den)[3], str(len(ids)), " ".join(map(_fmt_vec, ids))) for r, ids in keyed]
     return Report(None, ("key", "size", "classes"), rows)
 
 
@@ -476,7 +472,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report = args.fn(args)
-        _emit(args, report.render(args.format))
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+            report.write(args.format, out)
+    except BrokenPipeError:
+        # the reader left early (`| head`): the exit's final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -231,6 +231,19 @@ def test_out_flag(tmp_path, capsys):
     assert "Z_12" in target.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv", [("enumerate", "--kind", "superstable", "--preimages"),
+                                  ("duality", "--show-mu-cases")], ids=lambda a: a[0])
+def test_out_file_equals_stdout(tmp_path, capsys, argv, fmt):
+    # the file is written row by row, as stdout is
+    argv = [*argv, "--fixture", "diamond", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    target = tmp_path / "report.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_family_scan_default(capsys):
     code, out, _ = run(capsys, "family-scan", "--kind", "cycle", "--n", "6")
     assert code == 0

@@ -12,12 +12,16 @@ for the pattern (bench/gen.py, `k6_input(691)`).
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
 import chipfire.cli
 import chipfire.linalg
-from chipfire.cli import main
+from chipfire.cli import build_parser, main
 from chipfire.duality import duality, duality_inverse, duality_rows, fixed_points, mu_case
 from chipfire.sgraph import family, reduced_laplacians
 
@@ -122,6 +126,62 @@ def test_table_and_csv_rows_skip_the_json_builders(graph_path, capsys, monkeypat
         monkeypatch.setattr(chipfire.cli, name, refuse)
     assert main([*argv, "--graph", graph_path]) == 0
     assert capsys.readouterr().out.count("\n") == 2048 + (1 if "csv" in argv else 2)
+
+
+class LineSink:
+    """A stdout stand-in that keeps the byte count and the number of
+    writes holding more than one line, and nothing of the text."""
+
+    def __init__(self):
+        self.size = self.multiline_writes = 0
+
+    def write(self, text):
+        self.size += len(text)
+        self.multiline_writes += text.find("\n") not in (-1, len(text) - 1)
+
+
+def test_table_rows_are_written_as_they_are_formatted(graph_path):
+    # 2,049 lines of about 120 bytes: a report that joined them first
+    # would hold the whole text at once, and write it in one call
+    args = build_parser().parse_args(["duality", "--show-mu-cases", "--graph", graph_path])
+    report = args.fn(args)
+    sink = LineSink()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report.write(args.format, sink)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 200_000
+    assert sink.multiline_writes == 0
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, header", [
+    (("duality", "--show-mu-cases"), b"superstable "),
+    (("enumerate", "--kind", "superstable", "--preimages", "--format", "csv"), b"config,preimage,floor,frac\n"),
+], ids=["duality", "enumerate-csv"])
+def test_a_reader_that_leaves_early_ends_the_command_quietly(graph_path, argv, header, unbuffered):
+    # the output outgrows the pipe, so the command is still writing when
+    # the reader closes it after one line, as `| head -1` does
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(chipfire.cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "chipfire.cli", *argv, "--graph", graph_path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(header)
+    assert (code, err) == (0, b"")
 
 
 def test_fixed_points_stabilize_only_the_fixed_classes():
