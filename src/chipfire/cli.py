@@ -470,16 +470,25 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # with PYTHONUNBUFFERED set stdout is write-through, so each row would
+    # be its own write(2): it is buffered while the report is written
+    through = not args.out and getattr(sys.stdout, "write_through", False)
     try:
         report = args.fn(args)
+        if through:
+            sys.stdout.reconfigure(write_through=False)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
             report.write(args.format, out)
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (`| head`): the exit's final flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if through:
+            sys.stdout.reconfigure(write_through=True)
     return report.code
 
 

@@ -21,18 +21,21 @@ v + k b to the critical, so a far-off v costs no more sweeps than one
 near c_max (the proofs are in crit_of_class).  For the representative
 v = U key of class id key, c0 = c_max - M t / det with
 t = (adj c_max - adj U key) mod det, so crit_of_class_id starts from
-the class id alone, with adj U built once per matrix.  It caches each critical by class
-id the first time it is asked for, and crit_of_class reads the same
-table at class_id(v); sstab_of_class, superstables, criticals and
-is_z_superstable are read off it.  A lookup costs at most one
-stabilization and the full enumeration |det M| of them; nothing scans
-the stable box prod [0, M_ii).
+the class id alone, with adj U built once per matrix.  It caches each
+critical by class id the first time it is asked for, at one
+stabilization from c0, and crit_of_class reads the same table at
+class_id(v); sstab_of_class, superstables, criticals and
+is_z_superstable are read off it.  fill_criticals fills the whole table
+by one odometer walk of the class ids instead: each step stabilizes a
+critical plus a small superstable, which settles in fewer sweeps than a
+start from c0.  Nothing scans the stable box prod [0, M_ii).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from . import lattices
 from .linalg import (
@@ -183,7 +186,15 @@ class MMatrix:
         return self.crit_of_class_id(self.class_id(v))
 
     def crit_of_class_id(self, key):
-        """The critical of the class whose class id is key.
+        """The critical of the class whose class id is key, from the table,
+        or on a miss from one stabilization (_stabilized_start)."""
+        crit = self._crit_by_class.get(key)
+        if crit is None:
+            crit = self._crit_by_class[key] = self._stabilized_start(key)
+        return crit
+
+    def _stabilized_start(self, key):
+        """The critical of class id key, stabilized from c0; no table.
 
         U key lies in that class, since class_id(U r) = r, and c0 is read
         off key.  Write a = adj (c_max - U key) and t = a mod det.  Then
@@ -194,16 +205,12 @@ class MMatrix:
         trailing columns of adj U with the trailing digits of key, and a
         miss costs that product, M t and one stabilization.  adj c_max and
         those columns are built on the first miss."""
-        crit = self._crit_by_class.get(key)
-        if crit is None:
-            det = self.det
-            top, first, rows = self._start
-            tail = key[first:]
-            t = [(x - sum(map(mul, row, tail))) % det for x, row in zip(top, rows)]
-            crit = self.stabilize(x - sum(map(mul, row, t)) // det
-                                  for x, row in zip(self.c_max, self.m))
-            self._crit_by_class[key] = crit
-        return crit
+        det = self.det
+        top, first, rows = self._start
+        tail = key[first:]
+        t = [(x - sum(map(mul, row, tail))) % det for x, row in zip(top, rows)]
+        return self.stabilize(x - sum(map(mul, row, t)) // det
+                              for x, row in zip(self.c_max, self.m))
 
     @cached_property
     def _start(self):
@@ -222,17 +229,44 @@ class MMatrix:
 
     # -- enumeration and superstability ------------------------------------
 
+    def fill_criticals(self):
+        """Fill the table with the critical of every class by one odometer
+        walk of the class ids, unless it is full.  The enumeration cap
+        bounds the walk before its first step.
+
+        Stepping digit k stabilizes the critical where that digit last
+        started plus g_k, the superstable of the class of U e_k (id e_k).
+        Adding chips to a critical and stabilizing gives a critical (the
+        proof in crit_of_class), the sum lies in class id + e_k, and each
+        class holds one critical.  The work is |det M| - 1 such steps plus
+        one start from c0 for id 0 and for each g_k."""
+        det, n = self.det, self.n
+        if len(self._crit_by_class) == det:
+            return
+        keys = lattices.walk_class_ids(self.snf)
+        dims = [self.snf.D[i][i] for i in range(n)]
+        id_max = self.class_id(self.c_max)      # g_k = c_max - crit(id(c_max) - e_k)
+        steps = [d > 1 and vec_sub(self.c_max, self._stabilized_start(
+                     id_max[:k] + ((id_max[k] - 1) % d,) + id_max[k + 1:]))
+                 for k, d in enumerate(dims)]
+        zero = next(keys)
+        starts = [self._stabilized_start(zero)] * n     # per digit, the critical where it started
+        table = {zero: starts[0]}
+        for key in keys:
+            k = n - 1
+            while not key[k]:
+                k -= 1
+            crit = table[key] = self.stabilize(map(add, starts[k], steps[k]))
+            starts[k:] = repeat(crit, n - k)
+        if len(table) != det:
+            raise RuntimeError(f"found {len(table)} criticals, expected |det M| = {det}")
+        self._crit_by_class = table
+
     def superstables(self):
         """All z-superstable configurations in lexicographic order: c_max
-        minus the critical of each class.  The work is |det M|
-        stabilizations, one per class id, and the enumeration cap bounds
-        it before the first."""
+        minus the critical of each class, from fill_criticals."""
         if self._superstables is None:
-            for key in lattices.walk_class_ids(self.snf):
-                self.crit_of_class_id(key)
-            if len(self._crit_by_class) != abs(self.det):
-                raise RuntimeError(f"found {len(self._crit_by_class)} criticals, expected "
-                                   f"|det M| = {abs(self.det)}")
+            self.fill_criticals()
             self._superstables = tuple(sorted(map(self.classical_dual,
                                                   self._crit_by_class.values())))
         return self._superstables

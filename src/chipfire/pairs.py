@@ -35,14 +35,16 @@ The class walk steps the preimage numerators p, stacked over Uinv_M p,
 through the residue box one column at a time (lattices.walk_class_reps).
 A class keeps its fractional numerators fr = p mod |det L| and the
 M-class id of its floor, (Uinv_M p - Uinv_M fr) / |det L| mod diag(D_M),
-with Uinv_M fr computed once per distinct fr.  The rows are read off two
-tables: per M-class id the critical crit and |det L| n_lm crit (one
-stabilization each), and per distinct fr the product n_lm fr.  A
-critical row's configuration is their sum over det M |det L|, and a
-superstable row reads the class of c_max - floor, whose id is
-id(c_max) - id(floor), so no row takes a matrix-vector product.  Both
-sweeps share the walk and the tables, which are released once both
-kinds of rows are cached.  The rows of each kind are cached in
+with Uinv_M fr computed once per distinct fr, and the classes are
+grouped by that id.  The rows are built one class of M at a time: a
+group's base, the critical of its id (or, for superstables, c_max minus
+the critical of id(c_max) - id, the class of c_max - floor), and
+|det L| n_lm base are built once, and a row's configuration is that sum
+plus n_lm fr, from a table per distinct fr, over det M |det L|, so no
+row takes a matrix-vector product.  When |det L| >= det M, M fills its
+table of criticals by one walk of K(M) first.  Both sweeps share the
+walk and the tables, which are released once both kinds of rows are
+cached.  The rows of each kind are cached in
 class-walk order, the pair's one row cache, and sorted on each ask, so
 duality pairs the superstable and the critical of each class of L in
 walk order, without a lookup.
@@ -221,82 +223,74 @@ class ChipFiringPair:
         )
 
     def _class_tables(self):
-        """(keys, frs, crits, fracs), shared by both sweeps until both
-        kinds of rows are cached: per class of L in walk order the M-class
-        id of its preimage floor and its fractional numerators fr; per
-        M-class id (crit, |det L| n_lm crit), filled by the sweeps; per
+        """(groups, frs, fracs), shared by both sweeps until both kinds of
+        rows are cached: the walk indices of the classes of L grouped by
+        the M-class id of their preimage floor, in order of first visit;
+        per class of L in walk order its fractional numerators fr; per
         distinct fr, n_lm fr."""
         if self._classes is None:
             d, n, dec = self.den_l, self.n, self.m.snf
             dims = tuple(dec.D[i][i] for i in range(n))
             uinv_fr = {}
-            keys, frs = [], []
+            groups, frs = {}, []
             image = self.n_ml + mat_mul(dec.Uinv, self.n_ml)
-            for v in lattices.walk_class_reps(self.l_snf, image=image):
+            for index, v in enumerate(lattices.walk_class_reps(self.l_snf, image=image)):
                 fr = tuple(map(d.__rmod__, v[:n]))
                 found = uinv_fr.get(fr)
                 if found is None:
                     found = uinv_fr[fr] = (fr, mat_vec(dec.Uinv, fr))
                 fr, u = found       # the rows of one fractional part share its tuple
                 fl_id = map(floordiv, map(sub, v[n:], u), repeat(d))     # Uinv_M floor
-                keys.append(tuple(map(mod, fl_id, dims)))
+                groups.setdefault(tuple(map(mod, fl_id, dims)), []).append(index)
                 frs.append(fr)
             fracs = {fr: mat_vec(self.n_lm, fr) for fr in uinv_fr}
-            self._classes = (keys, frs, {}, fracs)
+            self._classes = (groups, frs, fracs)
         return self._classes
 
     def _walk_rows(self, kind):
         """The kind's rows in class-walk order: the superstable and the
         critical at one index lie in the same class of L.
 
-        Each row is a few maps over the tables of _class_tables.  For a
-        floor of M-class id key, the critical row has base crit(key) and
-        configuration (|det L| n_lm crit + n_lm fr) / (det M |det L|); the
-        superstable row has base c_max - crit(key') and numerators
-        |det L| n_lm (c_max - crit(key')) + n_lm fr, where
-        key' = id(c_max) - key mod diag(D_M) is the class of
-        c_max - floor; the superstable sweep keeps these per key, so the
-        rows of one class of M share their base.  A table miss costs one
-        stabilization.  A row whose configuration is not integral or whose
-        base is negative, or a kind without |det L| distinct
-        configurations, raises RuntimeError.  The tables are released once
-        both kinds are cached.
+        The rows are built one class of M at a time, over the groups of
+        _class_tables.  A floor of M-class id key gives the critical base
+        crit(key) and the superstable base c_max - crit(id(c_max) - key),
+        the critical of the class of c_max - floor.  A group builds its
+        base and |det L| n_lm base once; a row's configuration is
+        (|det L| n_lm base + n_lm fr) / (det M |det L|), written at its
+        walk index.  The criticals are read through M.crit_of_class_id,
+        after M.fill_criticals when |det L| >= det M, since the rows then
+        touch most classes of M; otherwise each group's miss costs one
+        stabilization.  A negative base, a configuration that is not
+        integral, or a kind without |det L| distinct configurations raises
+        RuntimeError.  The tables are released once both kinds are cached.
         """
         if kind not in self._rows:
-            keys, frs, crits, fracs = self._class_tables()
+            groups, frs, fracs = self._class_tables()
             m, d, n_lm = self.m, self.den_l, self.n_lm
             den = self.det_m * d
-
-            def critical(key):
-                entry = crits.get(key)
-                if entry is None:
-                    crit = m.crit_of_class_id(key)
-                    entry = crits[key] = (crit, tuple(d * q for q in mat_vec(n_lm, crit)))
-                return entry
-
-            table, miss = crits, critical
+            if d >= self.det_m:
+                m.fill_criticals()
+            base_of = m.crit_of_class_id
             if kind == "superstable":
-                c_max = m.c_max
-                top = tuple(d * q for q in mat_vec(n_lm, c_max))
-                id_max = m.class_id(c_max)
+                c_max, id_max = m.c_max, m.class_id(m.c_max)
                 dims = tuple(m.snf.D[i][i] for i in range(self.n))
 
-                def miss(key):
-                    crit, num = critical(tuple(map(mod, map(sub, id_max, key), dims)))
-                    return tuple(map(sub, c_max, crit)), tuple(map(sub, top, num))
+                def base_of(key):
+                    key = tuple(map(mod, map(sub, id_max, key), dims))
+                    return tuple(map(sub, c_max, m.crit_of_class_id(key)))
 
-                table = {}      # floor's M-class id -> (superstable, its numerators)
-            rows = []
-            for key, fr in zip(keys, frs):
-                entry = table.get(key)
-                if entry is None:
-                    entry = table[key] = miss(key)
-                base, num = entry
-                num = tuple(map(add, num, fracs[fr]))
-                if any(map(den.__rmod__, num)) or min(base) < 0:
-                    raise RuntimeError(f"the class of L with fractional numerators {fr} gave "
-                                       f"no valid {kind} preimage")
-                rows.append(PairRow(tuple(map(den.__rfloordiv__, num)), base, fr, d))
+            rows = [None] * d
+            for key, indices in groups.items():
+                base = base_of(key)
+                top = tuple(d * q for q in mat_vec(n_lm, base))
+                negative = min(base) < 0
+                for index in indices:
+                    fr = frs[index]
+                    num = tuple(map(add, top, fracs[fr]))
+                    if negative or any(map(den.__rmod__, num)):
+                        raise RuntimeError(f"the class of L with fractional numerators {fr} "
+                                           f"gave no valid {kind} preimage")
+                    rows[index] = PairRow(tuple(map(den.__rfloordiv__, num)), base, fr, d)
             if len({r.config for r in rows}) != d:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
             self._rows[kind] = tuple(rows)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -125,6 +126,17 @@ def test_large_m_with_one_l_class(tmp_path, capsys):
         code, out, err = run(capsys, "fixed-points", "--pair", str(path), *predict)
         assert code == 2 and out == ""
         assert err == "error: 8999999 classes exceeds cap 1000000\n"
+
+
+def test_k7_pair_enumerate_digest(tmp_path, capsys, format_edge_list):
+    # |det L| = 28,735 rows over det M = 16,807 classes of M, pinned byte for byte
+    path = tmp_path / "k7.sg"
+    path.write_text(format_edge_list(sgraph.family("complete", 7, 12345)))
+    code, out, err = run(capsys, "enumerate", "--graph", str(path), "--kind", "superstable",
+                         "--preimages", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f5f854c243ea866aaca2818ba9e45aece439a043db12cb8ca767fd4c47d5c03")
 
 
 def test_frackets_requires_mode(capsys):

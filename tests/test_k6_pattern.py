@@ -12,6 +12,7 @@ for the pattern (bench/gen.py, `k6_input(691)`).
 """
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -158,6 +159,59 @@ def test_table_rows_are_written_as_they_are_formatted(graph_path):
     assert peak < 64 * 1024
 
 
+class CountingRaw(io.RawIOBase):
+    """An unbuffered binary stream that keeps what it is given and counts
+    the writes, as the file under an unbuffered sys.stdout sees them."""
+
+    def __init__(self):
+        self.data, self.writes = bytearray(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += b
+        self.writes += 1
+        return len(b)
+
+
+def test_main_buffers_a_write_through_stdout(graph_path, monkeypatch):
+    # PYTHONUNBUFFERED gives a write-through stdout over the raw file: main
+    # writes it in blocks of the text layer's chunk size, not one per row,
+    # and leaves it write-through for the caller
+    raw = CountingRaw()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ("duality", "--show-mu-cases")
+    assert main([*argv, "--graph", graph_path]) == 0
+    assert stdout.write_through
+    assert hashlib.sha256(raw.data).hexdigest() == STDOUT_SHA256[argv]
+    assert raw.writes <= len(raw.data) // 8192 + 2
+
+
+def _cli_env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(chipfire.cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ("duality", "--show-mu-cases"),
+    ("enumerate", "--kind", "superstable", "--preimages", "--format", "csv"),
+], ids=["duality", "enumerate-csv"])
+def test_unbuffered_stdout_into_a_pipe_gives_the_buffered_bytes(graph_path, argv):
+    outs = []
+    for unbuffered in (False, True):
+        proc = subprocess.run([sys.executable, "-m", "chipfire.cli", *argv, "--graph", graph_path],
+                              capture_output=True, env=_cli_env(unbuffered), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[1]).hexdigest() == STDOUT_SHA256[argv]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, header", [
     (("duality", "--show-mu-cases"), b"superstable "),
@@ -166,12 +220,9 @@ def test_table_rows_are_written_as_they_are_formatted(graph_path):
 def test_a_reader_that_leaves_early_ends_the_command_quietly(graph_path, argv, header, unbuffered):
     # the output outgrows the pipe, so the command is still writing when
     # the reader closes it after one line, as `| head -1` does
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(chipfire.cli.__file__))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "chipfire.cli", *argv, "--graph", graph_path],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_cli_env(unbuffered))
     try:
         first = proc.stdout.readline()
         proc.stdout.close()

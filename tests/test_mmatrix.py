@@ -143,6 +143,31 @@ def test_crit_of_class_id_matches_the_burning_start_on_every_key(seed, n):
         assert m.crit_of_class_id(key) == m.stabilize(x + k * b for x, b in zip(v, burning))
 
 
+@settings(max_examples=60, deadline=None)
+@given(general_m_matrices(n_max=4))
+@example(((1,),))                                   # det M = 1
+@example(((1, -2), (0, 1)))                         # det M = 1, n = 2
+@example(((2, -1), (-1, 2)))                        # d = (1, 3)
+@example(((2, 0, 0), (0, 2, 0), (0, 0, 2)))         # d = (2, 2, 2)
+@example(((3, -1, -1), (-1, 3, -1), (-1, -1, 3)))   # d = (1, 4, 4)
+def test_walk_fills_the_table_of_criticals(grid):
+    # the odometer walk of K(M) against a fresh matrix's per-key lookup and
+    # the burning start: |det M| entries, each the critical of its own class
+    walked = MMatrix(grid)
+    walked.fill_criticals()
+    table = walked._crit_by_class
+    m = MMatrix(grid)
+    burning = mat_vec(m.m, burning_script(m.m))
+    assert len(table) == m.det
+    for key, crit in table.items():
+        assert m.class_id(crit) == key
+        assert m.crit_of_class_id(key) == crit
+        v = mat_vec(m.snf.U, key)
+        k = max(0, *(-((x - top) // b) for x, top, b in zip(v, m.c_max, burning)))
+        assert crit == m.stabilize(x + k * b for x, b in zip(v, burning))
+    assert walked.superstables() == tuple(sorted(map(m.classical_dual, table.values())))
+
+
 def test_burning_vector_of_complete_graph_is_all_ones():
     k6 = tuple(tuple(5 if i == j else -1 for j in range(5)) for i in range(5))
     m = MMatrix(k6)

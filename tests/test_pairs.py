@@ -135,12 +135,45 @@ def test_walk_rows_match_a_fraction_oracle(seed, equal, flip):
 
 
 def test_superstable_rows_build_no_critical_row():
-    # K6 pattern 691: 2048 rows, and the superstables of the floors reach
-    # 1104 of the 1296 classes of M, one stabilization each
+    # K6 pattern 691: 2048 rows, and |det L| >= det M, so M fills its
+    # table of criticals for all 1296 of its classes by one walk (the
+    # superstables of the floors reach 1104 of them)
     pair = reduced_laplacians(family("complete", 6, 691))
     assert len(pair.enumerate_pair_superstables()) == 2048
     assert "critical" not in pair._rows
-    assert len(pair.m._crit_by_class) == 1104
+    assert len(pair.m._crit_by_class) == 1296
+
+
+def _count_stabilizations(monkeypatch, m):
+    """A list that grows by one entry per call of m.stabilize."""
+    calls, stabilize = [], m.stabilize
+
+    def counted(c):
+        calls.append(None)
+        return stabilize(c)
+
+    monkeypatch.setattr(m, "stabilize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["superstable", "critical"])
+def test_rows_fill_every_class_of_m_by_one_walk(monkeypatch, kind):
+    # K6 pattern 691: |det L| = 2048 >= det M = 1296, so the first sweep
+    # walks K(M), d = (1, 6, 6, 6, 6): one stabilization per class plus
+    # one per moving digit, and none more for the rows
+    pair = reduced_laplacians(family("complete", 6, 691))
+    calls = _count_stabilizations(monkeypatch, pair.m)
+    pair._walk_rows(kind)
+    assert len(pair.m._crit_by_class) == 1296
+    assert len(calls) == 1296 + 4
+
+
+def test_large_m_pair_stabilizes_one_class(monkeypatch):
+    # |det L| = 1 < det M = 8,999,999: the one row's class of M is a miss
+    pair = ChipFiringPair(identity(2), ((3000, -1), (-1, 3000)))
+    calls = _count_stabilizations(monkeypatch, pair.m)
+    assert [r.config for r in pair.enumerate_pair_superstables()] == [(0, 0)]
+    assert len(calls) == 1 and len(pair.m._crit_by_class) == 1
 
 
 def _shift_criticals(shift):
