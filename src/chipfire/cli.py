@@ -26,7 +26,7 @@ from operator import add, attrgetter, itemgetter, mul
 
 from .fixtures import FIXTURES
 from .lattices import AbelianGroup
-from .linalg import mat_from_json, mat_to_json, over_json, vec_to_json
+from .linalg import mat_from_json, over_json, verdict
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair
 from .sgraph import (
@@ -44,7 +44,7 @@ from .sgraph import (
 
 
 def _fmt_vec(v):
-    # str renders an int, a Fraction and its JSON string "a/b" alike
+    # its vectors are integer: rationals print through over_json
     return "(" + ", ".join(map(str, v)) + ")"
 
 
@@ -89,9 +89,9 @@ class Report(namedtuple("Report", "payload headers rows lines code", defaults=(N
 # what a column shows of a PairRow field, or (None) of a plain value, in JSON
 _ROW_JSON = {
     None: lambda x: x,
-    "config": lambda r: vec_to_json(r.config),
+    "config": attrgetter("config"),
     "preimage": lambda r: over_json(r.num, r.den),
-    "floor": lambda r: vec_to_json(r.floor),
+    "floor": attrgetter("floor"),
     "frac": lambda r: over_json(r.frac_num, r.den),
 }
 
@@ -192,13 +192,8 @@ def cmd_check_mmatrix(args):
     rows = [["is_m_matrix", ok]]
     if ok:
         m = MMatrix(grid)
-        inverse = m.inverse
-        payload.update(
-            det=m.det,
-            c_max=vec_to_json(m.c_max),
-            group=m.group.to_json(),
-            inverse=mat_to_json(inverse),
-        )
+        inverse = [over_json(row, m.det) for row in m.adj]
+        payload.update(det=m.det, c_max=m.c_max, group=m.group.to_json(), inverse=inverse)
         lines += [
             f"det: {m.det}",
             f"c_max: {_fmt_vec(m.c_max)}",
@@ -215,11 +210,11 @@ def cmd_show_pair(args):
     grids = (
         ("L", "L", pair.l),
         ("M", "M", pair.m.m),
-        ("LM_inv", "LM^-1", pair.lm_inv),
-        ("ML_inv", "ML^-1", pair.ml_inv),
+        ("LM_inv", "LM^-1", [over_json(row, pair.det_m) for row in pair.n_lm]),
+        ("ML_inv", "ML^-1", [over_json(row, pair.den_l) for row in pair.n_ml]),
     )
-    payload = {key: mat_to_json(grid) for key, _, grid in grids}
-    payload.update(det_L=pair.det_l, det_M=pair.det_m, c_max=vec_to_json(pair.m.c_max))
+    payload = {key: grid for key, _, grid in grids}
+    payload.update(det_L=pair.det_l, det_M=pair.det_m, c_max=pair.m.c_max)
     lines = []
     for _, label, grid in grids:
         lines += [f"{label}:", *_fmt_mat_lines(grid)]
@@ -266,7 +261,7 @@ def cmd_fixed_points(args):
     else:
         fps = fixed_points(pair)
     if args.format == "json":
-        payload = {"fixed_points": [vec_to_json(s) for s in fps], "count": len(fps)}
+        payload = {"fixed_points": fps, "count": len(fps)}
         if args.predict:
             payload.update(
                 predicted=predicted,
@@ -315,9 +310,7 @@ def cmd_frackets(args):
                 hit = short["predicted"] == short["actual"]
                 found = f"gcd = {short['predicted']}" + ("" if hit else f", actual |F0| = {short['actual']}")
             facts.append((hit, f"cyclic shortcut on side {side}: {found}"))
-        from . import verification
-
-        ok, detail = verification.verdict(facts)
+        ok, detail = verdict(facts)
         payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}
         rows = [(text, flag) for flag, text in facts]
         return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)

@@ -40,7 +40,7 @@ even, the count is nonzero iff |quotient| / ord is even.
 
 from __future__ import annotations
 
-from operator import itemgetter, mod, sub
+from operator import itemgetter
 
 from . import lattices
 from .frackets import zero_fracket_quotient
@@ -192,18 +192,13 @@ def fixed_points(pair: ChipFiringPair):
     mu's identity test depends only on the class of s in K(M), so one
     class walk of K(M) tests each class on n_lm U r, which the walk
     steps by vector additions, and only the classes that pass are
-    stabilized.  The superstable of class id r is c_max minus the
-    critical of class id(c_max) - r mod diag(D_M), the class of
-    c_max - U r.  The walk visits all |det M| classes under the
-    enumeration budget."""
+    stabilized, each by M.sstab_of_class_id.  The walk visits all
+    |det M| classes under the enumeration budget."""
     m = pair.m
     identity = _identity_test(pair)
-    dims = tuple(m.snf.D[i][i] for i in range(m.n))
-    id_max = m.class_id(m.c_max)
     walk = lattices.walk_class_reps(m.snf, image=pair.n_lm)
-    return tuple(sorted(
-        vec_sub(m.c_max, m.crit_of_class_id(tuple(map(mod, map(sub, id_max, r), dims))))
-        for r, v in zip(lattices.walk_class_ids(m.snf), walk) if identity(v)))
+    return tuple(sorted(m.sstab_of_class_id(r) for r, v in zip(lattices.walk_class_ids(m.snf), walk)
+                        if identity(v)))
 
 
 def predicted_fixed_point_count(pair: ChipFiringPair):

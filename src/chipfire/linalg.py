@@ -10,19 +10,23 @@ its fractional numerators are N % d, so there is no pivot tolerance and
 no rational arithmetic: every helper below takes integer operands and
 returns plain integer results.
 
-fractions.Fraction lives only at the parse and render boundary, and the
-module loads on first use inside _norm, over and parse_rational, so a
-command that parses and prints only integers never imports fractions
-(or the decimal module it pulls in).  parse_rational reads "a/b" and
-vec/mat normalize input entries (a Fraction with denominator 1 becomes
-an int); over and mat_over turn numerators into the rationals that
-public fields show; numerators reads such rationals back as integers
-over a given denominator, and rational_str renders them.
+fractions.Fraction lives only at the parse boundary and in the rational
+views that library callers read, and the module loads on first use
+inside _norm, over and parse_rational, so a command that parses only
+integers never imports fractions (or the decimal module it pulls in).
+parse_rational reads "a/b" and vec/mat normalize input entries (a
+Fraction with denominator 1 becomes an int); over turns numerators into
+the rationals that public fields show, and numerators reads such
+rationals back as integers over a given denominator.
 
 Serialization: a rational renders as "a/b" in lowest terms, or "a" when
-the denominator is 1.  Matrices serialize row-major as JSON arrays of
-such strings (bare ints stay ints).  over_json renders numerators over a
-denominator the same way without building a rational.
+the denominator is 1.  over_json renders integer numerators over a
+positive denominator that way, as a JSON array of such strings and ints,
+without building a rational; a matrix is rendered row by row.  It is
+the CLI's one rational renderer: str of its entries is the table text.
+
+ensure and verdict are the package's check helpers: a post-condition
+that python -O keeps, and the ok/FAIL detail of a list of facts.
 """
 
 from __future__ import annotations
@@ -48,6 +52,17 @@ def ensure(ok, what):
     """Raise RuntimeError unless ok: a post-condition that python -O keeps."""
     if not ok:
         raise RuntimeError(f"post-condition failed: {what}")
+
+
+def verdict(facts, summary=None):
+    """(passed, detail) of a list of (ok, text) facts: passed iff every fact
+    holds.  A passing check with a summary reports the summary; otherwise
+    the detail has one ok/FAIL line per fact, and the later lines of a
+    multi-line text follow as they are."""
+    passed = all(ok for ok, _ in facts)
+    if passed and summary is not None:
+        return True, summary
+    return passed, "\n".join(f"{'ok  ' if ok else 'FAIL'} {text}" for ok, text in facts)
 
 
 def vec(entries):
@@ -197,10 +212,6 @@ def over(nums, den, floor=None):
     return tuple(Fraction(f * den + r, den) if r else f for f, r in zip(floor, nums))
 
 
-def mat_over(num, den):
-    return tuple(over(row, den) for row in num)
-
-
 def numerators(v, den):
     """The integers p with v = p / den, or None when den is not a common
     denominator of the entries of v."""
@@ -238,13 +249,6 @@ def gcd_entries(a):
     return g
 
 
-def rational_str(x):
-    x = _norm(x)
-    if isinstance(x, int):
-        return str(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def parse_rational(s):
     """Parse "a" or "a/b" into an int or Fraction; ValueError for anything else."""
     if not isinstance(s, str):
@@ -259,14 +263,10 @@ def parse_rational(s):
     return _norm(Fraction(num, den))
 
 
-def vec_to_json(v):
-    return [x if isinstance(x, int) else rational_str(x) for x in v]
-
-
 def over_json(nums, den):
-    """vec_to_json(over(nums, den)) for a positive den, without building a
-    rational: an int where den divides the numerator, else "a/b" reduced
-    by the gcd."""
+    """The vector nums / den for a positive den as JSON entries, without
+    building a rational: an int where den divides the numerator, else
+    "a/b" reduced by the gcd."""
     out = []
     for q in nums:
         if q % den:
@@ -275,10 +275,6 @@ def over_json(nums, den):
         else:
             out.append(q // den)
     return out
-
-
-def mat_to_json(a):
-    return [vec_to_json(row) for row in a]
 
 
 def _json_array(data):

@@ -24,18 +24,19 @@ t = (adj c_max - adj U key) mod det, so crit_of_class_id starts from
 the class id alone, with adj U built once per matrix.  It caches each
 critical by class id the first time it is asked for, at one
 stabilization from c0, and crit_of_class reads the same table at
-class_id(v); sstab_of_class, superstables, criticals and
-is_z_superstable are read off it.  fill_criticals fills the whole table
-by one odometer walk of the class ids instead: each step stabilizes a
-critical plus a small superstable, which settles in fewer sweeps than a
-start from c0.  Nothing scans the stable box prod [0, M_ii).
+class_id(v); sstab_of_class_id reads it at the class of c_max - U key,
+and sstab_of_class, superstables, criticals and is_z_superstable are
+read off it.  fill_criticals fills the whole table by one odometer walk
+of the class ids instead: each step stabilizes a critical plus a small
+superstable, which settles in fewer sweeps than a start from c0.
+Nothing scans the stable box prod [0, M_ii).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from operator import add, mul
+from operator import add, mod, mul, sub
 
 from . import lattices
 from .linalg import (
@@ -43,7 +44,6 @@ from .linalg import (
     mat,
     mat_is_integral,
     mat_mul,
-    mat_over,
     mat_shape,
     mat_vec,
     vec_sub,
@@ -98,11 +98,6 @@ class MMatrix:
         self._columns = tuple(enumerate(zip(*m)))
         self._superstables = None
         self._crit_by_class = {}
-
-    @property
-    def inverse(self):
-        """M^-1 as rationals, built on demand for printing."""
-        return mat_over(self.adj, self.det)
 
     # -- basic dynamics ----------------------------------------------------
 
@@ -223,9 +218,20 @@ class MMatrix:
         return tuple(x % det for x in mat_vec(self.adj, self.c_max)), first, rows
 
     def sstab_of_class(self, v):
-        """The unique superstable equivalent to v mod M Z^n: c_max minus
-        the critical of c_max - v.  Accepts arbitrary integer vectors."""
-        return self.classical_dual(self.crit_of_class(self.classical_dual(v)))
+        """The unique superstable equivalent to v mod M Z^n.  Accepts
+        arbitrary integer vectors."""
+        return self.sstab_of_class_id(self.class_id(v))
+
+    def sstab_of_class_id(self, key):
+        """The superstable of class id key: c_max minus the critical of the
+        class of c_max - U key, id(c_max) - key mod diag(D)."""
+        id_max, dims = self._id_max
+        return tuple(map(sub, self.c_max, self.crit_of_class_id(tuple(map(mod, map(sub, id_max, key), dims)))))
+
+    @cached_property
+    def _id_max(self):
+        """(id(c_max), diag(D)), built on first read."""
+        return self.class_id(self.c_max), tuple(self.snf.D[i][i] for i in range(self.n))
 
     # -- enumeration and superstability ------------------------------------
 
@@ -244,8 +250,7 @@ class MMatrix:
         if len(self._crit_by_class) == det:
             return
         keys = lattices.walk_class_ids(self.snf)
-        dims = [self.snf.D[i][i] for i in range(n)]
-        id_max = self.class_id(self.c_max)      # g_k = c_max - crit(id(c_max) - e_k)
+        id_max, dims = self._id_max     # g_k = c_max - crit(id(c_max) - e_k)
         steps = [d > 1 and vec_sub(self.c_max, self._stabilized_start(
                      id_max[:k] + ((id_max[k] - 1) % d,) + id_max[k + 1:]))
                  for k, d in enumerate(dims)]

@@ -28,8 +28,7 @@ A preimage x is carried as its numerators p = |det L| x, so
 floor(x) = p // |det L| and the numerators of {x} are p % |det L|.  An
 enumerated row keeps the split: PairRow holds the configuration, the
 floor, the fractional numerators and |det L|, and its num, preimage and
-frac properties are derived only when a caller reads them, as are the
-rational views lm_inv and ml_inv.
+frac properties are derived only when a caller reads them.
 
 The class walk steps the preimage numerators p, stacked over Uinv_M p,
 through the residue box one column at a time (lattices.walk_class_reps).
@@ -66,7 +65,6 @@ from .linalg import (
     mat_det,
     mat_is_integral,
     mat_mul,
-    mat_over,
     mat_scale,
     mat_vec,
     numerators,
@@ -150,16 +148,6 @@ class ChipFiringPair:
         n_ml = mat_mul(self.m.m, mat_scale(self.den_l // self.det_l, self.adj_l))
         ensure(mat_mul(n_ml, self.l) == mat_scale(self.den_l, self.m.m), "n_ml L = |det L| M")
         return n_ml
-
-    # -- rational views, built on demand for printing ----------------------------
-
-    @property
-    def lm_inv(self):
-        return mat_over(self.n_lm, self.det_m)
-
-    @property
-    def ml_inv(self):
-        return mat_over(self.n_ml, self.den_l)
 
     # -- numerator transfers ---------------------------------------------------------
 
@@ -253,12 +241,12 @@ class ChipFiringPair:
 
         The rows are built one class of M at a time, over the groups of
         _class_tables.  A floor of M-class id key gives the critical base
-        crit(key) and the superstable base c_max - crit(id(c_max) - key),
-        the critical of the class of c_max - floor.  A group builds its
-        base and |det L| n_lm base once; a row's configuration is
+        M.crit_of_class_id(key) and the superstable base
+        M.sstab_of_class_id(key).  A group builds its base and
+        |det L| n_lm base once; a row's configuration is
         (|det L| n_lm base + n_lm fr) / (det M |det L|), written at its
-        walk index.  The criticals are read through M.crit_of_class_id,
-        after M.fill_criticals when |det L| >= det M, since the rows then
+        walk index.  Both bases read M's table of criticals, filled by
+        M.fill_criticals first when |det L| >= det M, since the rows then
         touch most classes of M; otherwise each group's miss costs one
         stabilization.  A negative base, a configuration that is not
         integral, or a kind without |det L| distinct configurations raises
@@ -270,15 +258,7 @@ class ChipFiringPair:
             den = self.det_m * d
             if d >= self.det_m:
                 m.fill_criticals()
-            base_of = m.crit_of_class_id
-            if kind == "superstable":
-                c_max, id_max = m.c_max, m.class_id(m.c_max)
-                dims = tuple(m.snf.D[i][i] for i in range(self.n))
-
-                def base_of(key):
-                    key = tuple(map(mod, map(sub, id_max, key), dims))
-                    return tuple(map(sub, c_max, m.crit_of_class_id(key)))
-
+            base_of = m.sstab_of_class_id if kind == "superstable" else m.crit_of_class_id
             rows = [None] * d
             for key, indices in groups.items():
                 base = base_of(key)

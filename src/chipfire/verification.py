@@ -1,7 +1,7 @@
 """Acceptance checks against the frozen reference tables.
 
 Each criterion is a function returning (passed, detail), built by
-verdict from a list of (ok, text) facts.  run_all times
+linalg.verdict from a list of (ok, text) facts.  run_all times
 them and never raises: a check that throws is reported as failed with
 the exception text, so a verification run always produces a full
 matrix.  Criteria 3 and 10 replay reference values that are printed
@@ -34,7 +34,7 @@ from .frackets import (
     zero_fracket,
     zero_fracket_size_formula,
 )
-from .linalg import ensure, gcd_entries, mat_vec, over, vec_sub
+from .linalg import ensure, gcd_entries, mat_vec, over, vec_sub, verdict
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair
 from .sgraph import (
@@ -51,17 +51,6 @@ PROPERTY_SEED = 31415
 
 
 CriterionResult = namedtuple("CriterionResult", "number name passed detail seconds")
-
-
-def verdict(facts, summary=None):
-    """(passed, detail) of a list of (ok, text) facts: passed iff every fact
-    holds.  A passing check with a summary reports the summary; otherwise
-    the detail has one ok/FAIL line per fact, and the later lines of a
-    multi-line text follow as they are."""
-    passed = all(ok for ok, _ in facts)
-    if passed and summary is not None:
-        return True, summary
-    return passed, "\n".join(f"{'ok  ' if ok else 'FAIL'} {text}" for ok, text in facts)
 
 
 # -- 1: unsigned baseline ------------------------------------------------------

@@ -7,7 +7,8 @@ printed errata as expected discrepancies: they pass when the computed
 values hold and the printed ones are wrong in exactly the known way.
 """
 
-from chipfire.verification import run_criterion, verdict
+from chipfire.linalg import verdict
+from chipfire.verification import run_criterion
 
 
 def _run(number, bound=None):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +44,7 @@ def test_keys_are_transfer_fracs(diamond):
     for key in part.keys:
         for r in part.by_key[key]:
             rep = mat_vec(diamond.l_snf.U, r)
-            assert frac_part(mat_vec(diamond.ml_inv, rep)) == key
+            assert frac_part(Fraction(q, diamond.den_l) for q in mat_vec(diamond.n_ml, rep)) == key
             assert fracket_key(diamond, "L", rep) == key
 
 

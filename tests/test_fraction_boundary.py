@@ -6,7 +6,8 @@ tables and, in linalg, in the functions that build a rational (_norm,
 over, parse_rational), each importing it itself: linalg has no
 module-level import of it, so a process that parses and prints only
 integers never loads fractions.  The rational helpers that the integer
-core replaced must not come back.
+core replaced, and the Fraction views and JSON helpers that over_json
+replaced, must not come back.
 """
 
 import ast
@@ -22,7 +23,8 @@ ALLOWED = {
     "refdata": None,
     "linalg": {(kind, scope) for kind in ("import", "use") for scope in ("_norm", "over", "parse_rational")},
 }
-DELETED = {"floor_frac_split", "frac_part", "is_integer_entry", "mat_inverse", "_cofactor_adjugate"}
+DELETED = {"floor_frac_split", "frac_part", "is_integer_entry", "mat_inverse", "_cofactor_adjugate",
+           "mat_over", "rational_str", "vec_to_json", "mat_to_json", "lm_inv", "ml_inv"}
 
 
 def identifiers(tree):

@@ -6,9 +6,9 @@ acceptance suite (`verification`, `refdata`), the duality and fracket
 modules, and `dataclasses`, which pulls in `inspect` and its parsers.
 The package still names the entry points of those modules and loads
 them on first use.  `fractions`, and the `decimal` module it imports,
-load only when a rational is parsed or built: `enumerate`, `duality`,
-`duality --inverse` and `frackets --side` render their rows and keys from
-integer numerators, in every format.
+load only when a rational is parsed or built: every command but
+`paper-check` renders its rationals from integer numerators, in every
+format, so none loads them on integer input.
 """
 
 import importlib
@@ -77,7 +77,7 @@ import contextlib, io, sys
 import chipfire.cli
 
 def loaded():
-    return sorted(m for m in ("fractions", "decimal") if m in sys.modules)
+    return sorted(m for m in ("fractions", "decimal", "chipfire.verification") if m in sys.modules)
 
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -88,17 +88,23 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     codes += [chipfire.cli.main(["frackets", "--side", side, "--format", fmt,
                                  "--fixture", "diamond"])
               for side in "LM" for fmt in ("table", "csv", "json")]
+    codes += [chipfire.cli.main([*argv, "--format", fmt, "--fixture", "diamond"])
+              for argv in (["show-pair"], ["check-mmatrix"], ["group"], ["fixed-points"],
+                           ["fixed-points", "--predict"], ["frackets", "--verify"])
+              for fmt in ("table", "csv", "json")]
+    codes.append(chipfire.cli.main(["family-scan", "--kind", "complete", "--n", "4"]))
 print(codes, "/" in out.getvalue(), loaded())
 """
 
 
 def test_enumerate_and_duality_load_no_fractions():
-    # the diamond rows and keys have denominators 6 and 4, so every
-    # command prints rationals
+    # the diamond rows, keys and transfers have denominators 6 and 4, so
+    # the row, fracket and show-pair commands print rationals; frackets
+    # --verify leaves the acceptance suite out too
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", RATIONAL_FREE], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n" + str([0] * 9) + " True []\n"
+    assert out == "[]\n" + str([0] * 28) + " True []\n"
 
 
 def test_a_lazy_name_is_imported_on_its_first_read_only(monkeypatch):

@@ -78,7 +78,7 @@ FORMAT_SHA256 = {
     ("frackets", "--side", "M", "--format", "json"):
         "876569744d46517f92c8c784e0fb30a456cd2c37609b596eba5d5ba0258fdf95",
 }
-JSON_BUILDERS = ("over_json", "vec_to_json")
+JSON_BUILDERS = ("over_json",)
 
 
 def test_pattern_is_the_benchmark_input(format_edge_list):

@@ -14,18 +14,13 @@ from chipfire.linalg import (
     mat_from_json,
     mat_is_integral,
     mat_mul,
-    mat_over,
-    mat_to_json,
     mat_vec,
-    over,
     over_json,
     parse_rational,
-    rational_str,
     vec_from_json,
     vec_is_integral,
     vec_scale,
     vec_sub,
-    vec_to_json,
 )
 from chipfire.pairs import ChipFiringPair
 
@@ -54,8 +49,8 @@ def test_gcd_entries():
 
 @given(st.integers(-999, 999), st.integers(1, 999))
 def test_rational_str_roundtrip(num, den):
-    q = Fraction(num, den)
-    assert parse_rational(rational_str(q)) == q
+    # over_json writes a whole rational as an int, which JSON keeps bare
+    assert parse_rational(str(over_json((num,), den)[0])) == Fraction(num, den)
 
 
 @given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
@@ -63,14 +58,14 @@ def test_rational_str_roundtrip(num, den):
 @example(-3, 6)
 @example(4096, 2048)
 def test_over_json_renders_like_the_rational(q, d):
-    assert over_json((q,), d) == vec_to_json(over((q,), d))
+    x = Fraction(q, d)
+    assert over_json((q,), d) == [x.numerator if x.denominator == 1 else str(x)]
 
 
 def test_json_roundtrip():
-    v = (1, Fraction(-3, 4), 0)
-    assert vec_from_json(vec_to_json(v)) == v
-    a = ((Fraction(1, 2), 2), (-3, Fraction(7, 5)))
-    assert mat_from_json(mat_to_json(a)) == a
+    assert vec_from_json(over_json((4, -3, 0), 4)) == (1, Fraction(-3, 4), 0)
+    a = [over_json(row, 10) for row in ((5, 20), (-30, 14))]
+    assert mat_from_json(a) == ((Fraction(1, 2), 2), (-3, Fraction(7, 5)))
 
 
 @settings(max_examples=60)
@@ -86,7 +81,7 @@ def test_inverse_matches_sympy(a):
     if mat_det(a) == 0:
         assert (det, adj) == (0, None)
         return
-    inv = mat_over(adj, det)
+    inv = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
     expected = sympy.Matrix(a).inv()
     for i in range(3):
         for j in range(3):

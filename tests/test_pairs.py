@@ -13,7 +13,7 @@ from chipfire.duality import fixed_points
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
 from chipfire.frackets import fracket_partition, zero_fracket
 from chipfire.lattices import EnumerationCapExceeded
-from chipfire.linalg import identity, mat_over, mat_vec, over, vec_add
+from chipfire.linalg import identity, mat_vec, over, vec_add
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair, PairRow
 from chipfire.sgraph import family, orbit_sweep, reduced_laplacians, scan_critical_groups, sweep
@@ -29,11 +29,19 @@ def _rational(matrix):
     return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in matrix.tolist())
 
 
-def _assert_transfers_match_sympy(pair):
+def _mat_over(num, den):
+    return tuple(over(row, den) for row in num)
+
+
+def _transfers(pair):
+    """(L M^-1, M L^-1) as Fraction matrices from sympy."""
     l, m = sympy.Matrix(pair.l), sympy.Matrix(pair.m.m)
-    assert pair.det_l == l.det() and pair.det_m == m.det()
-    assert mat_over(pair.n_lm, pair.det_m) == _rational(l * m.inv())
-    assert mat_over(pair.n_ml, pair.den_l) == _rational(m * l.inv())
+    return _rational(l * m.inv()), _rational(m * l.inv())
+
+
+def _assert_transfers_match_sympy(pair):
+    assert pair.det_l == sympy.Matrix(pair.l).det() and pair.det_m == sympy.Matrix(pair.m.m).det()
+    assert (_mat_over(pair.n_lm, pair.det_m), _mat_over(pair.n_ml, pair.den_l)) == _transfers(pair)
 
 
 def test_transfers_match_sympy_on_every_k5_pattern():
@@ -107,13 +115,14 @@ def _rows_oracle(pair, kind):
     critical of floor(x)'s class plus {x}, and L M^-1 of that."""
     lookup = pair.m.sstab_of_class if kind == "superstable" else pair.m.crit_of_class
     d = pair.den_l
+    lm_inv, ml_inv = _transfers(pair)
     rows = []
     for c in lattices.walk_class_reps(pair.l_snf):
-        x = mat_vec(pair.ml_inv, c)
+        x = mat_vec(ml_inv, c)
         fl = tuple(math.floor(q) for q in x)
         fr = frac_part(x)
         base = lookup(fl)
-        config = mat_vec(pair.lm_inv, vec_add(base, fr))
+        config = mat_vec(lm_inv, vec_add(base, fr))
         assert all(q.denominator == 1 for q in config)
         rows.append(PairRow(tuple(map(int, config)), base, tuple(int(q * d) for q in fr), d))
     return rows
@@ -274,7 +283,7 @@ def test_stabilize_splus(diamond):
 def test_identity_pair_degenerates_to_mmatrix():
     m = MMatrix(DIAMOND_M)
     pair = ChipFiringPair(identity(3), m)
-    assert pair.ml_inv == m.m
+    assert _mat_over(pair.n_ml, pair.den_l) == m.m
     rows = pair.enumerate_pair_superstables()
     assert [r.config for r in rows] == [(0, 0, 0)]
 
