@@ -74,7 +74,7 @@ class Report(namedtuple("Report", "payload headers rows lines code", defaults=(N
             writer.writerow(self.headers)
             writer.writerows(self.rows)
         elif self.lines is not None:
-            out.write("\n".join(self.lines) + "\n")
+            out.writelines(line + "\n" for line in self.lines)
         else:
             widths = list(map(len, self.headers))
             for row in self.rows:

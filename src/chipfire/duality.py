@@ -20,11 +20,13 @@ configurations it maps the superstables of (L, M) onto the criticals.
 When L = M the transfer L M^-1 is the identity, so {2s} and {c_max} are
 both zero: every s is an identity case and D(x) = c_max - x, the
 classical complement.  In the dual case D(x) = crit_M(floor(x)) + {x},
-the critical of x's own class of L, so duality_rows pairs the rows of
-each class of L and looks up only the identity rows' duals.  Its rows
-are the one table of D: read by critical they are the table of D^-1 as
-well.  duality and duality_inverse evaluate the formulas above at one
-point, recomputing mu there, as a check independent of that table.
+the critical of x's own class of L, and in the identity case
+D(x) = (c_max - floor(x)) + {x}, so duality_rows pairs the rows of each
+class of L and builds an identity row's dual from the row, with no
+lookup.  Its rows are the one table of D: read by critical they are the
+table of D^-1 as well.  duality and duality_inverse evaluate the
+formulas above at one point, recomputing mu there, as a check
+independent of that table.
 
 Fixed points of mu are the s with {L M^-1 (2s)} = {L M^-1 c_max}.  The
 test depends only on the class of s in K(M), so fixed_points walks K(M)
@@ -40,19 +42,23 @@ even, the count is nonzero iff |quotient| / ord is even.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from . import lattices
 from .frackets import zero_fracket_quotient
 from .linalg import ensure, flcm, mat_vec, over, vec_sub
-from .pairs import ChipFiringPair
+from .pairs import ChipFiringPair, PairRow
 
 
 def _identity_test(pair: ChipFiringPair):
     """mu's identity test as a predicate on v = n_lm s.  The identity
     case {L M^-1 (2s)} = {L M^-1 c_max} holds iff L M^-1 (2s - c_max)
     is integral, i.e. iff 2v - n_lm c_max = 0 mod det M.  It depends only
-    on the class of s in K(M), since n_lm M z = det M L z."""
+    on the class of s in K(M), since n_lm M z = det M L z.  At the floor
+    s of a pair row with fractional numerators fr, the row's integral
+    configuration n_lm (|det L| s + fr) / (det M |det L|) gives
+    v = -(n_lm fr) / |det L| mod det M, so the test holds iff det M |det L|
+    divides w = |det L| n_lm c_max + 2 n_lm fr: duality_rows' form."""
     det = pair.det_m
     target = mat_vec(pair.n_lm, pair.m.c_max)
 
@@ -124,41 +130,37 @@ def duality_rows(pair: ChipFiringPair):
 
     D(x) = c_max - mu(floor(x)) + {x} needs mu's case only at the floors
     of the superstable rows, and the case is decided once per fractional
-    part: a row's configuration n_lm (|det L| floor + fr) / (det M |det L|)
-    is integral, so n_lm fr = 0 mod |det L| and
-    n_lm floor = -(n_lm fr) / |det L| mod det M, which is all the
-    identity test reads.  The two rows of each class of L are paired in
-    class-walk order and sorted once.  In the dual case
-    mu(s) = c_max - crit(s), so D(x) = crit(floor(x)) + {x}: the critical
-    row of x's own class, with no lookup.  An identity row's dual
-    (c_max - floor(x), {x}) is looked up among the critical rows.
-    Raises RuntimeError when a dual is not a critical preimage or the
-    duals miss a critical: D must be a bijection onto the criticals."""
+    part fr: identity iff det M |det L| divides
+    w = |det L| n_lm c_max + 2 n_lm fr (_identity_test).  The two rows of
+    each class of L share a position in group order.  In the dual case
+    D(x) = crit(floor(x)) + {x}, the critical row at x's position; in
+    the identity case D(x) = (c_max - floor(x)) + {x}, whose
+    configuration is w / (det M |det L|) minus x's.  Raises RuntimeError
+    unless the duals are the critical configurations: D must be a
+    bijection onto the criticals."""
     crits = pair._walk_rows("critical")
-    identity = _identity_test(pair)
-    n_lm, d = pair.n_lm, pair.den_l
-    c_max = pair.m.c_max
-    cases = {}      # fractional numerators -> mu's case
-    criticals = None
+    n_lm, d, c_max = pair.n_lm, pair.den_l, pair.m.c_max
+    den = pair.det_m * d
+    top = [d * q for q in mat_vec(n_lm, c_max)]
+    identity = {}   # fractional numerators -> w / (det M |det L|) in the identity case, else None
     rows = []
     for r, crit in zip(pair._walk_rows("superstable"), crits):
-        case = cases.get(r.frac_num)
-        if case is None:
-            v = mat_vec(n_lm, r.frac_num)
+        fr = r.frac_num
+        if fr not in identity:
+            v = mat_vec(n_lm, fr)
             ensure(not any(q % d for q in v), "n_lm {x} = 0 mod |det L| at an integral row")
-            case = cases[r.frac_num] = "identity" if identity([-q // d for q in v]) else "dual"
-        if case == "identity":
-            if criticals is None:
-                criticals = {(c.floor, c.frac_num): c for c in crits}
-            dual = criticals.get((vec_sub(c_max, r.floor), r.frac_num))
-            if dual is None:
-                raise RuntimeError(f"the dual of the superstable {r.config} is not a "
-                                   f"critical preimage")
-            rows.append((r, case, dual))
+            w = [t + 2 * q for t, q in zip(top, v)]
+            identity[fr] = None if any(q % den for q in w) else [q // den for q in w]
+        w = identity[fr]
+        if w is None:
+            rows.append((r, "dual", crit))
         else:
-            rows.append((r, case, crit))
+            dual = PairRow(tuple(map(sub, w, r.config)), vec_sub(c_max, r.floor), fr, d)
+            rows.append((r, "identity", dual))
     rows.sort(key=itemgetter(0))
-    if len({dual.config for _, _, dual in rows}) != len(crits):
+    duals = {dual.config for _, _, dual in rows}
+    # crits are |det L| distinct configurations (_walk_rows): this is set equality
+    if len(duals) != len(crits) or not duals.issuperset(c.config for c in crits):
         raise RuntimeError("the duals are not the critical configurations")
     return rows
 

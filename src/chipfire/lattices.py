@@ -197,21 +197,20 @@ def class_id(dec, v):
     return tuple(w[i] % dec.D[i][i] for i in range(n))
 
 
-def walk_class_reps(dec, image=None):
-    """One representative per class of Z^n / A Z^n; dec = snf(A, det A).
+def walk_class_reps(dec, image):
+    """image*U*r per class U*r of Z^n / A Z^n; dec = snf(A, det A).
 
-    An iterator over U*r for r in the residue box 0 <= r_i < d_i, in
+    An iterator over r in the residue box 0 <= r_i < d_i, in
     lexicographic residue order, so the output is the same no matter how
-    the caller partitions the work.  With an integer matrix image it
-    yields image*U*r in the same order instead.  DEFAULT_ENUMERATION_CAP,
-    read at each call, is checked before it returns.
+    the caller partitions the work; image = I yields the representatives
+    U*r.  DEFAULT_ENUMERATION_CAP, read at each call, is checked first.
 
     The box is walked like an odometer: U*(r + e_i) = U*r + U e_i, and a
     digit that wraps from d_i - 1 to 0 takes (d_i - 1) U e_i off, so each
     class costs vector additions instead of a matrix-vector product.
     """
     dims, total = _residue_box(dec)
-    basis = dec.U if image is None else mat_mul(image, dec.U)
+    basis = mat_mul(image, dec.U)
     # only the digits with d_i > 1 move; the last one turns fastest
     wheels = [(d - 1, tuple(row[i] for row in basis), tuple((1 - d) * row[i] for row in basis))
               for i, d in enumerate(dims) if d > 1]
@@ -219,9 +218,9 @@ def walk_class_reps(dec, image=None):
 
 
 def walk_class_ids(dec):
-    """The class ids of walk_class_reps(dec)'s classes, in its order.
+    """The class ids of walk_class_reps(dec, image)'s classes, in its order.
 
-    The walk yields U*r for r in lexicographic residue order, and
+    The walk yields image*U*r for r in lexicographic residue order, and
     class_id(dec, U*r) = Uinv*U*r mod diag(D) = r, so zipped with a walk
     this names every class without a matrix-vector product, and alone it
     names every class without building one.  Like the walk, it checks

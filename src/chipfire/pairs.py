@@ -34,19 +34,19 @@ The class walk steps the preimage numerators p, stacked over Uinv_M p,
 through the residue box one column at a time (lattices.walk_class_reps).
 A class keeps its fractional numerators fr = p mod |det L| and the
 M-class id of its floor, (Uinv_M p - Uinv_M fr) / |det L| mod diag(D_M),
-with Uinv_M fr computed once per distinct fr, and the classes are
-grouped by that id.  The rows are built one class of M at a time: a
-group's base, the critical of its id (or, for superstables, c_max minus
-the critical of id(c_max) - id, the class of c_max - floor), and
-|det L| n_lm base are built once, and a row's configuration is that sum
-plus n_lm fr, from a table per distinct fr, over det M |det L|, so no
-row takes a matrix-vector product.  When |det L| >= det M, M fills its
-table of criticals by one walk of K(M) first.  Both sweeps share the
-walk and the tables, which are released once both kinds of rows are
-cached.  The rows of each kind are cached in
-class-walk order, the pair's one row cache, and sorted on each ask, so
-duality pairs the superstable and the critical of each class of L in
-walk order, without a lookup.
+with Uinv_M fr and n_lm fr computed once per distinct fr, and the
+classes are grouped by that id.  The rows are built one class of M at a
+time: a group's base, the critical of its id (or, for superstables,
+c_max minus the critical of id(c_max) - id, the class of c_max - floor),
+and |det L| n_lm base are built once, and a row's configuration is that
+sum plus n_lm fr over det M |det L|, so no row takes a matrix-vector
+product.  When |det L| >= det M, M fills its table of criticals by one
+walk of K(M) first.  Both sweeps share the walk and the groups, which
+are released once both kinds of rows are cached.  The rows of each kind
+are cached in group order, the pair's one row cache, and sorted on each
+ask; both kinds visit the groups in one order, so duality pairs the
+superstable and the critical of each class of L by position, without a
+lookup.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class ChipFiringPair:
         self.den_l = abs(self.det_l)
         self.l_snf = lattices.snf(self.l, self.det_l)
         self.l_group = lattices.quotient_group(self.l_snf)
-        self._classes = None    # the class tables of L, while a kind is uncached
-        self._rows = {}         # kind -> PairRows in class-walk order
+        self._classes = None    # the groups of the classes of L, while a kind is uncached
+        self._rows = {}         # kind -> PairRows in group order
         self._zero_quotients = {}   # side -> K(side)/F0 as an AbelianGroup; frackets fills both at once
 
     @property
@@ -211,66 +211,63 @@ class ChipFiringPair:
         )
 
     def _class_tables(self):
-        """(groups, frs, fracs), shared by both sweeps until both kinds of
-        rows are cached: the walk indices of the classes of L grouped by
-        the M-class id of their preimage floor, in order of first visit;
-        per class of L in walk order its fractional numerators fr; per
-        distinct fr, n_lm fr."""
+        """The groups, shared by both sweeps until both kinds of rows are
+        cached: the classes of L grouped by the M-class id of their
+        preimage floor, in order of first visit, each class as the entry
+        (fr, n_lm fr) of its fractional numerators fr.  Classes with one
+        fr share one entry tuple, built when that fr is first seen."""
         if self._classes is None:
             d, n, dec = self.den_l, self.n, self.m.snf
             dims = tuple(dec.D[i][i] for i in range(n))
-            uinv_fr = {}
-            groups, frs = {}, []
+            seen = {}       # fr -> (Uinv_M fr, (fr, n_lm fr))
+            groups = {}
             image = self.n_ml + mat_mul(dec.Uinv, self.n_ml)
-            for index, v in enumerate(lattices.walk_class_reps(self.l_snf, image=image)):
+            for v in lattices.walk_class_reps(self.l_snf, image=image):
                 fr = tuple(map(d.__rmod__, v[:n]))
-                found = uinv_fr.get(fr)
+                found = seen.get(fr)
                 if found is None:
-                    found = uinv_fr[fr] = (fr, mat_vec(dec.Uinv, fr))
-                fr, u = found       # the rows of one fractional part share its tuple
+                    found = seen[fr] = (mat_vec(dec.Uinv, fr), (fr, mat_vec(self.n_lm, fr)))
+                u, entry = found
                 fl_id = map(floordiv, map(sub, v[n:], u), repeat(d))     # Uinv_M floor
-                groups.setdefault(tuple(map(mod, fl_id, dims)), []).append(index)
-                frs.append(fr)
-            fracs = {fr: mat_vec(self.n_lm, fr) for fr in uinv_fr}
-            self._classes = (groups, frs, fracs)
+                groups.setdefault(tuple(map(mod, fl_id, dims)), []).append(entry)
+            self._classes = groups
         return self._classes
 
     def _walk_rows(self, kind):
-        """The kind's rows in class-walk order: the superstable and the
-        critical at one index lie in the same class of L.
+        """The kind's rows in group order: both kinds visit the groups of
+        _class_tables in one order, so the superstable and the critical at
+        one position lie in the same class of L.
 
-        The rows are built one class of M at a time, over the groups of
-        _class_tables.  A floor of M-class id key gives the critical base
-        M.crit_of_class_id(key) and the superstable base
-        M.sstab_of_class_id(key).  A group builds its base and
-        |det L| n_lm base once; a row's configuration is
-        (|det L| n_lm base + n_lm fr) / (det M |det L|), written at its
-        walk index.  Both bases read M's table of criticals, filled by
-        M.fill_criticals first when |det L| >= det M, since the rows then
-        touch most classes of M; otherwise each group's miss costs one
-        stabilization.  A negative base, a configuration that is not
-        integral, or a kind without |det L| distinct configurations raises
-        RuntimeError.  The tables are released once both kinds are cached.
+        The rows are built one class of M at a time.  A floor of M-class
+        id key gives the critical base M.crit_of_class_id(key) and the
+        superstable base M.sstab_of_class_id(key).  A group builds its
+        base and |det L| n_lm base once; a row's configuration is
+        (|det L| n_lm base + n_lm fr) / (det M |det L|).  Both bases read
+        M's table of criticals, filled by M.fill_criticals first when
+        |det L| >= det M, since the rows then touch most classes of M;
+        otherwise each group's miss costs one stabilization.  A negative
+        base, a configuration that is not integral, or a kind without
+        |det L| distinct configurations raises RuntimeError.  The groups
+        are released once both kinds are cached.
         """
         if kind not in self._rows:
-            groups, frs, fracs = self._class_tables()
+            groups = self._class_tables()
             m, d, n_lm = self.m, self.den_l, self.n_lm
             den = self.det_m * d
             if d >= self.det_m:
                 m.fill_criticals()
             base_of = m.sstab_of_class_id if kind == "superstable" else m.crit_of_class_id
-            rows = [None] * d
-            for key, indices in groups.items():
+            rows = []
+            for key, members in groups.items():
                 base = base_of(key)
                 top = tuple(d * q for q in mat_vec(n_lm, base))
                 negative = min(base) < 0
-                for index in indices:
-                    fr = frs[index]
-                    num = tuple(map(add, top, fracs[fr]))
+                for fr, n_fr in members:
+                    num = tuple(map(add, top, n_fr))
                     if negative or any(map(den.__rmod__, num)):
                         raise RuntimeError(f"the class of L with fractional numerators {fr} "
                                            f"gave no valid {kind} preimage")
-                    rows[index] = PairRow(tuple(map(den.__rfloordiv__, num)), base, fr, d)
+                    rows.append(PairRow(tuple(map(den.__rfloordiv__, num)), base, fr, d))
             if len({r.config for r in rows}) != d:
                 raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
             self._rows[kind] = tuple(rows)

@@ -90,6 +90,16 @@ def test_fixed_points_predict_fails_on_a_contradicted_order_criterion(
     assert out.splitlines()[0] == "actual=0 predicted=4"
 
 
+def test_fixed_points_without_a_fixed_point_prints_no_line(tmp_path, capsys):
+    # the pair of test_duality.py::test_cyclic_even_criterion_both_ways has
+    # no fixed point: the table has no line at all and the CSV only its header
+    path = tmp_path / "pair.json"
+    path.write_text('{"L": [["-4", "-2"], ["4", "-3"]], "M": [["3", "-1"], ["-2", "2"]]}')
+    assert run(capsys, "fixed-points", "--pair", str(path)) == (0, "", "")
+    assert run(capsys, "fixed-points", "--pair", str(path), "--format", "csv") == (
+        0, "fixed_point\n", "")
+
+
 def test_frackets_verify(capsys):
     code, out, _ = run(capsys, "frackets", "--fixture", "diamond", "--verify")
     assert code == 0

@@ -20,7 +20,7 @@ from chipfire.duality import (
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M
 from chipfire.frackets import fracket_key, fracket_partition, zero_fracket
 from chipfire.lattices import walk_class_reps
-from chipfire.linalg import mat_vec, vec_sub
+from chipfire.linalg import identity, mat_vec, vec_sub
 from chipfire.mmatrix import MMatrix
 from chipfire.pairs import ChipFiringPair
 
@@ -222,7 +222,8 @@ def test_quotient_facts_match_brute_force(seed, equal, negate):
     assert nonzero_criteria(pair)["cmax_order"] == order
     assert fixed_points(pair) == _fixed_points_oracle(_signed_pair(seed, equal, negate))
     for side, dec in (("L", pair.l_snf), ("M", pair.m.snf)):
-        zero = tuple(rep for rep in walk_class_reps(dec) if not any(fracket_key(pair, side, rep)))
+        zero = tuple(rep for rep in walk_class_reps(dec, identity(pair.n))
+                     if not any(fracket_key(pair, side, rep)))
         assert zero_fracket(pair, side).members == zero
 
 
@@ -236,3 +237,13 @@ def test_duality_rows_after_the_class_split_is_released():
     pair._rows.clear()
     assert duality_rows(pair) == first
     assert first == _duality_rows_oracle(ChipFiringPair(DIAMOND_L, DIAMOND_M))
+
+
+def test_duality_rows_raise_when_the_duals_miss_a_critical():
+    # reversed critical rows give the dual-case rows the criticals of other
+    # classes of L, and the diamond's 8 identity rows build their duals
+    # themselves, so some critical is repeated and another missed
+    pair = ChipFiringPair(DIAMOND_L, DIAMOND_M)
+    pair._rows["critical"] = pair._walk_rows("critical")[::-1]
+    with pytest.raises(RuntimeError, match="^the duals are not the critical configurations$"):
+        duality_rows(pair)

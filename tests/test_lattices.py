@@ -90,7 +90,7 @@ def test_class_id_invariant_under_lattice_shift(a, w):
 @given(small_invertible(2, det_cap=24))
 def test_enumerate_class_reps(a):
     dec = _snf(a)
-    reps = list(walk_class_reps(dec))
+    reps = list(walk_class_reps(dec, identity(2)))
     assert len(reps) == abs(mat_det(a))
     ids = {class_id(dec, r) for r in reps}
     assert len(ids) == len(reps)
@@ -112,7 +112,7 @@ def test_enumerate_class_reps_odometer_in_three_dims(diag):
     a = mat_mul(mat_mul(u, d), v)
     dec = _snf(a)
     box = product(*(range(dec.D[i][i]) for i in range(3)))
-    reps = list(walk_class_reps(dec))
+    reps = list(walk_class_reps(dec, identity(3)))
     assert reps == [mat_vec(dec.U, r) for r in box]
     assert list(walk_class_ids(dec)) == [class_id(dec, r) for r in reps]
 
@@ -122,7 +122,7 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(lattices, "DEFAULT_ENUMERATION_CAP", 10)
     a = ((1000, 0), (0, 1000))
     with pytest.raises(EnumerationCapExceeded, match="^1000000 classes exceeds cap 10$"):
-        walk_class_reps(_snf(a))
+        walk_class_reps(_snf(a), identity(2))
     with pytest.raises(EnumerationCapExceeded, match="^1000000 classes exceeds cap 10$"):
         walk_class_ids(_snf(a))
 

@@ -11,6 +11,11 @@ definitions are not checked.
 Every field of a namedtuple value class of the package must be read as
 an attribute somewhere in the package, the benchmark scripts or the
 tests; a field that nothing reads is carried for nobody.
+
+Every default parameter of a function or method of the package must be
+passed by some call in the package or the benchmark scripts and left out
+by another: a default that no call passes is a constant, and one that
+every call passes is a required parameter.
 """
 
 import ast
@@ -124,3 +129,75 @@ def test_an_unread_field_is_reported(tmp_path):
         'Box = namedtuple("Box", "used, spare")\n\n\n'
         "def make():\n    box = Box(used=1, spare=2)\n    box.spare = 3\n    return box.used\n")
     assert unread_fields(package) == ["core.Box.spare"]
+
+
+def _defaults(node, method):
+    """(name, position in a call or None) for each parameter of the
+    function node that has a default; a method's positions skip self."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = 1 if method and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in node.decorator_list) else 0
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def idle_defaults(package, extra=()):
+    """Sorted "module.name(parameter)" entries for the default parameters
+    of the functions and methods in package/*.py that no call in
+    package/*.py or the extra files passes, or that every such call
+    passes.  A call matches a definition by its bare name, and a call
+    with *args or **kwargs counts as passing and as leaving out."""
+    trees = {path: ast.parse(path.read_text()) for path in [*sorted(package.glob("*.py")), *extra]}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for qualname, name, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            for param, index in _defaults(node, "." in qualname):
+                passed = omitted = False
+                for call in calls.get(name, ()):
+                    if (any(isinstance(a, ast.Starred) for a in call.args)
+                            or any(k.arg is None for k in call.keywords)):
+                        passed = omitted = True
+                    elif (any(k.arg == param for k in call.keywords)
+                            or index is not None and index < len(call.args)):
+                        passed = True
+                    else:
+                        omitted = True
+                if not (passed and omitted):
+                    found.append(f"{path.stem}.{qualname}({param})")
+    return sorted(found)
+
+
+def test_every_default_parameter_is_both_passed_and_left_out():
+    assert idle_defaults(PACKAGE, sorted(BENCH.glob("*.py"))) == []
+
+
+def test_an_idle_default_is_reported(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "core.py").write_text(
+        "def varied(x, y=1, *, z=2):\n    return x + y + z\n\n\n"
+        "def never(x, y=1):\n    return x + y\n\n\n"
+        "def always(x, y=1):\n    return x + y\n\n\n"
+        "def spread(x, y=1):\n    return x + y\n\n\n"
+        "class Box:\n"
+        "    def put(self, x, y=1):\n        return x + y\n\n\n"
+        "def use(box, args):\n"
+        "    varied(1) + varied(1, 2, z=3) + varied(1, y=2)\n"
+        "    never(1) + always(1, 2) + always(1, y=3) + spread(*args)\n"
+        "    return box.put(1) + box.put(1, 2)\n")
+    assert idle_defaults(package) == ["core.always(y)", "core.never(y)"]
