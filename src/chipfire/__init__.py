@@ -49,21 +49,21 @@ __all__ = [
     "Classification",
     "CriterionResult",
     "EnumerationCapExceeded",
+    "FracketChecks",
     "FracketPartition",
     "MMatrix",
     "PairRow",
     "SignedGraph",
     "SnfDecomposition",
-    "ZeroFracket",
     "class_id",
     "count_order_le2",
-    "cyclic_shortcut",
     "duality",
     "duality_inverse",
     "duality_table",
     "family",
     "fixed_point_invariants",
     "fixed_points",
+    "fracket_checks",
     "fracket_key",
     "fracket_partition",
     "involution_mu",
@@ -83,9 +83,8 @@ __all__ = [
     "snf",
     "sweep",
     "verify_half_n_integrality",
-    "verify_largest_invariant_factor",
-    "zero_fracket",
-    "zero_fracket_size_formula",
+    "zero_fracket_quotient",
+    "zero_fracket_size",
     "__version__",
 ]
 
@@ -104,14 +103,13 @@ _LAZY = {
         "predicted_fixed_point_count",
     ),
     "frackets": (
+        "FracketChecks",
         "FracketPartition",
-        "ZeroFracket",
-        "cyclic_shortcut",
+        "fracket_checks",
         "fracket_key",
         "fracket_partition",
-        "verify_largest_invariant_factor",
-        "zero_fracket",
-        "zero_fracket_size_formula",
+        "zero_fracket_quotient",
+        "zero_fracket_size",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

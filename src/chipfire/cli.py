@@ -151,13 +151,22 @@ def _rows_report(args, records, columns, shown, n):
     return Report(None, tuple(name for name, _, _ in columns), _Cells(records, getters))
 
 
+def _read_json(path):
+    """The JSON value in the file; nesting too deep to parse is malformed
+    input, not a failed verification."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_pair(args) -> ChipFiringPair:
     chosen = [s for s in ("pair", "graph", "fixture") if getattr(args, s, None)]
     if len(chosen) != 1:
         raise ValueError("exactly one of --pair, --graph, --fixture is required")
     if args.pair:
-        with open(args.pair) as fh:
-            data = json.load(fh)
+        data = _read_json(args.pair)
         if not isinstance(data, dict):
             raise ValueError("--pair needs a JSON object with L and M grids")
         return ChipFiringPair(_grid(data, "L"), _grid(data, "M"))
@@ -176,8 +185,7 @@ def _grid(data, key):
 def _load_matrix(args):
     """The M side alone, for check-mmatrix; accepts a bare grid too."""
     if args.pair:
-        with open(args.pair) as fh:
-            data = json.load(fh)
+        data = _read_json(args.pair)
         return _grid(data, "M") if isinstance(data, dict) else mat_from_json(data)
     return _load_pair(args).m.m
 
@@ -286,29 +294,20 @@ def cmd_fixed_points(args):
 def cmd_frackets(args):
     if not args.verify and not args.side:
         raise ValueError("frackets needs --side L|M or --verify")
-    from .frackets import (
-        cyclic_shortcut,
-        fracket_partition,
-        verify_largest_invariant_factor,
-        zero_fracket_quotient,
-        zero_fracket_size_formula,
-    )
+    from .frackets import fracket_checks, fracket_partition, zero_fracket_quotient
 
     pair = _load_pair(args)
     if args.verify:
-        facts = []
-        for side in ("L", "M"):
-            res = verify_largest_invariant_factor(pair, side)
-            facts.append((res["ok"], f"largest invariant factor of K({side})/F0 = flcm = {res['flcm']}"))
-        formula = zero_fracket_size_formula(pair)
-        facts.append((formula["predicted"] == formula["actual"],
-                      f"size formula: predicted {formula['predicted']} = actual {formula['actual']}"))
-        for side in ("L", "M"):
-            short = cyclic_shortcut(pair, side)
+        checks = fracket_checks(pair)
+        size = checks.size
+        facts = [(big == f, f"largest invariant factor of K({side})/F0 = flcm = {f}")
+                 for side, f, big in zip("LM", checks.flcm, checks.largest)]
+        facts.append((checks.predicted == size, f"size formula: predicted {checks.predicted} = actual {size}"))
+        for side, gcd in zip("LM", checks.shortcut):
             found, hit = "not applicable", True
-            if short is not None:
-                hit = short["predicted"] == short["actual"]
-                found = f"gcd = {short['predicted']}" + ("" if hit else f", actual |F0| = {short['actual']}")
+            if gcd is not None:
+                hit = gcd == size
+                found = f"gcd = {gcd}" + ("" if hit else f", actual |F0| = {size}")
             facts.append((hit, f"cyclic shortcut on side {side}: {found}"))
         ok, detail = verdict(facts)
         payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}

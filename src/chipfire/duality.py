@@ -45,7 +45,7 @@ from __future__ import annotations
 from operator import itemgetter, sub
 
 from . import lattices
-from .frackets import zero_fracket_quotient
+from .frackets import zero_fracket_quotient, zero_fracket_size
 from .linalg import ensure, flcm, mat_vec, over, vec_sub
 from .pairs import ChipFiringPair, PairRow
 
@@ -205,12 +205,7 @@ def fixed_points(pair: ChipFiringPair):
 
 def predicted_fixed_point_count(pair: ChipFiringPair):
     """|F0_M| * #{order <= 2 in K(M)/F0_M}; the true count is this or 0."""
-    quotient = zero_fracket_quotient(pair, "M")
-    f0_size, rest = divmod(abs(pair.det_m), quotient.order)
-    if rest:
-        raise RuntimeError(f"|K(M) / F0_M| = {quotient.order} does not divide "
-                           f"|det M| = {abs(pair.det_m)}")
-    return f0_size * lattices.count_order_le2(quotient)
+    return zero_fracket_size(pair) * lattices.count_order_le2(zero_fracket_quotient(pair, "M"))
 
 
 def fixed_point_invariants(pair: ChipFiringPair):

@@ -18,16 +18,10 @@ whose invariant factors one Smith form gives for both sides at once
 B = L M^-1 of Lambda_L, and the Smith form of the scaled B gives the
 invariant factors of both intersections.
 
-The largest invariant factor of K(M)/F0_M equals flcm(L M^-1), and that
-of K(L)/F0_L equals flcm(M L^-1).  Writing p_S for the product of the
-non-largest invariant factors of K(S)/F0_S,
-
-    |F0| = gcd( gcd-of-entries |L| M L^-1 , gcd-of-entries |M| L M^-1 )
-           / gcd(p_M, p_L)
-
-and in particular |F0_L| = |F0_M|.  When K(M)/F0_M is cyclic this
-collapses to |F0| = gcd-of-entries of |M| L M^-1 (swap the roles for a
-cyclic K(L)/F0_L).
+|F0| = |det S| / |K(S)/F0_S| is the same on both sides
+(zero_fracket_size).  fracket_checks compares the structure facts: the
+largest invariant factor of K(S)/F0_S equals the flcm of the keymap,
+and |F0| against the size formula and its cyclic shortcut.
 
 The keymap T S^-1 is carried as integer numerators over one positive
 denominator den (|det L| for side L, det M for side M), so a key is its
@@ -70,6 +64,7 @@ def zero_fracket_quotient(pair: ChipFiringPair, side):
         _, quot_l, quot_m = lattices.lattice_intersection(
             pair.n_lm, pair.det_m, pair.det_l * pair.det_m ** (pair.n - 1))
         # |F0_L| = |F0_M|, that is |det L| / |Q_L| = |det M| / |Q_M|
+        ensure(pair.den_l % quot_l.order == 0, "|Q_L| divides |det L|")
         ensure(pair.den_l * quot_m.order == pair.det_m * quot_l.order,
                "|det L| |Q_M| = |det M| |Q_L|")
         pair._zero_quotients.update(L=quot_l, M=quot_m)
@@ -101,14 +96,6 @@ class FracketPartition(namedtuple("FracketPartition", "side den residues groups"
         sizes = set(map(len, self.groups))
         ensure(len(sizes) == 1, "frackets are cosets of F0 and share one size")
         return sizes.pop()
-
-
-class ZeroFracket(namedtuple("ZeroFracket", "side members quotient")):
-    __slots__ = ()
-
-    @property
-    def size(self):
-        return len(self.members)
 
 
 def _residues(num, den, v):
@@ -146,75 +133,35 @@ def fracket_partition(pair: ChipFiringPair, side):
     return part
 
 
-def zero_fracket(pair: ChipFiringPair, side):
-    """F0 for the given side, with K(side)/F0 ~= Z^n/Lambda_S.
-
-    The zero residue is the least key, so F0 is the partition's first
-    fracket, and the representative of class id r is U r."""
-    u = _side_data(pair, side)[3].U
-    part = fracket_partition(pair, side)
-    ensure(not any(part.residues[0]), "the least key is zero")
-    members = tuple(mat_vec(u, r) for r in part.groups[0])
-    return ZeroFracket(side=side, members=members, quotient=zero_fracket_quotient(pair, side))
+def zero_fracket_size(pair: ChipFiringPair):
+    """|F0|, which both sides share: |det L| / |K(L)/F0_L|."""
+    return pair.den_l // zero_fracket_quotient(pair, "L").order
 
 
-def verify_largest_invariant_factor(pair: ChipFiringPair, side):
-    """Largest invariant factor of K(side)/F0 against the flcm of the
-    side's keymap; the two always agree."""
-    num, den, _, _ = _side_data(pair, side)
-    predicted = flcm(num, den)
-    return {"flcm": predicted, "ok": zero_fracket_quotient(pair, side).largest_factor == predicted}
+FracketChecks = namedtuple("FracketChecks", "flcm largest predicted size shortcut")
 
 
-def _nonlargest_product(group: lattices.AbelianGroup):
-    factors = group.invariant_factors
-    if len(factors) <= 1:
-        return 1
-    return math.prod(factors[:-1])
+def fracket_checks(pair: ChipFiringPair):
+    """The structure facts of F0, each pair in side order (L, M).
 
-
-def zero_fracket_size_formula(pair: ChipFiringPair):
-    """|F0| from the scaled transfer matrices.
-
-    predicted = gcd( gcd |L| M L^-1 , gcd |M| L M^-1 ) / gcd(p_M, p_L)
-    with p_S the product of the non-largest invariant factors of
-    K(S)/F0_S.  The scaled transfers are the numerators n_ml and n_lm.
-    Returns the prediction next to the actual |F0|, which both sides
-    share.  The two can differ.
+    flcm holds the flcm of each keymap and largest the largest invariant
+    factor of each K(S)/F0_S; the two always agree.  predicted is the
+    size formula gcd(gcd n_ml, gcd n_lm) / gcd(p_L, p_M), with p_S the
+    product of the non-largest invariant factors of K(S)/F0_S, and size
+    the actual |F0|.  shortcut is the gcd of the entries of the side's
+    keymap numerators where K(S)/F0_S is cyclic, else None.  Either can
+    miss |F0|: for L = [[-3]], M = [[2]], |F0| = 1, but the shortcut
+    gives 2 on side L and 3 on side M.
     """
-    g_l = gcd_entries(pair.n_ml)
-    g_m = gcd_entries(pair.n_lm)
-    quot_l = zero_fracket_quotient(pair, "L")
-    quot_m = zero_fracket_quotient(pair, "M")
-    p_l = _nonlargest_product(quot_l)
-    p_m = _nonlargest_product(quot_m)
-    numerator = math.gcd(g_l, g_m)
-    denominator = math.gcd(p_m, p_l)
-    ensure(numerator % denominator == 0, "gcd(p_M, p_L) divides the gcd of the scaled transfers")
-    predicted = numerator // denominator
-    actual_l = abs(pair.det_l) // quot_l.order
-    actual_m = abs(pair.det_m) // quot_m.order
-    ensure(actual_l == actual_m, "both sides share one zero-fracket size")
-    return {
-        "gcd_scaled_L": g_l,
-        "gcd_scaled_M": g_m,
-        "p_L": p_l,
-        "p_M": p_m,
-        "predicted": predicted,
-        "actual": actual_l,
-    }
-
-
-def cyclic_shortcut(pair: ChipFiringPair, side):
-    """{"predicted", "actual"} |F0| when K(side)/F0 is cyclic, else None.
-
-    For a cyclic quotient the size formula collapses: the prediction is
-    the gcd of the entries of |side| * keymap(side), the keymap's
-    numerators.  It can miss the actual |F0|: for L = [[-3]], M = [[2]]
-    it gives 2 on side L and 3 on side M, but |F0| = 1.
-    """
-    num, _, det, _ = _side_data(pair, side)
-    quotient = zero_fracket_quotient(pair, side)
-    if not quotient.is_cyclic:
-        return None
-    return {"predicted": gcd_entries(num), "actual": abs(det) // quotient.order}
+    nums = (pair.n_ml, pair.n_lm)
+    quots = (zero_fracket_quotient(pair, "L"), zero_fracket_quotient(pair, "M"))
+    numerator = math.gcd(*map(gcd_entries, nums))
+    denominator = math.gcd(*(math.prod(q.invariant_factors[:-1]) for q in quots))
+    ensure(numerator % denominator == 0, "gcd(p_L, p_M) divides the gcd of the scaled transfers")
+    return FracketChecks(
+        flcm=(flcm(pair.n_ml, pair.den_l), flcm(pair.n_lm, pair.det_m)),
+        largest=tuple(q.largest_factor for q in quots),
+        predicted=numerator // denominator,
+        size=zero_fracket_size(pair),
+        shortcut=tuple(gcd_entries(num) if q.is_cyclic else None for num, q in zip(nums, quots)),
+    )

@@ -201,15 +201,13 @@ def adjugate(a):
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in w)
 
 
-def over(nums, den, floor=None):
-    """The vector nums / den as normalized rationals, or with floor the
-    vector floor + nums / den for fractional numerators 0 <= nums < den:
-    the one place a numerator vector becomes Fraction entries."""
+def over(nums, den):
+    """The vector nums / den as normalized rationals, an int where den
+    divides the numerator: the one place a numerator vector becomes
+    Fraction entries."""
     from fractions import Fraction
 
-    if floor is None:
-        return tuple(q // den if q % den == 0 else Fraction(q, den) for q in nums)
-    return tuple(Fraction(f * den + r, den) if r else f for f, r in zip(floor, nums))
+    return tuple(q // den if q % den == 0 else Fraction(q, den) for q in nums)
 
 
 def numerators(v, den):

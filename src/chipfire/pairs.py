@@ -89,7 +89,7 @@ class PairRow(namedtuple("PairRow", "config floor frac_num den")):
 
     @property
     def preimage(self):
-        return over(self.frac_num, self.den, self.floor)
+        return over(self.num, self.den)
 
     @property
     def frac(self):

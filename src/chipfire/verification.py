@@ -27,12 +27,11 @@ from .duality import (
 )
 from .fixtures import C6_NEGATIVE_PATTERN, DIAMOND_M, diamond_pair, negative_c6_pair
 from .frackets import (
-    cyclic_shortcut,
+    fracket_checks,
     fracket_key,
     fracket_partition,
-    verify_largest_invariant_factor,
-    zero_fracket,
-    zero_fracket_size_formula,
+    zero_fracket_quotient,
+    zero_fracket_size,
 )
 from .linalg import ensure, gcd_entries, mat_vec, over, vec_sub, verdict
 from .mmatrix import MMatrix, is_m_matrix
@@ -188,37 +187,26 @@ def check_frackets():
                and part_m.keys == refdata.M_FRACKET_KEYS)
     ok_sizes = part_l.fracket_size == refdata.FRACKET_SIZE == part_m.fracket_size
 
-    zl = zero_fracket(pair, "L")
-    zm = zero_fracket(pair, "M")
     ok_quot = (
-        zl.quotient.invariant_factors == refdata.L_QUOTIENT_FACTORS
-        and zm.quotient.invariant_factors == refdata.M_QUOTIENT_FACTORS
+        zero_fracket_quotient(pair, "L").invariant_factors == refdata.L_QUOTIENT_FACTORS
+        and zero_fracket_quotient(pair, "M").invariant_factors == refdata.M_QUOTIENT_FACTORS
     )
 
     tagged = refdata.ZERO_FRACKET_TAGGED_VECTOR
     # the reference names {[(0,0,0)], [(3,3,3)]} as the zero fracket of
     # K(L), but (3,3,3) = L(1,2,2) is the identity there; the statement
-    # holds verbatim on the M side, and |F0| = 2 holds on both sides
-    ok_size_l = zl.size == refdata.ZERO_FRACKET_SIZE
+    # holds verbatim on the M side, and |F0| = 2 holds on both sides.
+    # F0 is the first fracket, since the zero residue is the least key
+    f0_l, f0_m = part_l.groups[0], part_m.groups[0]
     tagged_degenerate = pair.class_id(tagged) == (0,) * pair.n
-    m_classes = {pair.m.class_id(v) for v in zm.members}
-    ok_m_side = m_classes == {pair.m.class_id((0, 0, 0)), pair.m.class_id(tagged)}
-    ok_zero = ok_size_l and tagged_degenerate and ok_m_side and zm.size == refdata.ZERO_FRACKET_SIZE
+    ok_m_side = set(f0_m) == {pair.m.class_id((0, 0, 0)), pair.m.class_id(tagged)}
+    ok_zero = (not any(part_l.residues[0]) and not any(part_m.residues[0]) and tagged_degenerate
+               and ok_m_side and len(f0_l) == len(f0_m) == refdata.ZERO_FRACKET_SIZE)
 
-    lif_l = verify_largest_invariant_factor(pair, "L")
-    lif_m = verify_largest_invariant_factor(pair, "M")
-    ok_flcm = (
-        lif_l["ok"]
-        and lif_m["ok"]
-        and lif_l["flcm"] == refdata.FLCM_ML_INV
-        and lif_m["flcm"] == refdata.FLCM_LM_INV
-    )
-
-    formula = zero_fracket_size_formula(pair)
-    ok_formula = formula["predicted"] == formula["actual"] == refdata.ZERO_FRACKET_SIZE
-    shortcuts = [cyclic_shortcut(pair, side) for side in ("M", "L")]
-    ok_shortcut = all(s is not None and s["predicted"] == s["actual"] == refdata.SCALED_GCD
-                      for s in shortcuts)
+    checks = fracket_checks(pair)
+    ok_flcm = checks.largest == checks.flcm == (refdata.FLCM_ML_INV, refdata.FLCM_LM_INV)
+    ok_formula = checks.predicted == checks.size == refdata.ZERO_FRACKET_SIZE
+    ok_shortcut = checks.shortcut == (checks.size,) * 2 == (refdata.SCALED_GCD,) * 2
 
     return verdict([
         (ok_keys, "6 keys on side L and 4 keys on side M, as listed"),
@@ -239,9 +227,8 @@ def check_frackets():
 def check_fixed_points():
     pair = diamond_pair()
     fps, predicted, crit, ok = fixed_point_invariants(pair)
-    quot = crit["quotient"]
-    f0 = abs(pair.det_m) // quot.order
-    d = lattices.count_order_le2(quot)
+    f0 = zero_fracket_size(pair)
+    d = lattices.count_order_le2(crit["quotient"])
     ok_diamond = ok and fps == refdata.FIXED_POINTS and predicted == 4 and (f0, d) == (2, 2)
 
     triangles = []

@@ -224,8 +224,9 @@ def test_missing_file(capsys):
         '{"L": [[1.5]], "M": [[1]]}',
         '{"L": [[1, 2], [3]], "M": [[1, 0], [0, 1]]}',
         '[[2, -1], [-1, 2]]',
+        '{"L": [[2]], "M": [[2, 0], [0, 2]]}',
     ],
-    ids=["zero-denominator", "float-entry", "ragged-rows", "bare-grid"],
+    ids=["zero-denominator", "float-entry", "ragged-rows", "bare-grid", "unequal-sizes"],
 )
 def test_malformed_pair_is_an_input_error(tmp_path, capsys, blob):
     path = tmp_path / "pair.json"
@@ -234,6 +235,16 @@ def test_malformed_pair_is_an_input_error(tmp_path, capsys, blob):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check-mmatrix", "show-pair"])
+def test_deeply_nested_pair_json_is_an_input_error(tmp_path, capsys, command):
+    # too deep for the JSON parser's recursion: malformed input, not a failed check
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, command, "--pair", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_out_to_missing_directory(tmp_path, capsys):
@@ -409,6 +420,20 @@ def test_family_scan_on_k2000_fails_fast(monkeypatch, capsys, verify):
     assert err.startswith("error: 2^1997001 sign patterns ") and err.count("\n") == 1
 
 
+def test_family_scan_pattern_count_past_the_digit_limit(capsys):
+    # 2^15931 has 4,796 digits: past the default limit of 4,300, but below
+    # the 4 * limit where the count is not built at all
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "family-scan", "--kind", "complete", "--n", "180")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == ("error: 2^15931 sign patterns of the complete family on 180 vertices: "
+                   "too many digits to print\n")
+
+
 def test_family_scan_half_n_on_k200_builds_no_matrix(monkeypatch, capsys):
     # the identity M (I + J) = n I needs M's grid only: no pair, no
     # M-matrix object with its adjugate and Smith form, no determinant
@@ -466,6 +491,21 @@ def test_paper_check_matrix(monkeypatch, capsys, paper_results):
     assert "FAIL" not in out
     # criterion 3 still reports the printed errata it expects
     assert "(0, 0, 0): computed dual (8, 6, 2), reference prints (6, 4, 2)" in out
+
+
+def test_paper_check_timings(monkeypatch, capsys, paper_results):
+    monkeypatch.setattr(verification, "run_all", lambda: paper_results)
+    code, out, _ = run(capsys, "paper-check", "--timings", "--format", "json")
+    assert code == 0
+    assert [e["seconds"] for e in json.loads(out)] == [round(r.seconds, 3) for r in paper_results]
+    code, out, _ = run(capsys, "paper-check", "--timings")
+    assert code == 0
+    # one status line per criterion, each followed by its indented detail lines
+    *body, summary = out.splitlines()
+    statuses = [ln for ln in body if not ln.startswith("      ")]
+    assert summary == "10 passed, 0 failed" and len(statuses) == len(paper_results) == 10
+    for line, r in zip(statuses, paper_results):
+        assert line.startswith(f"{r.number:>2}  {r.name}") and line.endswith(f"  ({r.seconds:.2f}s)")
 
 
 def test_paper_check_byte_identical(monkeypatch, capsys, paper_results):

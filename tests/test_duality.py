@@ -18,7 +18,7 @@ from chipfire.duality import (
     predicted_fixed_point_count,
 )
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M
-from chipfire.frackets import fracket_key, fracket_partition, zero_fracket
+from chipfire.frackets import fracket_key, fracket_partition
 from chipfire.lattices import walk_class_reps
 from chipfire.linalg import identity, mat_vec, vec_sub
 from chipfire.mmatrix import MMatrix
@@ -57,6 +57,19 @@ def test_duality_bijection_and_inverse(diamond):
         assert duality_inverse(diamond, y) == r.preimage
         images.add(y)
     assert images == crit_pre
+
+
+def test_point_formulas_reject_non_members(diamond):
+    sup_pre = {r.preimage for r in diamond.enumerate_pair_superstables()}
+    crit_pre = {r.preimage for r in diamond.enumerate_pair_criticals()}
+    critical = min(crit_pre - sup_pre)
+    superstable = min(sup_pre - crit_pre)
+    for x in (critical, (-1, 0, 0)):
+        with pytest.raises(ValueError, match="^not a superstable preimage$"):
+            duality(diamond, x)
+    for y in (superstable, (-1, 0, 0)):
+        with pytest.raises(ValueError, match="^not a critical preimage$"):
+            duality_inverse(diamond, y)
 
 
 def test_duality_table_matches_masked_reference(diamond):
@@ -224,7 +237,8 @@ def test_quotient_facts_match_brute_force(seed, equal, negate):
     for side, dec in (("L", pair.l_snf), ("M", pair.m.snf)):
         zero = tuple(rep for rep in walk_class_reps(dec, identity(pair.n))
                      if not any(fracket_key(pair, side, rep)))
-        assert zero_fracket(pair, side).members == zero
+        # F0 is the partition's first fracket, with U r representing class id r
+        assert tuple(mat_vec(dec.U, r) for r in fracket_partition(pair, side).groups[0]) == zero
 
 
 def test_duality_rows_after_the_class_split_is_released():

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from chipfire import lattices, linalg, refdata, verification
 from chipfire.fixtures import diamond_pair
 from chipfire.frackets import (
-    cyclic_shortcut,
+    fracket_checks,
     fracket_key,
     fracket_partition,
-    verify_largest_invariant_factor,
-    zero_fracket,
     zero_fracket_quotient,
-    zero_fracket_size_formula,
+    zero_fracket_size,
 )
 from chipfire.lattices import class_id, lattice_intersection
-from chipfire.linalg import mat_det, mat_vec
+from chipfire.linalg import gcd_entries, mat_det, mat_vec
 from chipfire.pairs import ChipFiringPair
 
 
@@ -66,60 +64,60 @@ def test_partition_by_class_ids(diamond, c6_negative, side):
 
 
 def test_zero_fracket(diamond):
-    z_l = zero_fracket(diamond, "L")
-    z_m = zero_fracket(diamond, "M")
-    assert z_l.size == z_m.size == refdata.ZERO_FRACKET_SIZE
-    assert z_l.quotient.invariant_factors == refdata.L_QUOTIENT_FACTORS
-    assert z_m.quotient.invariant_factors == refdata.M_QUOTIENT_FACTORS
+    # F0 is each partition's first fracket: the zero residue is the least key
+    part_l, part_m = (fracket_partition(diamond, side) for side in ("L", "M"))
+    assert not any(part_l.residues[0]) and not any(part_m.residues[0])
+    assert len(part_l.groups[0]) == len(part_m.groups[0]) == refdata.ZERO_FRACKET_SIZE
+    assert zero_fracket_size(diamond) == refdata.ZERO_FRACKET_SIZE
+    assert zero_fracket_quotient(diamond, "L").invariant_factors == refdata.L_QUOTIENT_FACTORS
+    assert zero_fracket_quotient(diamond, "M").invariant_factors == refdata.M_QUOTIENT_FACTORS
     # the tagged vector sits in the zero fracket of K(M) as a nonzero class,
     # while in K(L) it collapses to the identity
     tagged = refdata.ZERO_FRACKET_TAGGED_VECTOR
     assert fracket_key(diamond, "M", tagged) == (0, 0, 0)
-    ids = {diamond.m.class_id(v) for v in z_m.members}
-    assert diamond.m.class_id(tagged) in ids
+    assert diamond.m.class_id(tagged) in part_m.groups[0]
     assert diamond.class_id(tagged) == diamond.class_id((0, 0, 0))
 
 
 def test_largest_invariant_factor(diamond):
-    res_l = verify_largest_invariant_factor(diamond, "L")
-    res_m = verify_largest_invariant_factor(diamond, "M")
-    assert res_l["ok"] and res_m["ok"]
-    assert res_l["flcm"] == refdata.FLCM_ML_INV
-    assert res_m["flcm"] == refdata.FLCM_LM_INV
+    checks = fracket_checks(diamond)
+    assert checks.largest == checks.flcm == (refdata.FLCM_ML_INV, refdata.FLCM_LM_INV)
 
 
 def test_size_formula(diamond):
-    formula = zero_fracket_size_formula(diamond)
-    assert formula["predicted"] == formula["actual"] == refdata.ZERO_FRACKET_SIZE
-    assert formula["gcd_scaled_L"] == refdata.SCALED_GCD
-    assert formula["gcd_scaled_M"] == refdata.SCALED_GCD
+    checks = fracket_checks(diamond)
+    assert checks.predicted == checks.size == refdata.ZERO_FRACKET_SIZE
+    assert gcd_entries(diamond.n_ml) == gcd_entries(diamond.n_lm) == refdata.SCALED_GCD
 
 
 def test_cyclic_shortcut(diamond):
-    both = {"predicted": refdata.SCALED_GCD, "actual": refdata.SCALED_GCD}
-    assert cyclic_shortcut(diamond, "L") == both
-    assert cyclic_shortcut(diamond, "M") == both
+    checks = fracket_checks(diamond)
+    assert checks.shortcut == (refdata.SCALED_GCD,) * 2
+    assert checks.size == refdata.SCALED_GCD
+    # the shortcut misses |F0| = 1 on both sides of L = [[-3]], M = [[2]]
+    checks = fracket_checks(ChipFiringPair([[-3]], [[2]]))
+    assert (checks.predicted, checks.size, checks.shortcut) == (1, 1, (2, 3))
 
 
 def test_shortcut_none_when_not_cyclic():
-    from chipfire.pairs import ChipFiringPair
-
+    # K(L)/F0 = Z_4 x Z_4 and K(M)/F0 = Z_7: with p_L = 4 the size formula
+    # predicts 4, and misses |F0| = 1, as does the shortcut on side M
     pair = ChipFiringPair(((4, 4), (0, -4)), ((2, -1), (-1, 4)))
-    z = zero_fracket(pair, "L")
-    assert z.quotient.invariant_factors == (4, 4)
-    assert cyclic_shortcut(pair, "L") is None
-    assert verify_largest_invariant_factor(pair, "L")["ok"]
+    assert zero_fracket_quotient(pair, "L").invariant_factors == (4, 4)
+    assert zero_fracket_quotient(pair, "M").invariant_factors == (7,)
+    checks = fracket_checks(pair)
+    assert checks.largest == checks.flcm
+    assert (checks.predicted, checks.size, checks.shortcut) == (4, 1, (None, 4))
 
 
 def test_equal_pair_has_single_fracket():
-    from chipfire.pairs import ChipFiringPair
     from chipfire.fixtures import DIAMOND_M
 
     pair = ChipFiringPair(DIAMOND_M, DIAMOND_M)
     part = fracket_partition(pair, "M")
     assert part.keys == ((0, 0, 0),)
     assert part.fracket_size == abs(pair.det_m)
-    assert cyclic_shortcut(pair, "M")["predicted"] == abs(pair.det_m)
+    assert fracket_checks(pair).shortcut[1] == abs(pair.det_m)
 
 
 def test_bad_side_rejected(diamond):
@@ -181,3 +179,4 @@ def test_zero_fracket_quotients_match_one_intersection_per_side(seed, equal, neg
     _, quot_m, _ = lattice_intersection(pair.n_ml, pair.den_l, mat_det(pair.n_ml))
     assert zero_fracket_quotient(pair, "L") == quot_l
     assert zero_fracket_quotient(pair, "M") == quot_m
+    assert zero_fracket_size(pair) * quot_m.order == pair.det_m

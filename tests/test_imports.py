@@ -23,7 +23,7 @@ import pytest
 import chipfire
 from chipfire.cli import Report, main
 from chipfire.fixtures import diamond_graph, diamond_pair
-from chipfire.frackets import fracket_partition, zero_fracket
+from chipfire.frackets import fracket_checks, fracket_partition
 from chipfire.lattices import AbelianGroup
 from chipfire.verification import CriterionResult
 
@@ -142,7 +142,7 @@ VALUES = [
     AbelianGroup((2, 4)),
     diamond_graph(),
     fracket_partition(diamond_pair(), "L"),
-    zero_fracket(diamond_pair(), "M"),
+    fracket_checks(diamond_pair()),
     CriterionResult(1, "unsigned-baseline", True, "ok", 0.5),
     Report({}, ("field",), [], None),
 ]

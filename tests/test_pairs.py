@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from chipfire import lattices, refdata, verification
 from chipfire.duality import fixed_points
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
-from chipfire.frackets import fracket_partition, zero_fracket
+from chipfire.frackets import fracket_partition
 from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import identity, mat_vec, over, vec_add
 from chipfire.mmatrix import MMatrix
@@ -87,7 +87,6 @@ def test_one_budget_reaches_every_class_walk(monkeypatch):
     ]
     for side, det in (("L", 12), ("M", 8)):
         walks.append((det, lambda pair, side=side: fracket_partition(pair, side)))
-        walks.append((det, lambda pair, side=side: zero_fracket(pair, side)))
     for det, walk in walks:
         with pytest.raises(EnumerationCapExceeded, match=f"^{det} classes exceeds cap 3$"):
             walk(diamond_pair())
