@@ -27,7 +27,8 @@ from .lattices import (
     snf,
 )
 from .mmatrix import MMatrix, is_m_matrix
-from .pairs import ChipFiringPair, Classification, PairRow
+from .pairs import ChipFiringPair, Classification
+from .rows import PairRow
 from .sgraph import (
     SignedGraph,
     family,

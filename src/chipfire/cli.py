@@ -20,15 +20,16 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import nullcontext
-from functools import cache
+from itertools import chain, tee
 from math import gcd
-from operator import add, attrgetter, itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .fixtures import FIXTURES
 from .lattices import AbelianGroup
-from .linalg import mat_from_json, over_json, verdict
+from .linalg import mat_from_json, over_json
 from .mmatrix import MMatrix, is_m_matrix
 from .pairs import ChipFiringPair
+from .rows import RowFields
 from .sgraph import (
     kn_structure,
     orbit_sweep,
@@ -86,16 +87,6 @@ class Report(namedtuple("Report", "payload headers rows lines code", defaults=(N
                 out.write(line % row)
 
 
-# what a column shows of a PairRow field, or (None) of a plain value, in JSON
-_ROW_JSON = {
-    None: lambda x: x,
-    "config": attrgetter("config"),
-    "preimage": lambda r: over_json(r.num, r.den),
-    "floor": attrgetter("floor"),
-    "frac": lambda r: over_json(r.frac_num, r.den),
-}
-
-
 def _template(frac_num, den):
     """(format, b, a, cell) of a fractional part q/den, 0 <= q < den, with
     q/den = a/b reduced by gcd(q, den) as over_json renders it: a preimage
@@ -106,49 +97,70 @@ def _template(frac_num, den):
     return fmt, b, a, fmt % a
 
 
-def _row_cells(n):
-    """Per PairRow field (None: a plain value), the map from a column of
-    values to its cells, for one report of n-vectors: one "%d" format for
-    every vector, one _template per (frac_num, den), built on first use."""
+# what a column shows of a row's (config, floor, frac_num), or (None) of a plain value, in JSON
+_ROW_JSON = {
+    None: lambda den: lambda x: x,
+    "config": lambda den: itemgetter(0),
+    "preimage": lambda den: lambda r: over_json([f * den + q for f, q in zip(r[1], r[2])], den),
+    "floor": lambda den: itemgetter(1),
+    "frac": lambda den: lambda r: over_json(r[2], den),
+}
+
+
+def _row_cells(n, den, fracs):
+    """Per field (None: a plain value), the map from a column to its cells,
+    for one report of n-vectors: one "%d" format for every vector, one
+    _template per fractional part of fracs over den."""
     vec = "(" + ", ".join(["%d"] * n) + ")"
-    part = cache(_template)
+    part = {fr: _template(fr, den) for fr in fracs}
 
     def preimage(r):
-        fmt, b, a, _ = part(r.frac_num, r.den)
-        return fmt % tuple(map(add, map(mul, r.floor, b), a))
+        fmt, b, a, _ = part[r[2]]
+        return fmt % tuple(map(add, map(mul, r[1], b), a))
 
     return {
         None: lambda col: col,
-        "config": lambda col: map(vec.__mod__, map(attrgetter("config"), col)),
+        "config": lambda col: map(vec.__mod__, map(itemgetter(0), col)),
         "preimage": lambda col: map(preimage, col),
-        "floor": lambda col: map(vec.__mod__, map(attrgetter("floor"), col)),
-        "frac": lambda col: (part(r.frac_num, r.den)[3] for r in col),
+        "floor": lambda col: map(vec.__mod__, map(itemgetter(1), col)),
+        "frac": lambda col: (part[r[2]][3] for r in col),
     }
 
 
-class _Cells:
-    """The table and CSV rows of records, zipped from their columns afresh on each pass."""
+_CHUNK = 64     # packed rows read at a time: a pass holds one chunk's records
 
-    def __init__(self, records, columns):
-        self.records, self.columns = records, columns
+
+class _Cells:
+    """The table and CSV rows of packed rows, read a chunk at a time afresh on each pass."""
+
+    def __init__(self, rows, records, columns):
+        self.rows, self.records, self.columns = rows, records, columns
 
     def __iter__(self):
-        recs = self.records
-        return zip(*[cells(recs if i is None else map(itemgetter(i), recs)) for i, cells in self.columns])
+        rows = self.rows
+        chunks = (rows[i:i + _CHUNK] for i in range(0, len(rows), _CHUNK))
+        records = tee(chain.from_iterable(map(self.records, chunks)), len(self.columns))
+        return zip(*[cells(recs if i is None else map(itemgetter(i), recs))
+                     for recs, (i, cells) in zip(records, self.columns)])
 
 
-def _rows_report(args, records, columns, shown, n):
-    """Report of records over n-vectors, each a PairRow or a tuple of
-    PairRows and plain values.  Each column is (name, index into the record
-    or None for the record itself, PairRow field or None for a plain value).
-    json prints every column, table and csv the first shown ones."""
+def _rows_report(args, rows, records, columns, shown, fields):
+    """Report of packed rows, which records(rows) reads into records: a
+    row's (config, floor, frac_num), or a tuple of such and plain values.
+    Each column is (name, index into the record or None, field or None
+    for a plain value); fields (RowFields or DualRows) gives den, box and
+    tables.  json prints every column, table and csv the first shown."""
+    den = fields.den
     if args.format == "json":
-        getters = [(name, i, _ROW_JSON[field]) for name, i, field in columns]
-        payload = [{name: get(rec if i is None else rec[i]) for name, i, get in getters} for rec in records]
+        getters = [(name, i, _ROW_JSON[field](den)) for name, i, field in columns]
+        payload = [{name: get(rec if i is None else rec[i]) for name, i, get in getters}
+                   for rec in records(rows)]
         return Report(payload, (), None)
-    cells, columns = _row_cells(n), columns[:shown]
-    getters = [(i, cells[field]) for _, i, field in columns]
-    return Report(None, tuple(name for name, _, _ in columns), _Cells(records, getters))
+    columns = columns[:shown]
+    fracs = fields.tables.frs if {"preimage", "frac"} & {field for _, _, field in columns} else ()
+    cells = _row_cells(len(fields.box.sizes), den, fracs)
+    return Report(None, tuple(name for name, _, _ in columns),
+                  _Cells(rows, records, [(i, cells[field]) for _, i, field in columns]))
 
 
 def _read_json(path):
@@ -236,26 +248,29 @@ def cmd_show_pair(args):
 
 def cmd_enumerate(args):
     pair = _load_pair(args)
-    rows = (pair.enumerate_pair_superstables() if args.kind == "superstable"
-            else pair.enumerate_pair_criticals())
+    fields = RowFields(pair.rows, args.kind)
+    shown = 4 if args.preimages else 1
+    records = fields.records if shown > 1 or args.format == "json" else lambda rows: zip(fields.configs(rows))
     columns = tuple((field, None, field) for field in ("config", "preimage", "floor", "frac"))
-    return _rows_report(args, rows, columns, 4 if args.preimages else 1, len(pair.l))
+    return _rows_report(args, pair.rows.sorted(args.kind), records, columns, shown, fields)
 
 
 def cmd_duality(args):
-    from .duality import duality_rows
+    from .duality import DualRows
 
     pair = _load_pair(args)
-    records = duality_rows(pair)
+    table = DualRows(pair)
+    rows = table.rows
     if args.inverse:
         # D^-1's table is D's, read by critical
         columns = (("critical", 2, "config"), ("critical_preimage", 2, "preimage"),
                    ("superstable", 0, "config"), ("superstable_preimage", 0, "preimage"))
-        return _rows_report(args, sorted(records, key=itemgetter(2)), columns, 4, len(pair.l))
+        rows = [row for _, row in sorted(zip(table.duals(rows), rows))]
+        return _rows_report(args, rows, table.records, columns, 4, table)
     columns = (("superstable", 0, "config"), ("superstable_preimage", 0, "preimage"),
                ("critical", 2, "config"), ("critical_preimage", 2, "preimage"),
                ("mu_case", 1, None))
-    return _rows_report(args, records, columns, 5 if args.show_mu_cases else 4, len(pair.l))
+    return _rows_report(args, rows, table.records, columns, 5 if args.show_mu_cases else 4, table)
 
 
 def cmd_fixed_points(args):
@@ -298,21 +313,25 @@ def cmd_frackets(args):
 
     pair = _load_pair(args)
     if args.verify:
+        # facts set the exit code; the size formula and the shortcut are predictions
         checks = fracket_checks(pair)
         size = checks.size
         facts = [(big == f, f"largest invariant factor of K({side})/F0 = flcm = {f}")
                  for side, f, big in zip("LM", checks.flcm, checks.largest)]
-        facts.append((checks.predicted == size, f"size formula: predicted {checks.predicted} = actual {size}"))
+        hit = checks.predicted == size
+        predictions = [(hit, f"size formula: predicted {checks.predicted} {'=' if hit else '!='} actual {size}")]
         for side, gcd in zip("LM", checks.shortcut):
             found, hit = "not applicable", True
             if gcd is not None:
                 hit = gcd == size
                 found = f"gcd = {gcd}" + ("" if hit else f", actual |F0| = {size}")
-            facts.append((hit, f"cyclic shortcut on side {side}: {found}"))
-        ok, detail = verdict(facts)
-        payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts], "ok": ok}
-        rows = [(text, flag) for flag, text in facts]
-        return Report(payload, ("check", "ok"), rows, [detail], code=0 if ok else 1)
+            predictions.append((hit, f"cyclic shortcut on side {side}: {found}"))
+        ok = all(flag for flag, _ in facts)
+        lines = ([f"{'ok  ' if flag else 'FAIL'} {text}" for flag, text in facts]
+                 + [f"{'ok  ' if flag else 'miss'} {text}" for flag, text in predictions])
+        payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts + predictions], "ok": ok}
+        rows = [(text, flag) for flag, text in facts + predictions]
+        return Report(payload, ("check", "ok"), rows, lines, code=0 if ok else 1)
     # the groups hold canonical class ids, independent of the walk's representatives
     part = fracket_partition(pair, args.side)
     quotient = zero_fracket_quotient(pair, args.side)

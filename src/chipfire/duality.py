@@ -21,10 +21,12 @@ When L = M the transfer L M^-1 is the identity, so {2s} and {c_max} are
 both zero: every s is an identity case and D(x) = c_max - x, the
 classical complement.  In the dual case D(x) = crit_M(floor(x)) + {x},
 the critical of x's own class of L, and in the identity case
-D(x) = (c_max - floor(x)) + {x}, so duality_rows pairs the rows of each
-class of L and builds an identity row's dual from the row, with no
-lookup.  Its rows are the one table of D: read by critical they are the
-table of D^-1 as well.  duality and duality_inverse evaluate the
+D(x) = (c_max - floor(x)) + {x}, so DualRows pairs the packed rows of
+each class of L by position and builds an identity row's dual from the
+row, with no lookup.  Its rows are the one table of D: read by critical
+they are the table of D^-1 as well.  DualRows reads the pair's packed
+rows a list at a time; duality_rows and duality_table build their
+PairRows and records from it on each call.  duality and duality_inverse evaluate the
 formulas above at one point, recomputing mu there, as a check
 independent of that table.
 
@@ -42,12 +44,14 @@ even, the count is nonzero iff |quotient| / ord is even.
 
 from __future__ import annotations
 
-from operator import itemgetter, sub
+from bisect import bisect_right
+from itertools import chain, repeat
+from operator import add, mul, ne, sub
 
 from . import lattices
-from .frackets import zero_fracket_quotient, zero_fracket_size
 from .linalg import ensure, flcm, mat_vec, over, vec_sub
-from .pairs import ChipFiringPair, PairRow
+from .pairs import ChipFiringPair
+from .rows import PairRow
 
 
 def _identity_test(pair: ChipFiringPair):
@@ -58,7 +62,7 @@ def _identity_test(pair: ChipFiringPair):
     s of a pair row with fractional numerators fr, the row's integral
     configuration n_lm (|det L| s + fr) / (det M |det L|) gives
     v = -(n_lm fr) / |det L| mod det M, so the test holds iff det M |det L|
-    divides w = |det L| n_lm c_max + 2 n_lm fr: duality_rows' form."""
+    divides w = |det L| n_lm c_max + 2 n_lm fr: DualRows' form."""
     det = pair.det_m
     target = mat_vec(pair.n_lm, pair.m.c_max)
 
@@ -124,9 +128,11 @@ def duality_inverse(pair: ChipFiringPair, y):
     return _apply(pair, y, True, "critical")
 
 
-def duality_rows(pair: ChipFiringPair):
-    """(superstable row, mu case, dual critical row) per superstable
-    configuration, ascending lex, on integer rows.
+class DualRows:
+    """The duality table on packed rows: rows holds the superstable rows
+    ascending, and columns and records read a list of them as
+    RowFields does, each with its mu case and its dual critical's
+    fields; duals gives the packed configuration of each dual.
 
     D(x) = c_max - mu(floor(x)) + {x} needs mu's case only at the floors
     of the superstable rows, and the case is decided once per fractional
@@ -135,56 +141,102 @@ def duality_rows(pair: ChipFiringPair):
     each class of L share a position in group order.  In the dual case
     D(x) = crit(floor(x)) + {x}, the critical row at x's position; in
     the identity case D(x) = (c_max - floor(x)) + {x}, whose
-    configuration is w / (det M |det L|) minus x's.  Raises RuntimeError
-    unless the duals are the critical configurations: D must be a
-    bijection onto the criticals."""
-    crits = pair._walk_rows("critical")
-    n_lm, d, c_max = pair.n_lm, pair.den_l, pair.m.c_max
-    den = pair.det_m * d
-    top = [d * q for q in mat_vec(n_lm, c_max)]
-    identity = {}   # fractional numerators -> w / (det M |det L|) in the identity case, else None
-    rows = []
-    for r, crit in zip(pair._walk_rows("superstable"), crits):
-        fr = r.frac_num
-        if fr not in identity:
-            v = mat_vec(n_lm, fr)
-            ensure(not any(q % d for q in v), "n_lm {x} = 0 mod |det L| at an integral row")
-            w = [t + 2 * q for t, q in zip(top, v)]
-            identity[fr] = None if any(q % den for q in w) else [q // den for q in w]
-        w = identity[fr]
-        if w is None:
-            rows.append((r, "dual", crit))
-        else:
-            dual = PairRow(tuple(map(sub, w, r.config)), vec_sub(c_max, r.floor), fr, d)
-            rows.append((r, "identity", dual))
-    rows.sort(key=itemgetter(0))
-    duals = {dual.config for _, _, dual in rows}
-    # crits are |det L| distinct configurations (_walk_rows): this is set equality
-    if len(duals) != len(crits) or not duals.issuperset(c.config for c in crits):
-        raise RuntimeError("the duals are not the critical configurations")
-    return rows
+    configuration is w / (det M |det L|) minus x's, so packed it is
+    w . weights / den - 2 shift minus x's packed configuration.  Raises
+    RuntimeError unless the duals are the critical configurations: D
+    must be a bijection onto the criticals."""
+
+    def __init__(self, pair: ChipFiringPair):
+        n_lm, d, c_max, rows = pair.n_lm, pair.den_l, pair.m.c_max, pair.rows
+        den = pair.det_m * d
+        box = rows.box
+        self.den, self.c_max, self.box, self.tables = d, c_max, box, rows.tables
+        self.floors = rows.walk("superstable")[1]
+        self.criticals, self.critical_floors = rows.walk("critical")
+        top = [d * q for q in mat_vec(n_lm, c_max)]
+        shifted = sum(map(mul, top, box.weights)) - 2 * den * box.shift
+        self.sums = []      # per fr: w . weights / den - 2 shift, or None in the dual case
+        for n_fr in map(mat_vec, repeat(n_lm), self.tables.frs):
+            ensure(not any(q % d for q in n_fr), "n_lm {x} = 0 mod |det L| at an integral row")
+            identity = not any((t + 2 * q) % den for t, q in zip(top, n_fr))
+            self.sums.append((shifted + 2 * sum(map(mul, n_fr, box.weights))) // den if identity else None)
+        self.rows = rows.sorted("superstable")
+        criticals = map(d.__rfloordiv__, rows.sorted("critical"))
+        if any(map(ne, sorted(self.duals(self.rows)), criticals)):
+            raise RuntimeError("the duals are not the critical configurations")
+
+    def duals(self, rows):
+        """The packed configuration of each row's dual, in a list."""
+        d, fr_index, sums, criticals = self.den, self.tables.fr_index, self.sums, self.criticals
+        duals = []
+        for row in rows:
+            config, pos = divmod(row, d)
+            total = sums[fr_index[pos]]
+            duals.append(criticals[pos] // d if total is None else total - config)
+        return duals
+
+    def columns(self, rows):
+        """(superstable configurations, superstable floors, fractional
+        numerators, mu cases, dual configurations, dual floors) of the
+        rows, each a list in row order."""
+        d, tables, c_max, criticals = self.den, self.tables, self.c_max, self.criticals
+        configs = [row // d for row in rows]
+        positions = [row % d for row in rows]
+        groups = list(map(bisect_right, repeat(tables.ends), positions))
+        indices = list(map(tables.fr_index.__getitem__, positions))
+        totals = list(map(self.sums.__getitem__, indices))
+        floors = list(map(self.floors.__getitem__, groups))
+        duals = [criticals[pos] // d if total is None else total - config
+                 for config, pos, total in zip(configs, positions, totals)]
+        dual_floors = [c_floor if total is None else tuple(map(sub, c_max, floor))
+                       for c_floor, floor, total in zip(map(self.critical_floors.__getitem__, groups),
+                                                        floors, totals)]
+        return (self.box.unpack_all(configs), floors, list(map(tables.frs.__getitem__, indices)),
+                ["dual" if total is None else "identity" for total in totals],
+                self.box.unpack_all(duals), dual_floors)
+
+    def records(self, rows):
+        """(superstable fields, mu case, dual fields) of each row."""
+        configs, floors, frs, cases, dual_configs, dual_floors = self.columns(rows)
+        return zip(zip(configs, floors, frs), cases, zip(dual_configs, dual_floors, frs))
+
+
+def duality_rows(pair: ChipFiringPair):
+    """(superstable row, mu case, dual critical row) per superstable
+    configuration, ascending lex, each row a PairRow built from the
+    packed rows by DualRows, which raises RuntimeError unless the duals
+    are the critical configurations."""
+    table = DualRows(pair)
+    configs, floors, frs, cases, dual_configs, dual_floors = table.columns(table.rows)
+    d = repeat(pair.den_l)
+    return list(zip(map(PairRow, configs, floors, frs, d), cases, map(PairRow, dual_configs, dual_floors, frs, d)))
 
 
 def duality_table(pair: ChipFiringPair):
     """One row per superstable configuration, ascending lex, giving the
     dual critical on both the configuration and preimage sides, with
-    rational preimages equal to the rows' PairRow.preimage.  Each entry
-    is built once per distinct preimage numerator of the table and
-    shared by every row that carries it.  Raises RuntimeError if the
-    rows are not a bijection onto the criticals."""
-    rows = duality_rows(pair)
-    nums = [(r.num, dual.num) for r, _, dual in rows]
-    distinct = tuple({q for both in nums for num in both for q in num})
-    rational = dict(zip(distinct, over(distinct, pair.den_l))).__getitem__
+    rational preimages equal to the rows' PairRow.preimage, read from
+    the packed rows by DualRows.  Each entry is built once per distinct
+    preimage numerator of the table and shared by every row that
+    carries it.  Raises RuntimeError if the rows are not a bijection onto
+    the criticals."""
+    table = DualRows(pair)
+    configs, floors, frs, cases, dual_configs, dual_floors = table.columns(table.rows)
+    d = pair.den_l
+    # the preimage numerators floor |det L| + fr of each side
+    nums, dual_nums = ([list(map(add, map(mul, floor, repeat(d)), fr)) for floor, fr in zip(side, frs)]
+                       for side in (floors, dual_floors))
+    distinct = tuple(set(chain.from_iterable(nums + dual_nums)))
+    rational = dict(zip(distinct, over(distinct, d))).__getitem__
     return [
         {
-            "config": r.config,
+            "config": config,
             "preimage": tuple(map(rational, num)),
             "mu_case": case,
-            "dual_config": dual.config,
+            "dual_config": dual_config,
             "dual_preimage": tuple(map(rational, dual_num)),
         }
-        for (r, case, dual), (num, dual_num) in zip(rows, nums)
+        for config, num, case, dual_config, dual_num in zip(configs, nums, cases, dual_configs, dual_nums)
     ]
 
 
@@ -205,6 +257,8 @@ def fixed_points(pair: ChipFiringPair):
 
 def predicted_fixed_point_count(pair: ChipFiringPair):
     """|F0_M| * #{order <= 2 in K(M)/F0_M}; the true count is this or 0."""
+    from .frackets import zero_fracket_quotient, zero_fracket_size
+
     return zero_fracket_size(pair) * lattices.count_order_le2(zero_fracket_quotient(pair, "M"))
 
 
@@ -233,6 +287,8 @@ def nonzero_criteria(pair: ChipFiringPair):
     The order is that of c_max's key, flcm(L M^-1 c_max), and dividing
     |quotient| cross-checks it against the Smith form.
     """
+    from .frackets import zero_fracket_quotient
+
     quotient = zero_fracket_quotient(pair, "M")
     ord_cmax = flcm(mat_vec(pair.n_lm, pair.m.c_max), pair.det_m)
     if quotient.order % ord_cmax:

@@ -99,14 +99,14 @@ def vec_scale(k, v):
 def mat_vec(a, x):
     if len(a[0]) != len(x):
         raise ValueError("dimension mismatch")
-    return tuple(sum(map(mul, r, x)) for r in a)
+    return tuple([sum(map(mul, r, x)) for r in a])
 
 
 def mat_mul(a, b):
     if mat_shape(a)[1] != len(b):
         raise ValueError("dimension mismatch")
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_scale(k, a):

@@ -30,6 +30,14 @@ read off it.  fill_criticals fills the whole table by one odometer walk
 of the class ids instead: each step stabilizes a critical plus a small
 superstable, which settles in fewer sweeps than a start from c0.
 Nothing scans the stable box prod [0, M_ii).
+
+The table is packed: a class id is one integer in the mixed radix
+diag(D) (ids), and a critical one integer in radix c_max + 1 (crits),
+whose packing checks 0 <= crit <= c_max.  Misses are kept in a dict by
+packed id, so a large det M allocates nothing per class it never asks
+for; fill_criticals walks the ids in their packed order 0, 1, 2, ...,
+so the full table is one flat sequence indexed by id.  In radix
+c_max + 1 the superstable c_max - crit packs to pack(c_max) - pack(crit).
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .linalg import (
     mat_vec,
     vec_sub,
 )
+from .rows import Radix, int_array
 
 
 def _m_matrix_adjugate(grid):
@@ -77,7 +86,11 @@ def is_m_matrix(grid):
 
 class MMatrix:
     """An M-matrix with its adjugate, Smith data, c_max and a table of
-    the criticals found so far, keyed by class id.
+    the criticals found so far.  The table holds one integer per
+    critical, packed in radix c_max + 1 (crits), keyed by the class id
+    packed in radix diag(D) (ids): a dict of the ids looked up so far,
+    and a flat sequence indexed by id (rows.int_array) once
+    fill_criticals has found them all.
 
     The inverse is adj / det; det is positive, as for every nonsingular
     M-matrix.
@@ -99,6 +112,17 @@ class MMatrix:
         self._superstables = None
         self._crit_by_class = {}
 
+    @cached_property
+    def ids(self):
+        """The rows.Radix of the class ids, diag(D): the walk of the class
+        ids visits the packed ids 0, 1, 2, ... in turn."""
+        return Radix((0,) * self.n, [self.snf.D[i][i] for i in range(self.n)])
+
+    @cached_property
+    def crits(self):
+        """The rows.Radix of the stable configurations, c_max + 1."""
+        return Radix((0,) * self.n, [c + 1 for c in self.c_max])
+
     # -- basic dynamics ----------------------------------------------------
 
     def fire(self, c, i):
@@ -117,7 +141,7 @@ class MMatrix:
         one site at a time gives.
         """
         c = list(c)
-        if any(x < 0 for x in c):
+        if c and min(c) < 0:
             raise ValueError("stabilize needs an effective configuration")
         sites = range(self.n)
         fired = True
@@ -183,10 +207,22 @@ class MMatrix:
     def crit_of_class_id(self, key):
         """The critical of the class whose class id is key, from the table,
         or on a miss from one stabilization (_stabilized_start)."""
-        crit = self._crit_by_class.get(key)
-        if crit is None:
-            crit = self._crit_by_class[key] = self._stabilized_start(key)
-        return crit
+        i = self.ids.pack(key)
+        try:
+            return self.crits.unpack(self._crit_by_class[i])
+        except KeyError:
+            crit = self._stabilized_start(key)
+            self._crit_by_class[i] = self.crits.pack(crit)
+            return crit
+
+    def packed_critical(self, i):
+        """crit_of_class_id at the class id that packs to i (ids), packed
+        (crits)."""
+        try:
+            return self._crit_by_class[i]
+        except KeyError:
+            crit = self._crit_by_class[i] = self.crits.pack(self._stabilized_start(self.ids.unpack(i)))
+            return crit
 
     def _stabilized_start(self, key):
         """The critical of class id key, stabilized from c0; no table.
@@ -228,6 +264,14 @@ class MMatrix:
         id_max, dims = self._id_max
         return tuple(map(sub, self.c_max, self.crit_of_class_id(tuple(map(mod, map(sub, id_max, key), dims)))))
 
+    def packed_superstable(self, i):
+        """The superstable of the class whose class id packs to i, packed:
+        c_max minus the critical of the class id(c_max) - id, which in
+        radix c_max + 1 is pack(c_max) minus the packed critical."""
+        id_max, dims = self._id_max
+        dual = map(mod, map(sub, id_max, self.ids.unpack(i)), dims)
+        return self.crits.total - 1 - self.packed_critical(sum(map(mul, dual, self.ids.weights)))
+
     @cached_property
     def _id_max(self):
         """(id(c_max), diag(D)), built on first read."""
@@ -237,8 +281,8 @@ class MMatrix:
 
     def fill_criticals(self):
         """Fill the table with the critical of every class by one odometer
-        walk of the class ids, unless it is full.  The enumeration cap
-        bounds the walk before its first step.
+        walk of the class ids, unless it is filled already.  The
+        enumeration cap bounds the walk before its first step.
 
         Stepping digit k stabilizes the critical where that digit last
         started plus g_k, the superstable of the class of U e_k (id e_k).
@@ -247,33 +291,37 @@ class MMatrix:
         class holds one critical.  The work is |det M| - 1 such steps plus
         one start from c0 for id 0 and for each g_k."""
         det, n = self.det, self.n
-        if len(self._crit_by_class) == det:
+        if not isinstance(self._crit_by_class, dict):
             return
         keys = lattices.walk_class_ids(self.snf)
         id_max, dims = self._id_max     # g_k = c_max - crit(id(c_max) - e_k)
         steps = [d > 1 and vec_sub(self.c_max, self._stabilized_start(
                      id_max[:k] + ((id_max[k] - 1) % d,) + id_max[k + 1:]))
                  for k, d in enumerate(dims)]
-        zero = next(keys)
-        starts = [self._stabilized_start(zero)] * n     # per digit, the critical where it started
-        table = {zero: starts[0]}
+        starts = [self._stabilized_start(next(keys))] * n     # per digit, the critical where it started
+        pack = self.crits.pack
+        table = [pack(starts[0])]       # the walk visits the ids 0, 1, 2, ... in turn
         for key in keys:
             k = n - 1
             while not key[k]:
                 k -= 1
-            crit = table[key] = self.stabilize(map(add, starts[k], steps[k]))
+            crit = self.stabilize(map(add, starts[k], steps[k]))
+            table.append(pack(crit))
             starts[k:] = repeat(crit, n - k)
         if len(table) != det:
             raise RuntimeError(f"found {len(table)} criticals, expected |det M| = {det}")
-        self._crit_by_class = table
+        self._crit_by_class = int_array(table, self.crits.total)
 
     def superstables(self):
         """All z-superstable configurations in lexicographic order: c_max
-        minus the critical of each class, from fill_criticals."""
+        minus the critical of each class, from fill_criticals.  In radix
+        c_max + 1 that is top - crit for top = pack(c_max), and the packed
+        integers sort as the configurations do."""
         if self._superstables is None:
             self.fill_criticals()
-            self._superstables = tuple(sorted(map(self.classical_dual,
-                                                  self._crit_by_class.values())))
+            top = self.crits.total - 1
+            self._superstables = tuple(map(self.crits.unpack,
+                                           sorted(top - c for c in self._crit_by_class)))
         return self._superstables
 
     def criticals(self):

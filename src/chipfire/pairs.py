@@ -25,36 +25,24 @@ Both transfers are carried as integer numerator matrices over a positive
 denominator, each built and checked on first read: M L^-1 = n_ml / |det L|
 with n_ml = +-M adj(L), and L M^-1 = n_lm / det M with n_lm = L adj(M).
 A preimage x is carried as its numerators p = |det L| x, so
-floor(x) = p // |det L| and the numerators of {x} are p % |det L|.  An
-enumerated row keeps the split: PairRow holds the configuration, the
-floor, the fractional numerators and |det L|, and its num, preimage and
-frac properties are derived only when a caller reads them.
+floor(x) = p // |det L| and the numerators of {x} are p % |det L|.  A
+library row keeps the split: rows.PairRow holds the configuration, the floor,
+the fractional numerators and |det L|, and its num, preimage and frac
+properties are derived only when a caller reads them.
 
-The class walk steps the preimage numerators p, stacked over Uinv_M p,
-through the residue box one column at a time (lattices.walk_class_reps).
-A class keeps its fractional numerators fr = p mod |det L| and the
-M-class id of its floor, (Uinv_M p - Uinv_M fr) / |det L| mod diag(D_M),
-with Uinv_M fr and n_lm fr computed once per distinct fr, and the
-classes are grouped by that id.  The rows are built one class of M at a
-time: a group's base, the critical of its id (or, for superstables,
-c_max minus the critical of id(c_max) - id, the class of c_max - floor),
-and |det L| n_lm base are built once, and a row's configuration is that
-sum plus n_lm fr over det M |det L|, so no row takes a matrix-vector
-product.  When |det L| >= det M, M fills its table of criticals by one
-walk of K(M) first.  Both sweeps share the walk and the groups, which
-are released once both kinds of rows are cached.  The rows of each kind
-are cached in group order, the pair's one row cache, and sorted on each
-ask; both kinds visit the groups in one order, so duality pairs the
-superstable and the critical of each class of L by position, without a
-lookup.
+The rows themselves live in the pair's one row cache, rows (a
+rows.PairRows, built on first read): one packed integer per row, built
+by one walk of the classes of L, whose class tables stay with the rows
+for the pair's life, since a row's position reads them; only the per-fr
+transfers are released, once both kinds are cached.
+enumerate_pair_superstables and enumerate_pair_criticals build their
+PairRow objects from it on each call.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import repeat
-from operator import add, floordiv, mod, sub
 
 from . import lattices
 from .linalg import (
@@ -72,28 +60,7 @@ from .linalg import (
     vec_is_integral,
 )
 from .mmatrix import MMatrix
-
-
-class PairRow(namedtuple("PairRow", "config floor frac_num den")):
-    """One enumerated row: the configuration, the floor of its preimage
-    and the numerators of the preimage's fractional part over the
-    denominator den = |det L|.  The preimage numerators num, the preimage
-    and its fractional part are derived when read."""
-
-    __slots__ = ()
-
-    @property
-    def num(self):
-        d = self.den
-        return tuple(f * d + r for f, r in zip(self.floor, self.frac_num))
-
-    @property
-    def preimage(self):
-        return over(self.num, self.den)
-
-    @property
-    def frac(self):
-        return over(self.frac_num, self.den)
+from .rows import PairRows
 
 
 Classification = namedtuple("Classification", "is_superstable is_critical")
@@ -118,8 +85,6 @@ class ChipFiringPair:
         self.den_l = abs(self.det_l)
         self.l_snf = lattices.snf(self.l, self.det_l)
         self.l_group = lattices.quotient_group(self.l_snf)
-        self._classes = None    # the groups of the classes of L, while a kind is uncached
-        self._rows = {}         # kind -> PairRows in group order
         self._zero_quotients = {}   # side -> K(side)/F0 as an AbelianGroup; frackets fills both at once
 
     @property
@@ -210,75 +175,15 @@ class ChipFiringPair:
             is_critical=self.m.crit_of_class(fl) == fl,
         )
 
-    def _class_tables(self):
-        """The groups, shared by both sweeps until both kinds of rows are
-        cached: the classes of L grouped by the M-class id of their
-        preimage floor, in order of first visit, each class as the entry
-        (fr, n_lm fr) of its fractional numerators fr.  Classes with one
-        fr share one entry tuple, built when that fr is first seen."""
-        if self._classes is None:
-            d, n, dec = self.den_l, self.n, self.m.snf
-            dims = tuple(dec.D[i][i] for i in range(n))
-            seen = {}       # fr -> (Uinv_M fr, (fr, n_lm fr))
-            groups = {}
-            image = self.n_ml + mat_mul(dec.Uinv, self.n_ml)
-            for v in lattices.walk_class_reps(self.l_snf, image=image):
-                fr = tuple(map(d.__rmod__, v[:n]))
-                found = seen.get(fr)
-                if found is None:
-                    found = seen[fr] = (mat_vec(dec.Uinv, fr), (fr, mat_vec(self.n_lm, fr)))
-                u, entry = found
-                fl_id = map(floordiv, map(sub, v[n:], u), repeat(d))     # Uinv_M floor
-                groups.setdefault(tuple(map(mod, fl_id, dims)), []).append(entry)
-            self._classes = groups
-        return self._classes
-
-    def _walk_rows(self, kind):
-        """The kind's rows in group order: both kinds visit the groups of
-        _class_tables in one order, so the superstable and the critical at
-        one position lie in the same class of L.
-
-        The rows are built one class of M at a time.  A floor of M-class
-        id key gives the critical base M.crit_of_class_id(key) and the
-        superstable base M.sstab_of_class_id(key).  A group builds its
-        base and |det L| n_lm base once; a row's configuration is
-        (|det L| n_lm base + n_lm fr) / (det M |det L|).  Both bases read
-        M's table of criticals, filled by M.fill_criticals first when
-        |det L| >= det M, since the rows then touch most classes of M;
-        otherwise each group's miss costs one stabilization.  A negative
-        base, a configuration that is not integral, or a kind without
-        |det L| distinct configurations raises RuntimeError.  The groups
-        are released once both kinds are cached.
-        """
-        if kind not in self._rows:
-            groups = self._class_tables()
-            m, d, n_lm = self.m, self.den_l, self.n_lm
-            den = self.det_m * d
-            if d >= self.det_m:
-                m.fill_criticals()
-            base_of = m.sstab_of_class_id if kind == "superstable" else m.crit_of_class_id
-            rows = []
-            for key, members in groups.items():
-                base = base_of(key)
-                top = tuple(d * q for q in mat_vec(n_lm, base))
-                negative = min(base) < 0
-                for fr, n_fr in members:
-                    num = tuple(map(add, top, n_fr))
-                    if negative or any(map(den.__rmod__, num)):
-                        raise RuntimeError(f"the class of L with fractional numerators {fr} "
-                                           f"gave no valid {kind} preimage")
-                    rows.append(PairRow(tuple(map(den.__rfloordiv__, num)), base, fr, d))
-            if len({r.config for r in rows}) != d:
-                raise RuntimeError(f"{kind} rows are not |det L| distinct configurations")
-            self._rows[kind] = tuple(rows)
-            if len(self._rows) == 2:
-                self._classes = None
-        return self._rows[kind]
+    @cached_property
+    def rows(self):
+        """The pair's one row cache, a rows.PairRows, built on first read."""
+        return PairRows(self)
 
     def enumerate_pair_superstables(self):
         """The |det L| superstable rows, ascending lexicographic by
-        configuration.  Each row is a PairRow."""
-        return tuple(sorted(self._walk_rows("superstable")))
+        configuration.  Each row is a PairRow, built from the packed row."""
+        return self.rows.pair_rows("superstable")
 
     def enumerate_pair_criticals(self):
-        return tuple(sorted(self._walk_rows("critical")))
+        return self.rows.pair_rows("critical")

@@ -241,14 +241,14 @@ def test_quotient_facts_match_brute_force(seed, equal, negate):
         assert tuple(mat_vec(dec.U, r) for r in fracket_partition(pair, side).groups[0]) == zero
 
 
-def test_duality_rows_after_the_class_split_is_released():
+def test_duality_rows_from_cached_and_rebuilt_rows():
     pair = ChipFiringPair(DIAMOND_L, DIAMOND_M)
     first = duality_rows(pair)
-    # both kinds of rows are cached, so the split of L's classes is gone
-    assert pair._classes is None
+    # both kinds of rows are cached with the class tables their positions read
+    assert set(pair.rows.kinds) == {"superstable", "critical"}
     assert duality_rows(pair) == first
-    # with the rows dropped too, a later call walks the classes again
-    pair._rows.clear()
+    # with the row cache dropped, a later call walks the classes again
+    del pair.rows
     assert duality_rows(pair) == first
     assert first == _duality_rows_oracle(ChipFiringPair(DIAMOND_L, DIAMOND_M))
 
@@ -258,6 +258,7 @@ def test_duality_rows_raise_when_the_duals_miss_a_critical():
     # classes of L, and the diamond's 8 identity rows build their duals
     # themselves, so some critical is repeated and another missed
     pair = ChipFiringPair(DIAMOND_L, DIAMOND_M)
-    pair._rows["critical"] = pair._walk_rows("critical")[::-1]
+    rows, floors = pair.rows.walk("critical")
+    pair.rows.kinds["critical"] = rows[::-1], floors
     with pytest.raises(RuntimeError, match="^the duals are not the critical configurations$"):
         duality_rows(pair)

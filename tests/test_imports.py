@@ -107,6 +107,25 @@ def test_enumerate_and_duality_load_no_fractions():
     assert out == "[]\n" + str([0] * 28) + " True []\n"
 
 
+ROW_COMMANDS_ONLY = """
+import contextlib, io, sys
+import chipfire.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [chipfire.cli.main(["duality", "--show-mu-cases", "--fixture", "diamond"]),
+             chipfire.cli.main(["enumerate", "--kind", "critical", "--fixture", "diamond"])]
+print(codes, sorted(m for m in ("chipfire.duality", "chipfire.frackets") if m in sys.modules))
+"""
+
+
+def test_duality_leaves_the_fracket_module_out():
+    # duality imports frackets only inside the fixed-point predictions
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", ROW_COMMANDS_ONLY], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[0, 0] ['chipfire.duality']\n"
+
+
 def test_a_lazy_name_is_imported_on_its_first_read_only(monkeypatch):
     # the first read stores the name on the package, so the second one
     # reaches neither __getattr__ nor import_module

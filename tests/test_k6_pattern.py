@@ -11,6 +11,8 @@ remaining formats of `enumerate` and `duality` and both sides of
 for the pattern (bench/gen.py, `k6_input(691)`).
 """
 
+import contextlib
+import gc
 import hashlib
 import io
 import os
@@ -159,6 +161,24 @@ def test_table_rows_are_written_as_they_are_formatted(graph_path):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "--kind", "superstable", "--preimages", "--format", "csv"],
+                                  ["duality", "--show-mu-cases"]])
+def test_row_commands_trace_at_most_800_kb(graph_path, argv):
+    # the packed rows: one integer per row, per critical and per group key;
+    # the first run loads what the command imports, and gc.collect empties
+    # the free lists, so the traced peak counts this run's own blocks
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main([*argv, "--graph", graph_path]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--graph", graph_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 800 * 1024
+
+
 class CountingRaw(io.RawIOBase):
     """An unbuffered binary stream that keeps what it is given and counts
     the writes, as the file under an unbuffered sys.stdout sees them."""
@@ -242,7 +262,9 @@ def test_fixed_points_stabilize_only_the_fixed_classes():
     fps = fixed_points(pair)
     assert len(fps) == 16
     assert len(pair.m._crit_by_class) == len(fps)
-    assert all(pair.m.class_id(c) == key for key, c in pair.m._crit_by_class.items())
+    # the misses are keyed by packed class id and hold packed criticals
+    assert all(pair.m.class_id(pair.m.crits.unpack(c)) == pair.m.ids.unpack(i)
+               for i, c in pair.m._crit_by_class.items())
     assert fps == tuple(s for s in pair.m.superstables() if mu_case(pair, s) == "identity")
 
 

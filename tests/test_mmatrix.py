@@ -155,17 +155,20 @@ def test_walk_fills_the_table_of_criticals(grid):
     # the burning start: |det M| entries, each the critical of its own class
     walked = MMatrix(grid)
     walked.fill_criticals()
+    # the table is indexed by the packed class id and holds packed criticals
     table = walked._crit_by_class
     m = MMatrix(grid)
     burning = mat_vec(m.m, burning_script(m.m))
     assert len(table) == m.det
-    for key, crit in table.items():
+    for i, packed in enumerate(table):
+        key, crit = m.ids.unpack(i), m.crits.unpack(packed)
+        assert m.ids.pack(key) == i and m.crits.pack(crit) == packed
         assert m.class_id(crit) == key
         assert m.crit_of_class_id(key) == crit
         v = mat_vec(m.snf.U, key)
         k = max(0, *(-((x - top) // b) for x, top, b in zip(v, m.c_max, burning)))
         assert crit == m.stabilize(x + k * b for x, b in zip(v, burning))
-    assert walked.superstables() == tuple(sorted(map(m.classical_dual, table.values())))
+    assert walked.superstables() == tuple(sorted(m.classical_dual(m.crits.unpack(c)) for c in table))
 
 
 def test_burning_vector_of_complete_graph_is_all_ones():

@@ -15,7 +15,8 @@ from chipfire.frackets import fracket_partition
 from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import identity, mat_vec, over, vec_add
 from chipfire.mmatrix import MMatrix
-from chipfire.pairs import ChipFiringPair, PairRow
+from chipfire.pairs import ChipFiringPair
+from chipfire.rows import PairRow, RowFields
 from chipfire.sgraph import family, orbit_sweep, reduced_laplacians, scan_critical_groups, sweep
 
 
@@ -129,6 +130,17 @@ def _rows_oracle(pair, kind):
     return rows
 
 
+def _decoded(pair, kind):
+    """The kind's packed rows in group order, each decoded to a PairRow,
+    after checking that a row's low part is its position."""
+    rows, _ = pair.rows.walk(kind)
+    assert [row % pair.den_l for row in rows] == list(range(pair.den_l))
+    return RowFields(pair.rows, kind).pair_rows(rows)
+
+
+# seed 5 with flip=True gives det L < 0, and with equal=True as well the
+# pair (M, M) with L's first row negated, whose configurations have
+# negative entries
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), equal=st.booleans(), flip=st.booleans())
 @example(seed=5, equal=False, flip=False)
@@ -136,14 +148,38 @@ def _rows_oracle(pair, kind):
 @example(seed=5, equal=True, flip=False)
 @example(seed=5, equal=True, flip=True)
 def test_walk_rows_match_a_fraction_oracle(seed, equal, flip):
-    # the rows from the groups pair the superstable and the critical of
+    # the packed rows, decoded, pair the superstable and the critical of
     # each class of L as the rows built from rational preimages do, on a
-    # fresh pair with its own M
+    # fresh pair with its own M; the class tables stay, since the
+    # positions read them
     pair = _random_pair(seed, equal, flip)
-    rows = sorted(zip(pair._walk_rows("superstable"), pair._walk_rows("critical")))
+    rows = sorted(zip(_decoded(pair, "superstable"), _decoded(pair, "critical")))
     oracle = _random_pair(seed, equal, flip)
     assert rows == sorted(zip(_rows_oracle(oracle, "superstable"), _rows_oracle(oracle, "critical")))
-    assert pair._classes is None
+    # the library rows are the same rows, sorted
+    assert pair.enumerate_pair_superstables() == tuple(sorted(s for s, _ in rows))
+    assert pair.enumerate_pair_criticals() == tuple(sorted(c for _, c in rows))
+
+
+def test_the_oracle_examples_cover_negative_determinants_and_entries():
+    pair = _random_pair(5, True, True)
+    assert pair.det_l < 0 and pair.l != pair.m.m
+    assert min(min(r.config) for r in pair.enumerate_pair_superstables()) < 0
+    assert _random_pair(5, True, False).l == _random_pair(5, True, False).m.m
+
+
+def test_a_configuration_outside_the_box_raises():
+    # the box holds every configuration whose preimage lies in
+    # 0 <= x < c_max + 1: one past either end of an entry does not pack
+    pair = _random_pair(5, True, True)
+    box = pair.rows.box
+    configs = [r.config for r in pair.enumerate_pair_criticals()]
+    assert all(box.unpack(box.pack(c)) == c for c in configs)
+    highs = tuple(lo + size - 1 for lo, size in zip(box.lows, box.sizes))
+    for i in range(pair.n):
+        for bad in (box.lows[i] - 1, highs[i] + 1):
+            with pytest.raises(RuntimeError, match="the vector lies in the packing box"):
+                box.pack(box.lows[:i] + (bad,) + box.lows[i + 1:])
 
 
 def test_superstable_rows_build_no_critical_row():
@@ -152,7 +188,7 @@ def test_superstable_rows_build_no_critical_row():
     # superstables of the floors reach 1104 of them)
     pair = reduced_laplacians(family("complete", 6, 691))
     assert len(pair.enumerate_pair_superstables()) == 2048
-    assert "critical" not in pair._rows
+    assert "critical" not in pair.rows.kinds
     assert len(pair.m._crit_by_class) == 1296
 
 
@@ -175,7 +211,7 @@ def test_rows_fill_every_class_of_m_by_one_walk(monkeypatch, kind):
     # one per moving digit, and none more for the rows
     pair = reduced_laplacians(family("complete", 6, 691))
     calls = _count_stabilizations(monkeypatch, pair.m)
-    pair._walk_rows(kind)
+    pair.rows.walk(kind)
     assert len(pair.m._crit_by_class) == 1296
     assert len(calls) == 1296 + 4
 
@@ -188,11 +224,18 @@ def test_large_m_pair_stabilizes_one_class(monkeypatch):
     assert len(calls) == 1 and len(pair.m._crit_by_class) == 1
 
 
-def _shift_criticals(shift):
-    """Tamper: crit_of_class_id moved by the vector shift."""
+def _next_class_criticals(monkeypatch, pair):
+    """Tamper: M's table answers each class id with the critical of the next
+    one, a stable configuration in the wrong class."""
+    m, lookup = pair.m, pair.m.packed_critical
+    monkeypatch.setattr(m, "packed_critical", lambda i: lookup((i + 1) % m.det))
+
+
+def _shift_stabilized(shift):
+    """Tamper: M's stabilizer, so each critical it finds, moved by the vector shift."""
     def tamper(monkeypatch, pair):
-        lookup = pair.m.crit_of_class_id
-        monkeypatch.setattr(pair.m, "crit_of_class_id", lambda key: vec_add(lookup(key), shift))
+        stabilize = pair.m.stabilize
+        monkeypatch.setattr(pair.m, "stabilize", lambda c: vec_add(stabilize(c), shift))
     return tamper
 
 
@@ -208,12 +251,15 @@ def _repeat_first_class(monkeypatch, pair):
 
 
 @pytest.mark.parametrize("tamper, message", [
-    # L M^-1 e_0 is not integral, so neither is a configuration
-    (_shift_criticals((1, 0, 0)), "gave no valid critical preimage"),
-    # minus column 0 of M keeps the class and integrality, not the sign
-    (_shift_criticals(tuple(-row[0] for row in DIAMOND_M)), "gave no valid critical preimage"),
+    # a critical of another class of M gives no integral configuration
+    (_next_class_criticals, "gave no valid critical preimage"),
+    # minus column 0 of M keeps the class and integrality, not the sign: a
+    # negative base cannot enter M's table of criticals in radix c_max + 1
+    (_shift_stabilized(tuple(-row[0] for row in DIAMOND_M)), "the vector lies in the packing box"),
+    # plus column 0 keeps them too, and leaves 0 <= base <= c_max
+    (_shift_stabilized(tuple(row[0] for row in DIAMOND_M)), "the vector lies in the packing box"),
     (_repeat_first_class, "critical rows are not |det L| distinct configurations"),
-], ids=["integral", "nonnegative", "distinct"])
+], ids=["integral", "nonnegative", "bounded", "distinct"])
 def test_row_checks_raise(monkeypatch, tamper, message):
     pair = diamond_pair()
     tamper(monkeypatch, pair)
