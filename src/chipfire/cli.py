@@ -148,8 +148,9 @@ def _rows_report(args, rows, records, columns, shown, fields):
     """Report of packed rows, which records(rows) reads into records: a
     row's (config, floor, frac_num), or a tuple of such and plain values.
     Each column is (name, index into the record or None, field or None
-    for a plain value); fields (RowFields or DualRows) gives den, box and
-    tables.  json prints every column, table and csv the first shown."""
+    for a plain value); fields (a RowFields, such as DualRows) gives den,
+    box and tables.  json prints every column, table and csv the first
+    shown."""
     den = fields.den
     if args.format == "json":
         getters = [(name, i, _ROW_JSON[field](den)) for name, i, field in columns]

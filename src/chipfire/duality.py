@@ -24,11 +24,12 @@ the critical of x's own class of L, and in the identity case
 D(x) = (c_max - floor(x)) + {x}, so DualRows pairs the packed rows of
 each class of L by position and builds an identity row's dual from the
 row, with no lookup.  Its rows are the one table of D: read by critical
-they are the table of D^-1 as well.  DualRows reads the pair's packed
-rows a list at a time; duality_rows and duality_table build their
-PairRows and records from it on each call.  duality and duality_inverse evaluate the
-formulas above at one point, recomputing mu there, as a check
-independent of that table.
+they are the table of D^-1 as well.  DualRows is a rows.RowFields of
+the superstable rows, which decodes them a list at a time, and adds
+mu's case and the dual; duality_rows and duality_table build their
+PairRows and records from one read of its columns on each call.
+duality and duality_inverse evaluate the formulas above at one point,
+recomputing mu there, as a check independent of that table.
 
 Fixed points of mu are the s with {L M^-1 (2s)} = {L M^-1 c_max}.  The
 test depends only on the class of s in K(M), so fixed_points walks K(M)
@@ -44,14 +45,13 @@ even, the count is nonzero iff |quotient| / ord is even.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import chain, repeat
 from operator import add, mul, ne, sub
 
 from . import lattices
 from .linalg import ensure, flcm, mat_vec, over, vec_sub
 from .pairs import ChipFiringPair
-from .rows import PairRow
+from .rows import PairRow, RowFields
 
 
 def _identity_test(pair: ChipFiringPair):
@@ -128,11 +128,11 @@ def duality_inverse(pair: ChipFiringPair, y):
     return _apply(pair, y, True, "critical")
 
 
-class DualRows:
+class DualRows(RowFields):
     """The duality table on packed rows: rows holds the superstable rows
-    ascending, and columns and records read a list of them as
-    RowFields does, each with its mu case and its dual critical's
-    fields; duals gives the packed configuration of each dual.
+    ascending, which RowFields decodes, and columns and records add to
+    each row's fields its mu case and its dual critical's fields; duals
+    gives the packed configuration of each dual.
 
     D(x) = c_max - mu(floor(x)) + {x} needs mu's case only at the floors
     of the superstable rows, and the case is decided once per fractional
@@ -147,13 +147,11 @@ class DualRows:
     must be a bijection onto the criticals."""
 
     def __init__(self, pair: ChipFiringPair):
-        n_lm, d, c_max, rows = pair.n_lm, pair.den_l, pair.m.c_max, pair.rows
-        den = pair.det_m * d
-        box = rows.box
-        self.den, self.c_max, self.box, self.tables = d, c_max, box, rows.tables
-        self.floors = rows.walk("superstable")[1]
+        n_lm, d, rows = pair.n_lm, pair.den_l, pair.rows
+        super().__init__(rows, "superstable")
+        den, box, self.c_max = pair.det_m * d, rows.box, pair.m.c_max
         self.criticals, self.critical_floors = rows.walk("critical")
-        top = [d * q for q in mat_vec(n_lm, c_max)]
+        top = [d * q for q in mat_vec(n_lm, self.c_max)]
         shifted = sum(map(mul, top, box.weights)) - 2 * den * box.shift
         self.sums = []      # per fr: w . weights / den - 2 shift, or None in the dual case
         for n_fr in map(mat_vec, repeat(n_lm), self.tables.frs):
@@ -179,21 +177,14 @@ class DualRows:
         """(superstable configurations, superstable floors, fractional
         numerators, mu cases, dual configurations, dual floors) of the
         rows, each a list in row order."""
-        d, tables, c_max, criticals = self.den, self.tables, self.c_max, self.criticals
-        configs = [row // d for row in rows]
-        positions = [row % d for row in rows]
-        groups = list(map(bisect_right, repeat(tables.ends), positions))
-        indices = list(map(tables.fr_index.__getitem__, positions))
-        totals = list(map(self.sums.__getitem__, indices))
+        groups, indices = self.places(rows)
         floors = list(map(self.floors.__getitem__, groups))
-        duals = [criticals[pos] // d if total is None else total - config
-                 for config, pos, total in zip(configs, positions, totals)]
-        dual_floors = [c_floor if total is None else tuple(map(sub, c_max, floor))
-                       for c_floor, floor, total in zip(map(self.critical_floors.__getitem__, groups),
-                                                        floors, totals)]
-        return (self.box.unpack_all(configs), floors, list(map(tables.frs.__getitem__, indices)),
-                ["dual" if total is None else "identity" for total in totals],
-                self.box.unpack_all(duals), dual_floors)
+        identity = [self.sums[j] is not None for j in indices]
+        dual_floors = [tuple(map(sub, self.c_max, floor)) if fixed else c_floor
+                       for fixed, floor, c_floor in zip(identity, floors, map(self.critical_floors.__getitem__, groups))]
+        return (self.configs(rows), floors, list(map(self.tables.frs.__getitem__, indices)),
+                ["identity" if fixed else "dual" for fixed in identity], self.box.unpack_all(self.duals(rows)),
+                dual_floors)
 
     def records(self, rows):
         """(superstable fields, mu case, dual fields) of each row."""
@@ -201,13 +192,18 @@ class DualRows:
         return zip(zip(configs, floors, frs), cases, zip(dual_configs, dual_floors, frs))
 
 
+def _columns(pair: ChipFiringPair):
+    """DualRows(pair).columns of every superstable row, ascending."""
+    table = DualRows(pair)
+    return table.columns(table.rows)
+
+
 def duality_rows(pair: ChipFiringPair):
     """(superstable row, mu case, dual critical row) per superstable
     configuration, ascending lex, each row a PairRow built from the
     packed rows by DualRows, which raises RuntimeError unless the duals
     are the critical configurations."""
-    table = DualRows(pair)
-    configs, floors, frs, cases, dual_configs, dual_floors = table.columns(table.rows)
+    configs, floors, frs, cases, dual_configs, dual_floors = _columns(pair)
     d = repeat(pair.den_l)
     return list(zip(map(PairRow, configs, floors, frs, d), cases, map(PairRow, dual_configs, dual_floors, frs, d)))
 
@@ -220,8 +216,7 @@ def duality_table(pair: ChipFiringPair):
     preimage numerator of the table and shared by every row that
     carries it.  Raises RuntimeError if the rows are not a bijection onto
     the criticals."""
-    table = DualRows(pair)
-    configs, floors, frs, cases, dual_configs, dual_floors = table.columns(table.rows)
+    configs, floors, frs, cases, dual_configs, dual_floors = _columns(pair)
     d = pair.den_l
     # the preimage numerators floor |det L| + fr of each side
     nums, dual_nums = ([list(map(add, map(mul, floor, repeat(d)), fr)) for floor, fr in zip(side, frs)]
@@ -246,13 +241,16 @@ def fixed_points(pair: ChipFiringPair):
     mu's identity test depends only on the class of s in K(M), so one
     class walk of K(M) tests each class on n_lm U r, which the walk
     steps by vector additions, and only the classes that pass are
-    stabilized, each by M.sstab_of_class_id.  The walk visits all
-    |det M| classes under the enumeration budget."""
+    stabilized, each by M.packed_superstable at its packed class id:
+    the walk visits the ids 0, 1, 2, ... in turn (M.ids).  The packed
+    superstables sort as the configurations do, so they are sorted
+    packed and unpacked last.  The walk visits all |det M| classes under
+    the enumeration budget."""
     m = pair.m
     identity = _identity_test(pair)
     walk = lattices.walk_class_reps(m.snf, image=pair.n_lm)
-    return tuple(sorted(m.sstab_of_class_id(r) for r, v in zip(lattices.walk_class_ids(m.snf), walk)
-                        if identity(v)))
+    fixed = sorted(m.packed_superstable(i) for i, v in enumerate(walk) if identity(v))
+    return tuple(map(m.crits.unpack, fixed))
 
 
 def predicted_fixed_point_count(pair: ChipFiringPair):

@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 
 from . import lattices
-from .linalg import ensure, flcm, gcd_entries, mat_vec, over
+from .linalg import ensure, flcm, gcd_entries, mat_vec, over, vec_is_integral
 from .pairs import ChipFiringPair
 
 
@@ -98,14 +98,13 @@ class FracketPartition(namedtuple("FracketPartition", "side den residues groups"
         return sizes.pop()
 
 
-def _residues(num, den, v):
-    # numerators of {num v / den} over the positive denominator den
-    return tuple(q % den for q in mat_vec(num, v))
-
-
 def fracket_key(pair: ChipFiringPair, side, v):
+    """{num v / den}, the key of v's class of K(side); raises ValueError
+    unless every entry of v is an int."""
+    if not vec_is_integral(v):
+        raise ValueError("a fracket key needs an integer vector")
     num, den, _, _ = _side_data(pair, side)
-    return over(_residues(num, den, v), den)
+    return over(tuple(q % den for q in mat_vec(num, v)), den)
 
 
 def fracket_partition(pair: ChipFiringPair, side):

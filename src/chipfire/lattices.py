@@ -31,6 +31,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     mat_shape,
+    vec_is_integral,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -191,7 +192,10 @@ def class_id(dec, v):
     """Canonical coordinates of [v] in Z^n / A Z^n; dec = snf(A, det A).
 
     Equal class ids iff the vectors differ by an element of A Z^n.
+    Raises ValueError unless every entry of v is an int.
     """
+    if not vec_is_integral(v):
+        raise ValueError("a class id needs an integer vector")
     w = mat_vec(dec.Uinv, v)
     n = len(w)
     return tuple(w[i] % dec.D[i][i] for i in range(n))

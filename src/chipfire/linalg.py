@@ -212,16 +212,17 @@ def over(nums, den):
 
 def numerators(v, den):
     """The integers p with v = p / den, or None when den is not a common
-    denominator of the entries of v."""
+    denominator of the entries of v or an entry is neither an int nor a
+    rational."""
     out = []
     for x in v:
         if isinstance(x, int):
             out.append(x * den)
         else:
-            q, r = divmod(den, x.denominator)
-            if r:
+            x_den = getattr(x, "denominator", None)     # a float has none
+            if x_den is None or den % x_den:
                 return None
-            out.append(x.numerator * q)
+            out.append(x.numerator * (den // x_den))
     return tuple(out)
 
 

@@ -20,15 +20,17 @@ class, equals c_max - M e for some 0 <= e < 1, and lies on the way from
 v + k b to the critical, so a far-off v costs no more sweeps than one
 near c_max (the proofs are in crit_of_class).  For the representative
 v = U key of class id key, c0 = c_max - M t / det with
-t = (adj c_max - adj U key) mod det, so crit_of_class_id starts from
-the class id alone, with adj U built once per matrix.  It caches each
-critical by class id the first time it is asked for, at one
-stabilization from c0, and crit_of_class reads the same table at
-class_id(v); sstab_of_class_id reads it at the class of c_max - U key,
-and sstab_of_class, superstables, criticals and is_z_superstable are
-read off it.  fill_criticals fills the whole table by one odometer walk
-of the class ids instead: each step stabilizes a critical plus a small
-superstable, which settles in fewer sweeps than a start from c0.
+t = (adj c_max - adj U key) mod det, so packed_critical starts from the
+class id alone, with adj U built once per matrix.  packed_critical is
+the one lookup in the table: it caches each critical by packed class id
+the first time it is asked for, at one stabilization from c0, so a miss
+is handled there alone.  packed_superstable reads it at the class of
+c_max - U key; crit_of_class and sstab_of_class read those two at the
+packed class_id(v), and is_z_superstable reads sstab_of_class.
+fill_criticals fills the whole table by one odometer walk of the class
+ids instead: each step stabilizes a critical plus a small superstable,
+which settles in fewer sweeps than a start from c0.  superstables and
+criticals read the filled table whole.
 Nothing scans the stable box prod [0, M_ii).
 
 The table is packed: a class id is one integer in the mixed radix
@@ -167,12 +169,12 @@ class MMatrix:
         """The unique critical equivalent to v mod M Z^n.
 
         Accepts arbitrary integer vectors, negatives included, and reads
-        crit_of_class_id at v's class id.  The critical is stabilize(a)
-        for a = v + k b, where b = M z_b for z_b the least z >= 0 with
-        Mz >= 1 (adj(M) 1 is one such z, since adj(M) >= 0) and k >= 0 is
-        the least integer with a >= c_max, and it is computed as
-        stabilize(c0) for c0 = v - M z with z = ceil(M^-1 (v - c_max)),
-        which needs no k.
+        packed_critical at v's packed class id.  The critical is
+        stabilize(a) for a = v + k b, where b = M z_b for z_b the least
+        z >= 0 with Mz >= 1 (adj(M) 1 is one such z, since adj(M) >= 0)
+        and k >= 0 is the least integer with a >= c_max, and it is
+        computed as stabilize(c0) for c0 = v - M z with
+        z = ceil(M^-1 (v - c_max)), which needs no k.
 
         Proof that stabilize(a) is the critical.  b lies in M Z^n, so a
         and c = stabilize(a) lie in v's class, and c is stable.  c is
@@ -202,22 +204,12 @@ class MMatrix:
         the least-action odometer of a, and by the abelian property
         stabilize(c0) = stabilize(a).
         """
-        return self.crit_of_class_id(self.class_id(v))
-
-    def crit_of_class_id(self, key):
-        """The critical of the class whose class id is key, from the table,
-        or on a miss from one stabilization (_stabilized_start)."""
-        i = self.ids.pack(key)
-        try:
-            return self.crits.unpack(self._crit_by_class[i])
-        except KeyError:
-            crit = self._stabilized_start(key)
-            self._crit_by_class[i] = self.crits.pack(crit)
-            return crit
+        return self.crits.unpack(self.packed_critical(self.ids.pack(self.class_id(v))))
 
     def packed_critical(self, i):
-        """crit_of_class_id at the class id that packs to i (ids), packed
-        (crits)."""
+        """The critical of the class whose class id packs to i (ids),
+        packed (crits): read from the table, or on a miss from one
+        stabilization (_stabilized_start) and kept in the table."""
         try:
             return self._crit_by_class[i]
         except KeyError:
@@ -256,26 +248,20 @@ class MMatrix:
     def sstab_of_class(self, v):
         """The unique superstable equivalent to v mod M Z^n.  Accepts
         arbitrary integer vectors."""
-        return self.sstab_of_class_id(self.class_id(v))
-
-    def sstab_of_class_id(self, key):
-        """The superstable of class id key: c_max minus the critical of the
-        class of c_max - U key, id(c_max) - key mod diag(D)."""
-        id_max, dims = self._id_max
-        return tuple(map(sub, self.c_max, self.crit_of_class_id(tuple(map(mod, map(sub, id_max, key), dims)))))
+        return self.crits.unpack(self.packed_superstable(self.ids.pack(self.class_id(v))))
 
     def packed_superstable(self, i):
         """The superstable of the class whose class id packs to i, packed:
-        c_max minus the critical of the class id(c_max) - id, which in
-        radix c_max + 1 is pack(c_max) minus the packed critical."""
-        id_max, dims = self._id_max
-        dual = map(mod, map(sub, id_max, self.ids.unpack(i)), dims)
+        c_max minus the critical of the class id(c_max) - id mod diag(D),
+        which in radix c_max + 1 is pack(c_max) minus the packed
+        critical."""
+        dual = map(mod, map(sub, self._id_max, self.ids.unpack(i)), self.ids.sizes)
         return self.crits.total - 1 - self.packed_critical(sum(map(mul, dual, self.ids.weights)))
 
     @cached_property
     def _id_max(self):
-        """(id(c_max), diag(D)), built on first read."""
-        return self.class_id(self.c_max), tuple(self.snf.D[i][i] for i in range(self.n))
+        """id(c_max), built on first read."""
+        return self.class_id(self.c_max)
 
     # -- enumeration and superstability ------------------------------------
 
@@ -294,13 +280,12 @@ class MMatrix:
         if not isinstance(self._crit_by_class, dict):
             return
         keys = lattices.walk_class_ids(self.snf)
-        id_max, dims = self._id_max     # g_k = c_max - crit(id(c_max) - e_k)
-        steps = [d > 1 and vec_sub(self.c_max, self._stabilized_start(
-                     id_max[:k] + ((id_max[k] - 1) % d,) + id_max[k + 1:]))
-                 for k, d in enumerate(dims)]
-        starts = [self._stabilized_start(next(keys))] * n     # per digit, the critical where it started
-        pack = self.crits.pack
-        table = [pack(starts[0])]       # the walk visits the ids 0, 1, 2, ... in turn
+        pack, unpack, ids = self.crits.pack, self.crits.unpack, self.ids
+        # g_k, the superstable of id e_k, whose packed id is weights[k]
+        steps = [d > 1 and unpack(self.packed_superstable(w)) for d, w in zip(ids.sizes, ids.weights)]
+        next(keys)
+        table = [self.packed_critical(0)]       # the walk visits the ids 0, 1, 2, ... in turn
+        starts = [unpack(table[0])] * n         # per digit, the critical where it started
         for key in keys:
             k = n - 1
             while not key[k]:

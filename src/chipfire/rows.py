@@ -29,9 +29,12 @@ pairs the superstable and the critical of each class of L by position,
 without a lookup.  The position reads the row's group and fr in the
 class tables, so the tables stay with the cache for the pair's life;
 only the per-fr transfers n_lm fr, which the sweeps read, are released
-once both kinds are cached.  RowFields reads the rows a list at a time;
-PairRow objects are built only for library callers
-(enumerate_pair_superstables, enumerate_pair_criticals, duality_rows).
+once both kinds are cached.  RowFields is the one decoder of the rows,
+read a list at a time: a row's position names its group, and so its
+floor, and its fr.  duality.DualRows is a RowFields of the superstable
+rows.  PairRow objects are built from RowFields columns only for
+library callers (enumerate_pair_superstables, enumerate_pair_criticals,
+duality_rows).
 """
 
 from __future__ import annotations
@@ -257,15 +260,15 @@ class PairRows:
 
     def pair_rows(self, kind):
         """The kind's rows ascending, each a PairRow, in a tuple."""
-        return tuple(RowFields(self, kind).pair_rows(self.sorted(kind)))
+        return tuple(map(PairRow, *RowFields(self, kind).columns(self.sorted(kind)), repeat(self.den)))
 
 
 class RowFields:
-    """The fields of one kind's packed rows (PairRows.walk), read a list
-    of rows at a time.  A row's configuration unpacks from
-    row // |det L|; its position row % |det L| reads the index of its
-    fractional numerators in the class tables, and its group, whose base
-    is its floor, by bisection of the group ends, so the rows of one
+    """The one decoder of one kind's packed rows (PairRows.walk), read a
+    list of rows at a time.  A row's configuration unpacks from
+    row // |det L|; its position row % |det L| reads its group, whose
+    base is its floor, by bisection of the group ends, and the index of
+    its fractional numerators fr in the class tables, so the rows of one
     group share one floor tuple."""
 
     def __init__(self, rows, kind):
@@ -276,19 +279,20 @@ class RowFields:
         """The configuration of each row, in a list."""
         return self.box.unpack_all([row // self.den for row in rows])
 
+    def places(self, rows):
+        """(groups, fr indices) of the rows, each a list in row order."""
+        tables = self.tables
+        positions = [row % self.den for row in rows]
+        return (list(map(bisect_right, repeat(tables.ends), positions)),
+                list(map(tables.fr_index.__getitem__, positions)))
+
     def columns(self, rows):
         """(configurations, floors, fractional numerators) of the rows,
         each a list in row order."""
-        d, tables = self.den, self.tables
-        positions = [row % d for row in rows]
-        return (self.box.unpack_all([row // d for row in rows]),
-                list(map(self.floors.__getitem__, map(bisect_right, repeat(tables.ends), positions))),
-                list(map(tables.frs.__getitem__, map(tables.fr_index.__getitem__, positions))))
+        groups, indices = self.places(rows)
+        return (self.configs(rows), list(map(self.floors.__getitem__, groups)),
+                list(map(self.tables.frs.__getitem__, indices)))
 
     def records(self, rows):
         """(configuration, floor, fractional numerators) of each row."""
         return zip(*self.columns(rows))
-
-    def pair_rows(self, rows):
-        """A PairRow per row."""
-        return list(map(PairRow, *self.columns(rows), repeat(self.den)))

@@ -64,12 +64,15 @@ def test_point_formulas_reject_non_members(diamond):
     crit_pre = {r.preimage for r in diamond.enumerate_pair_criticals()}
     critical = min(crit_pre - sup_pre)
     superstable = min(sup_pre - crit_pre)
-    for x in (critical, (-1, 0, 0)):
+    for x in (critical, (-1, 0, 0), (0.5, 0, 0)):
         with pytest.raises(ValueError, match="^not a superstable preimage$"):
             duality(diamond, x)
-    for y in (superstable, (-1, 0, 0)):
+    for y in (superstable, (-1, 0, 0), (0.5, 0, 0)):
         with pytest.raises(ValueError, match="^not a critical preimage$"):
             duality_inverse(diamond, y)
+    # a float entry is neither an int nor a rational
+    with pytest.raises(ValueError, match="^not a member of R\\+$"):
+        diamond.to_config((0.5, 0, 0))
 
 
 def test_duality_table_matches_masked_reference(diamond):

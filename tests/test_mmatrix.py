@@ -131,7 +131,7 @@ def test_stabilization_start_gives_the_burning_critical(grid, entries):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 4))
 @example(0, 4)
-def test_crit_of_class_id_matches_the_burning_start_on_every_key(seed, n):
+def test_packed_critical_matches_the_burning_start_on_every_key(seed, n):
     # the table starts each miss from c_max - M t / det; the oracle is Dhar's
     # burning start: stabilize(U key + k b) for the least k >= 0 that puts
     # U key + k b at or above c_max
@@ -140,7 +140,8 @@ def test_crit_of_class_id_matches_the_burning_start_on_every_key(seed, n):
     for key in lattices.walk_class_ids(m.snf):
         v = mat_vec(m.snf.U, key)
         k = max(0, *(-((x - top) // b) for x, top, b in zip(v, m.c_max, burning)))
-        assert m.crit_of_class_id(key) == m.stabilize(x + k * b for x, b in zip(v, burning))
+        assert m.crits.unpack(m.packed_critical(m.ids.pack(key))) == m.stabilize(
+            x + k * b for x, b in zip(v, burning))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +165,7 @@ def test_walk_fills_the_table_of_criticals(grid):
         key, crit = m.ids.unpack(i), m.crits.unpack(packed)
         assert m.ids.pack(key) == i and m.crits.pack(crit) == packed
         assert m.class_id(crit) == key
-        assert m.crit_of_class_id(key) == crit
+        assert m.crits.unpack(m.packed_critical(m.ids.pack(key))) == crit
         v = mat_vec(m.snf.U, key)
         k = max(0, *(-((x - top) // b) for x, top, b in zip(v, m.c_max, burning)))
         assert crit == m.stabilize(x + k * b for x, b in zip(v, burning))
@@ -218,7 +219,8 @@ def test_superstable_count_and_classes(m, draw):
     assert crit in m.criticals()
     assert m.class_id(crit) == m.class_id(v)
     # a fresh matrix finds the same critical from the class id alone
-    assert MMatrix(m.m).crit_of_class_id(m.class_id(v)) == crit
+    fresh = MMatrix(m.m)
+    assert fresh.crits.unpack(fresh.packed_critical(fresh.ids.pack(m.class_id(v)))) == crit
     sstab = m.sstab_of_class(v)
     assert sstab in ss
     assert m.class_id(sstab) == m.class_id(v)

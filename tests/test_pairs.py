@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 import sympy
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from chipfire import lattices, refdata, verification
 from chipfire.duality import fixed_points
 from chipfire.fixtures import DIAMOND_L, DIAMOND_M, diamond_pair
-from chipfire.frackets import fracket_partition
+from chipfire.frackets import fracket_key, fracket_partition
 from chipfire.lattices import EnumerationCapExceeded
 from chipfire.linalg import identity, mat_vec, over, vec_add
 from chipfire.mmatrix import MMatrix
@@ -135,7 +136,7 @@ def _decoded(pair, kind):
     after checking that a row's low part is its position."""
     rows, _ = pair.rows.walk(kind)
     assert [row % pair.den_l for row in rows] == list(range(pair.den_l))
-    return RowFields(pair.rows, kind).pair_rows(rows)
+    return list(map(PairRow, *RowFields(pair.rows, kind).columns(rows), repeat(pair.den_l)))
 
 
 # seed 5 with flip=True gives det L < 0, and with equal=True as well the
@@ -319,6 +320,19 @@ def test_rplus_rejects_negative(diamond):
     assert diamond.rplus_numerators(column) is None
     with pytest.raises(ValueError):
         diamond.m.stabilize(column)
+
+
+def test_class_lookups_reject_non_integer_vectors():
+    # a half-integer vector has no class of Z^n / A Z^n, so no lookup may
+    # store a critical under a rational key in M's table
+    pair = diamond_pair()
+    v = (Fraction(1, 2), 0, 0)
+    lookups = (pair.m.crit_of_class, pair.m.sstab_of_class, pair.m.is_z_superstable, pair.class_id,
+               lambda x: fracket_key(pair, "L", x), lambda x: fracket_key(pair, "M", x))
+    for lookup in lookups:
+        with pytest.raises(ValueError, match="needs an integer vector"):
+            lookup(v)
+    assert pair.m._crit_by_class == {}
 
 
 def test_stabilize_splus(diamond):
