@@ -9,6 +9,12 @@ Output: --format {table,json,csv} (default table), --out FILE.  All
 output is deterministic: identical inputs render byte-identical text
 on every run.  paper-check omits timings unless --timings is given,
 since wall-clock numbers are not reproducible.
+
+A command states each field once, as (name, JSON value, CSV cell or
+None): json prints every field, csv prints the fields that have a cell,
+and table prints the command's prose lines.  Row lists (enumerate and
+duality rows, fixed points, fracket classes) are built only for the
+format that is printed.
 """
 
 from __future__ import annotations
@@ -196,11 +202,24 @@ def _grid(data, key):
 
 
 def _load_matrix(args):
-    """The M side alone, for check-mmatrix; accepts a bare grid too."""
-    if args.pair:
+    """The M side alone, for check-mmatrix; --pair accepts a bare grid too."""
+    if args.pair and not (args.graph or args.fixture):
         data = _read_json(args.pair)
         return _grid(data, "M") if isinstance(data, dict) else mat_from_json(data)
     return _load_pair(args).m.m
+
+
+def _fields(fields, lines, code=0, headers=("field", "value")):
+    """The report of one list of (name, JSON value, CSV cell or None)
+    fields: json prints {name: value} of every field, csv a (name, cell)
+    row per field with a cell, in list order, and table the prose lines."""
+    return Report({name: value for name, value, _ in fields}, headers,
+                  [(name, cell) for name, _, cell in fields if cell is not None], lines, code)
+
+
+def _by_name(facts):
+    """The fields of a dict of facts in name order, each value its own CSV cell."""
+    return [(name, value, value) for name, value in sorted(facts.items())]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -208,43 +227,31 @@ def _load_matrix(args):
 def cmd_check_mmatrix(args):
     grid = _load_matrix(args)
     ok = is_m_matrix(grid)
-    payload = {"is_m_matrix": ok}
+    fields = [("is_m_matrix", ok, ok)]
     lines = [f"is_m_matrix: {'yes' if ok else 'no'}"]
-    rows = [["is_m_matrix", ok]]
     if ok:
         m = MMatrix(grid)
         inverse = [over_json(row, m.det) for row in m.adj]
-        payload.update(det=m.det, c_max=m.c_max, group=m.group.to_json(), inverse=inverse)
-        lines += [
-            f"det: {m.det}",
-            f"c_max: {_fmt_vec(m.c_max)}",
-            f"group: {m.group}",
-            "inverse:",
-            *_fmt_mat_lines(inverse),
-        ]
-        rows += [["det", m.det], ["c_max", _fmt_vec(m.c_max)], ["group", str(m.group)]]
-    return Report(payload, ("field", "value"), rows, lines, code=0 if ok else 1)
+        shown = [("det", m.det, m.det), ("c_max", m.c_max, _fmt_vec(m.c_max)),
+                 ("group", m.group.to_json(), str(m.group))]
+        fields += [*shown, ("inverse", inverse, None)]
+        lines += [f"{name}: {cell}" for name, _, cell in shown] + ["inverse:", *_fmt_mat_lines(inverse)]
+    return _fields(fields, lines, code=0 if ok else 1)
 
 
 def cmd_show_pair(args):
     pair = _load_pair(args)
+    c_max = _fmt_vec(pair.m.c_max)
     grids = (
         ("L", "L", pair.l),
         ("M", "M", pair.m.m),
         ("LM_inv", "LM^-1", [over_json(row, pair.det_m) for row in pair.n_lm]),
         ("ML_inv", "ML^-1", [over_json(row, pair.den_l) for row in pair.n_ml]),
     )
-    payload = {key: grid for key, _, grid in grids}
-    payload.update(det_L=pair.det_l, det_M=pair.det_m, c_max=pair.m.c_max)
-    lines = []
-    for _, label, grid in grids:
-        lines += [f"{label}:", *_fmt_mat_lines(grid)]
-    lines += [
-        f"det L = {pair.det_l}   det M = {pair.det_m}",
-        f"c_max = {_fmt_vec(pair.m.c_max)}",
-    ]
-    rows = [["det_L", pair.det_l], ["det_M", pair.det_m], ["c_max", _fmt_vec(pair.m.c_max)]]
-    return Report(payload, ("field", "value"), rows, lines)
+    fields = [(key, grid, None) for key, _, grid in grids]
+    fields += [("det_L", pair.det_l, pair.det_l), ("det_M", pair.det_m, pair.det_m), ("c_max", pair.m.c_max, c_max)]
+    lines = [line for _, label, grid in grids for line in (f"{label}:", *_fmt_mat_lines(grid))]
+    return _fields(fields, lines + [f"det L = {pair.det_l}   det M = {pair.det_m}", f"c_max = {c_max}"])
 
 
 def cmd_enumerate(args):
@@ -278,32 +285,20 @@ def cmd_fixed_points(args):
     from .duality import fixed_point_invariants, fixed_points
 
     pair = _load_pair(args)
-    code = 0
     if args.predict:
         fps, predicted, crit, ok = fixed_point_invariants(pair)
-        code = 0 if ok else 1
+        facts = {"predicted": predicted, **crit, "quotient": str(crit["quotient"])}
     else:
-        fps = fixed_points(pair)
+        fps, facts, ok = fixed_points(pair), {}, True
+    code = 0 if ok else 1
     if args.format == "json":
-        payload = {"fixed_points": fps, "count": len(fps)}
-        if args.predict:
-            payload.update(
-                predicted=predicted,
-                quotient=str(crit["quotient"]),
-                cmax_order=crit["cmax_order"],
-                odd_order_guarantee=crit["odd_order_guarantee"],
-                cyclic_even_criterion=crit["cyclic_even_criterion"],
-            )
-        return Report(payload, (), None, code=code)
+        return Report({"fixed_points": fps, "count": len(fps), **facts}, (), None, code=code)
     cells = [_fmt_vec(s) for s in fps]
     lines = cells
     if args.predict:
-        lines = [
-            f"actual={len(fps)} predicted={predicted}",
-            *cells,
-            f"quotient by the zero fracket: {crit['quotient']}",
-            f"order of [c_max] there: {crit['cmax_order']}",
-        ]
+        lines = [f"actual={len(fps)} predicted={predicted}", *cells,
+                 f"quotient by the zero fracket: {crit['quotient']}",
+                 f"order of [c_max] there: {crit['cmax_order']}"]
     return Report(None, ("fixed_point",), [(c,) for c in cells], lines, code)
 
 
@@ -314,34 +309,30 @@ def cmd_frackets(args):
 
     pair = _load_pair(args)
     if args.verify:
-        # facts set the exit code; the size formula and the shortcut are predictions
-        checks = fracket_checks(pair)
-        size = checks.size
-        facts = [(big == f, f"largest invariant factor of K({side})/F0 = flcm = {f}")
-                 for side, f, big in zip("LM", checks.flcm, checks.largest)]
-        hit = checks.predicted == size
-        predictions = [(hit, f"size formula: predicted {checks.predicted} {'=' if hit else '!='} actual {size}")]
-        for side, gcd in zip("LM", checks.shortcut):
-            found, hit = "not applicable", True
-            if gcd is not None:
-                hit = gcd == size
-                found = f"gcd = {gcd}" + ("" if hit else f", actual |F0| = {size}")
-            predictions.append((hit, f"cyclic shortcut on side {side}: {found}"))
-        ok = all(flag for flag, _ in facts)
-        lines = ([f"{'ok  ' if flag else 'FAIL'} {text}" for flag, text in facts]
-                 + [f"{'ok  ' if flag else 'miss'} {text}" for flag, text in predictions])
-        payload = {"checks": [{"check": text, "ok": flag} for flag, text in facts + predictions], "ok": ok}
-        rows = [(text, flag) for flag, text in facts + predictions]
-        return Report(payload, ("check", "ok"), rows, lines, code=0 if ok else 1)
+        # (ok, tag, text): a fact that fails is tagged FAIL and sets the exit
+        # code; the size formula and the shortcut are predictions, tagged miss
+        facts = fracket_checks(pair)
+        size = facts.size
+        checks = [(big == f, "FAIL", f"largest invariant factor of K({side})/F0 = flcm = {f}")
+                  for side, f, big in zip("LM", facts.flcm, facts.largest)]
+        hit = facts.predicted == size
+        checks.append((hit, "miss", f"size formula: predicted {facts.predicted} {'=' if hit else '!='} actual {size}"))
+        for side, gcd in zip("LM", facts.shortcut):
+            hit = gcd in (None, size)
+            found = "not applicable" if gcd is None else f"gcd = {gcd}" + ("" if hit else f", actual |F0| = {size}")
+            checks.append((hit, "miss", f"cyclic shortcut on side {side}: {found}"))
+        ok = all(flag for flag, tag, _ in checks if tag == "FAIL")
+        payload = {"checks": [{"check": text, "ok": flag} for flag, _, text in checks], "ok": ok}
+        lines = [f"{'ok  ' if flag else tag} {text}" for flag, tag, text in checks]
+        return Report(payload, ("check", "ok"), [(text, flag) for flag, _, text in checks], lines, 0 if ok else 1)
     # the groups hold canonical class ids, independent of the walk's representatives
     part = fracket_partition(pair, args.side)
-    quotient = zero_fracket_quotient(pair, args.side)
     keyed = zip(part.residues, part.groups)
     if args.format == "json":
         payload = {
             "side": args.side,
             "fracket_size": part.fracket_size,
-            "quotient": quotient.to_json(),
+            "quotient": zero_fracket_quotient(pair, args.side).to_json(),
             "frackets": [{"key": over_json(r, part.den), "classes": list(map(list, ids))}
                          for r, ids in keyed],
         }
@@ -352,12 +343,9 @@ def cmd_frackets(args):
 
 def cmd_group(args):
     pair = _load_pair(args)
-    groups = {"K(L)": pair.l_group, "K(M)": pair.m.group}
-    if args.format == "json":
-        return Report({k: {"group": str(g), "invariant_factors": g.to_json()}
-                       for k, g in groups.items()}, (), None)
-    rows = [[k, str(g)] for k, g in groups.items()]
-    return Report(None, ("group", "value"), rows, [f"{k}: {g}" for k, g in rows])
+    groups = (("K(L)", pair.l_group), ("K(M)", pair.m.group))
+    fields = [(k, {"group": str(g), "invariant_factors": g.to_json()}, str(g)) for k, g in groups]
+    return _fields(fields, [f"{k}: {g}" for k, g in groups], headers=("group", "value"))
 
 
 def cmd_family_scan(args):
@@ -370,7 +358,7 @@ def cmd_family_scan(args):
             f"reduced complete graph on {n} vertices: inverse has 2/{n} on the "
             f"diagonal and 1/{n} off it; {n} * M^-1 e_i = ones + e_i"
         )
-        return Report({"verify": "half-n", **result}, ("field", "value"), sorted(result.items()), [text])
+        return _fields([("verify", "half-n", None), *_by_name(result)], [text])
     if args.verify == "z2-subgroup" and (args.kind != "complete" or n % 2):
         raise ValueError("z2-subgroup verification needs the complete family with even n")
     if args.verify is None:
@@ -378,55 +366,53 @@ def cmd_family_scan(args):
         text = f"{pow2_text(bits)} sign patterns of the {args.kind} family on {n} vertices"
         if "^" in text:
             raise ValueError(f"{text}: too many digits to print")
-        payload = {"kind": args.kind, "n": n, "patterns": 1 << bits}
-        return Report(payload, ("field", "value"), sorted(payload.items()), [text])
+        return _fields(_by_name({"kind": args.kind, "n": n, "patterns": 1 << bits}), [text])
     if args.verify == "critical-groups":
         rows = orbit_sweep(args.kind, n)    # raises over the cap, before 2^k is built
         patterns = pattern_count(args.kind, n)
         histogram = scan_critical_groups(rows, patterns)
-        payload = {
-            "verify": "critical-groups",
-            "patterns": patterns,
-            "groups": [{"invariant_factors": list(f), "patterns": c} for f, c in histogram.items()],
-        }
-        body = [[str(AbelianGroup(f)), c] for f, c in histogram.items()]
-        lines = [f"{g}: {c} patterns" for g, c in body]
-        lines.append(f"{len(histogram)} distinct critical groups over {patterns} patterns")
-        return Report(payload, ("group", "patterns"), body, lines)
+        # one (group, JSON object, pattern count) field per critical group
+        groups = [(str(AbelianGroup(f)), {"invariant_factors": list(f), "patterns": c}, c)
+                  for f, c in histogram.items()]
+        payload = {"verify": "critical-groups", "patterns": patterns, "groups": [obj for _, obj, _ in groups]}
+        lines = [f"{g}: {c} patterns" for g, _, c in groups]
+        lines.append(f"{len(groups)} distinct critical groups over {patterns} patterns")
+        return Report(payload, ("group", "patterns"), [(g, c) for g, _, c in groups], lines)
     rows = sweep(args.kind, n)
     res = kn_structure(rows, n)
     bad = res["even_factor_failures"]
     transfer_ok = res["half_n_transfer_integral"]
     ok = not bad and transfer_ok
-    payload = {"verify": "z2-subgroup", "patterns": len(rows), **res, "ok": ok}
+    facts = {"verify": "z2-subgroup", "patterns": len(rows), **res, "ok": ok}
     lines = [
         f"{len(rows)} sign patterns",
         f"{n // 2} * LM^-1 integral everywhere: {'yes' if transfer_ok else 'no'}",
         f">= {n - 2} even invariant factors: {'all patterns' if not bad else f'FAILED on {bad}'}",
         f"structural Z_2^{n - 2} subgroup verified on {res['structural_samples']} sampled patterns",
     ]
-    body = [[k, str(v)] for k, v in sorted(payload.items())]
-    return Report(payload, ("field", "value"), body, lines, code=0 if ok else 1)
+    return _fields(_by_name(facts), lines, code=0 if ok else 1)
 
 
 def cmd_paper_check(args):
     from . import verification
 
     results = verification.run_all()
-    payload = []
-    lines = []
+    payload, rows, lines = [], [], []
     for r in results:
-        entry = {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
+        status = "PASS" if r.passed else "FAIL"
+        fields = [("number", r.number, r.number), ("name", r.name, r.name),
+                  ("passed", r.passed, status), ("detail", r.detail, None)]
         if args.timings:
-            entry["seconds"] = round(r.seconds, 3)
-        payload.append(entry)
+            fields.append(("seconds", round(r.seconds, 3), round(r.seconds, 3)))
+        payload.append({name: value for name, value, _ in fields})
+        rows.append([cell for _, _, cell in fields if cell is not None])
         stamp = f"  ({r.seconds:.2f}s)" if args.timings else ""
-        lines.append(f"{r.number:>2}  {r.name:<24} {'PASS' if r.passed else 'FAIL'}{stamp}")
+        lines.append(f"{r.number:>2}  {r.name:<24} {status}{stamp}")
         lines += ["      " + detail_line for detail_line in r.detail.splitlines()]
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failed} passed, {failed} failed")
-    rows = [[r.number, r.name, "PASS" if r.passed else "FAIL"] for r in results]
-    return Report(payload, ("number", "name", "result"), rows, lines, code=0 if failed == 0 else 1)
+    headers = ("number", "name", "result") + ("seconds",) * args.timings
+    return Report(payload, headers, rows, lines, code=0 if failed == 0 else 1)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -249,11 +249,40 @@ def test_input_is_required(capsys):
     assert code == 2 and "exactly one" in err
 
 
-def test_exclusive_inputs(tmp_path, capsys):
-    path = tmp_path / "pair.json"
-    path.write_text("{}")
-    code, _, err = run(capsys, "group", "--fixture", "diamond", "--pair", str(path))
-    assert code == 2 and "exactly one" in err
+INPUT_COMMANDS = (
+    ["check-mmatrix"],
+    ["show-pair"],
+    ["enumerate", "--kind", "superstable"],
+    ["duality"],
+    ["fixed-points"],
+    ["frackets", "--side", "L"],
+    ["group"],
+)
+
+
+def test_input_commands_are_all_listed():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    inputs = {name for name, p in sub.choices.items() if "--pair" in p._option_string_actions}
+    assert inputs == {command[0] for command in INPUT_COMMANDS}
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda command: command[0])
+def test_exclusive_inputs(tmp_path, capsys, command):
+    # each source alone is valid input, so only the pairing is rejected
+    pair = tmp_path / "pair.json"
+    pair.write_text('{"L": [[2]], "M": [[2]]}')
+    graph = tmp_path / "edge.sg"
+    graph.write_text("n 2 sink 2\n1 2 +\n")
+    sources = {"--pair": str(pair), "--graph": str(graph), "--fixture": "diamond"}
+    for chosen in (("--pair", "--fixture"), ("--graph", "--pair"), ("--graph", "--fixture"),
+                   ("--pair", "--graph", "--fixture")):
+        argv = [arg for flag in chosen for arg in (flag, sources[flag])]
+        code, out, err = run(capsys, *command, *argv)
+        assert (code, out) == (2, ""), chosen
+        assert "exactly one of --pair, --graph, --fixture is required" in err
+    for flag, value in sources.items():
+        code, _, err = run(capsys, *command, flag, value)
+        assert code in (0, 1) and err == "", flag
 
 
 def test_missing_file(capsys):
@@ -542,6 +571,11 @@ def test_paper_check_timings(monkeypatch, capsys, paper_results):
     code, out, _ = run(capsys, "paper-check", "--timings", "--format", "json")
     assert code == 0
     assert [e["seconds"] for e in json.loads(out)] == [round(r.seconds, 3) for r in paper_results]
+    code, out, _ = run(capsys, "paper-check", "--timings", "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "number,name,result,seconds"
+    assert rows == [f"{r.number},{r.name},PASS,{round(r.seconds, 3)}" for r in paper_results]
     code, out, _ = run(capsys, "paper-check", "--timings")
     assert code == 0
     # one status line per criterion, each followed by its indented detail lines

@@ -14,7 +14,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 def test_every_module_is_checked():
     # the glob sees the whole package, not an empty or wrong directory
     assert {"cli", "duality", "fixtures", "frackets", "lattices", "linalg", "mmatrix",
-            "pairs", "sgraph", "verification"} <= set(MODULES)
+            "pairs", "refdata", "rows", "sgraph", "verification"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", MODULES)
